@@ -3,7 +3,8 @@
 Each digest covers the full-precision numbers (``repr`` of every float),
 not a rounded rendering, so a refactor that claims "same behaviour" has
 to reproduce the paper campaign, a long pure-periodic trace, the
-Figures 2-4 text and a multicore campaign bit for bit.  A deliberate
+execution arm's VM traces, the Figures 2-4 text and a multicore campaign
+bit for bit.  A deliberate
 behaviour change updates the pinned digest in its own commit, with the
 reason.
 """
@@ -13,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.experiments.campaign import ARMS, run_campaign
+from repro.experiments.campaign import ARMS, execute_system, run_campaign
 from repro.experiments.figures import render_all_figures
 from repro.sim import FixedPriorityPolicy, Simulation
 from repro.sim.engine import KERNEL_MODES, TRACE_MODES
 from repro.smp.campaign import MulticoreParameters, run_multicore_campaign
 from repro.smp.metrics import multicore_metrics_to_dict
+from repro.workload import PAPER_SETS, RandomSystemGenerator
 from repro.workload.spec import PeriodicTaskSpec
 
 PINNED = {
@@ -30,6 +32,8 @@ PINNED = {
         "922ca678180f4e6dac243963710ba614ca79f0d735b03da979fb9017d67ec1fc",
     "multicore_campaign":
         "5d2e9dd9e1bd70518227c8babecfe6d669e0fbc83e0dfe24f63d83b392ba1183",
+    "exec_trace":
+        "efcae029ab31272ec88909aa2d322fea117a25c42e5698e5cce7c5d9e49909e0",
 }
 
 # dense dyadic set on the 0.25-tu grid: hyperperiod 16 tu, utilization
@@ -64,6 +68,11 @@ def _paper_campaign_digest() -> str:
 
 def _trace_digest(trace) -> str:
     digest = hashlib.sha256()
+    _update_with_trace(digest, trace)
+    return digest.hexdigest()
+
+
+def _update_with_trace(digest, trace) -> None:
     for e in trace.events:
         digest.update(
             f"E {e.time!r} {e.kind.value} {e.subject} {e.detail}\n".encode()
@@ -72,7 +81,6 @@ def _trace_digest(trace) -> str:
         digest.update(
             f"S {s.start!r} {s.end!r} {s.entity} {s.job} {s.core}\n".encode()
         )
-    return digest.hexdigest()
 
 
 def _dyadic_trace_digests() -> set[str]:
@@ -92,6 +100,34 @@ def _dyadic_trace_digests() -> set[str]:
     return digests
 
 
+def _exec_trace_digests() -> set[str]:
+    """The VM trace and every job's fate for the first two systems of
+    each paper set (seed 1983) under PS and DS; one digest per trace
+    representation (both must agree)."""
+    digests = set()
+    for trace_mode in (None, "compact"):
+        digest = hashlib.sha256()
+        for params in PAPER_SETS:
+            for system in RandomSystemGenerator(params).generate()[:2]:
+                for policy in ("polling", "deferrable"):
+                    result = execute_system(
+                        system, policy, trace_mode=trace_mode
+                    )
+                    digest.update(
+                        f"# {params.task_density} {params.std_deviation} "
+                        f"{system.system_id} {policy}\n".encode()
+                    )
+                    _update_with_trace(digest, result.trace)
+                    for job in result.jobs:
+                        digest.update(
+                            f"J {job.name} {job.start_time!r} "
+                            f"{job.finish_time!r} {job.state.value} "
+                            f"{job.interrupted}\n".encode()
+                        )
+        digests.add(digest.hexdigest())
+    return digests
+
+
 def _multicore_campaign_digest() -> str:
     result = run_multicore_campaign(MulticoreParameters(nb_systems=5))
     digest = hashlib.sha256()
@@ -107,6 +143,8 @@ def _multicore_campaign_digest() -> str:
 def test_behaviour_lock_digests():
     dyadic = _dyadic_trace_digests()
     assert len(dyadic) == 1, "kernel/trace modes disagree on the trace"
+    exec_trace = _exec_trace_digests()
+    assert len(exec_trace) == 1, "object and compact VM traces disagree"
     observed = {
         "paper_campaign": _paper_campaign_digest(),
         "dyadic_trace": dyadic.pop(),
@@ -114,5 +152,6 @@ def test_behaviour_lock_digests():
             render_all_figures().encode()
         ).hexdigest(),
         "multicore_campaign": _multicore_campaign_digest(),
+        "exec_trace": exec_trace.pop(),
     }
     assert observed == PINNED

@@ -18,7 +18,7 @@ import itertools
 from typing import Any, Callable, Generator, TYPE_CHECKING
 
 from ..rtsj.async_event import AsyncEvent
-from ..rtsj.instructions import Compute, Instruction
+from ..rtsj.instructions import Instruction
 from ..rtsj.time_types import RelativeTime  # noqa: F401 (public API type)
 from ..sim.task import AperiodicJob
 from ..sim.trace import TraceEventKind
@@ -70,33 +70,24 @@ class ServableAsyncEventHandler:
         optional: bool = False,
         value: float | None = None,
     ) -> None:
-        if cost.total_nanos <= 0:
+        if actual_cost is None:
+            actual_cost = cost
+        #: the declared and actual costs in nanoseconds, read on every
+        #: release (both time values are immutable)
+        self.cost_ns = cost.total_nanos
+        self.actual_cost_ns = actual_cost.total_nanos
+        if self.cost_ns <= 0:
             raise ValueError("declared cost must be positive")
-        if actual_cost is not None and actual_cost.total_nanos <= 0:
+        if self.actual_cost_ns <= 0:
             raise ValueError("actual cost must be positive")
         self.cost = cost
-        self.actual_cost = actual_cost if actual_cost is not None else cost
+        self.actual_cost = actual_cost
         self.server = server
         self.work = work
         self.name = name
         self.optional = optional
         self.value = value
         server.register_handler(self)
-
-    @property
-    def cost_ns(self) -> int:
-        return self.cost.total_nanos
-
-    def make_work(self, inflation_ns: int) -> Generator[Instruction, Any, None]:
-        """One release's execution: the custom work generator, or a burn
-        of the actual cost plus the runtime's handler inflation."""
-        if self.work is not None:
-            return self.work()
-
-        def burn() -> Generator[Instruction, Any, None]:
-            yield Compute(self.actual_cost.total_nanos + inflation_ns)
-
-        return burn()
 
     def __repr__(self) -> str:
         return f"<SAEH {self.name} cost={self.cost!r}>"
@@ -113,23 +104,21 @@ class HandlerRelease:
                  release_ns: int) -> None:
         self.handler = handler
         self.release_ns = release_ns
+        #: declared cost (what the server budgets for)
+        self.cost_ns = handler.cost_ns
         self.release_id = next(_release_counter)
         #: the firing ServableAsyncEvent (overload feedback path: a shed
         #: or interrupted release reports failure to the source's breaker)
         self.source: "ServableAsyncEvent | None" = None
         #: completion value for value-density shedding
         self.value = handler.value
+        release = release_ns / 1_000_000
         self.job = AperiodicJob(
-            name=f"{handler.name}@{release_ns / 1_000_000:g}",
-            release=release_ns / 1_000_000,
-            cost=handler.actual_cost.total_nanos / 1_000_000,
+            name=f"{handler.name}@{release:g}",
+            release=release,
+            cost=handler.actual_cost_ns / 1_000_000,
             declared_cost=handler.cost_ns / 1_000_000,
         )
-
-    @property
-    def cost_ns(self) -> int:
-        """Declared cost (what the server budgets for)."""
-        return self.handler.cost_ns
 
     def __repr__(self) -> str:
         return f"<HandlerRelease {self.job.name}>"

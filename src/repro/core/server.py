@@ -19,11 +19,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Generator, TYPE_CHECKING
 
 from ..rtsj.instructions import Compute, Instruction
-from ..rtsj.interruptible import (
-    AsynchronouslyInterruptedException,
-    Interruptible,
-    Timed,
-)
+from ..rtsj.interruptible import Interruptible, Timed
 from ..rtsj.thread import RealtimeThread, Schedulable
 from ..rtsj.time_types import RelativeTime
 from ..rtsj.vm import NS_PER_UNIT, RTSJVirtualMachine
@@ -40,20 +36,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TaskServer"]
 
+# hot-path constants (an enum member read through its class is slow)
+_RELEASE = TraceEventKind.RELEASE
+_START = TraceEventKind.START
+_COMPLETION = TraceEventKind.COMPLETION
+_COMPLETED = JobState.COMPLETED
 
-class _ReleaseInterruptible(Interruptible):
-    """Adapts one handler release to the ``Timed`` protocol."""
 
-    def __init__(self, release: HandlerRelease, inflation_ns: int) -> None:
+class _WorkInterruptible(Interruptible):
+    """Adapts one release of a handler with custom ``work`` to the
+    ``Timed`` protocol."""
+
+    def __init__(self, release: HandlerRelease) -> None:
         self.release = release
-        self.inflation_ns = inflation_ns
-        self.interrupted = False
 
     def run(self, timed: Timed) -> Generator[Instruction, Any, None]:
-        yield from self.release.handler.make_work(self.inflation_ns)
-
-    def interrupt_action(self, exc: AsynchronouslyInterruptedException) -> None:
-        self.interrupted = True
+        yield from self.release.handler.work()
 
 
 class TaskServer(Schedulable, ABC):
@@ -78,6 +76,8 @@ class TaskServer(Schedulable, ABC):
         self.vm: RTSJVirtualMachine | None = None
         self.horizon_ns: int | None = None
         self.handlers: list[ServableAsyncEventHandler] = []
+        #: the same handlers as a set, for O(1) ownership checks
+        self._handler_set: set[ServableAsyncEventHandler] = set()
         #: handlers declared costlier than the capacity (never serveable
         #: by a PS; serveable by a DS only through the refill bridge)
         self.oversized_handlers: list[ServableAsyncEventHandler] = []
@@ -126,7 +126,8 @@ class TaskServer(Schedulable, ABC):
         the end-of-period bridge if it fits twice the capacity).  The
         ``oversized_handlers`` list records them for diagnosis.
         """
-        if handler not in self.handlers:
+        if handler not in self._handler_set:
+            self._handler_set.add(handler)
             self.handlers.append(handler)
             if handler.cost_ns > self.params.capacity_ns:
                 self.oversized_handlers.append(handler)
@@ -201,7 +202,7 @@ class TaskServer(Schedulable, ABC):
         source=None,
     ) -> None:
         """Called by ``ServableAsyncEvent.fire()`` for each bound SAEH."""
-        if handler not in self.handlers:
+        if handler not in self._handler_set:
             raise ValueError(
                 f"handler {handler.name!r} is not associated with server "
                 f"{self.name!r}"
@@ -211,27 +212,24 @@ class TaskServer(Schedulable, ABC):
         release = HandlerRelease(handler, vm.now_ns)
         release.source = source
         self.releases.append(release)
+        now = vm.now_ns / NS_PER_UNIT
         if self._shed_pending > 0:
             # skip-next-release recovery: shed this arrival outright
             self._shed_pending -= 1
             release.job.state = JobState.ABORTED
-            release.job.finish_time = vm.now_ns / NS_PER_UNIT
+            release.job.finish_time = now
             vm.trace.add_event(
-                vm.now_ns / NS_PER_UNIT, TraceEventKind.FAULT,
+                now, TraceEventKind.FAULT,
                 release.job.name, "release shed (skip-next-release)",
             )
             return
         detector = self.overload_detector
         if detector is not None:
-            detector.note_arrival(
-                vm.now_ns / NS_PER_UNIT, release.cost_ns / NS_PER_UNIT
-            )
+            detector.note_arrival(now, release.cost_ns / NS_PER_UNIT)
             if detector.degraded and handler.optional:
                 self._shed_release(release, "optional handler (degraded mode)")
                 return
-        vm.trace.add_event(
-            vm.now_ns / NS_PER_UNIT, TraceEventKind.RELEASE, release.job.name
-        )
+        vm.trace.add_event(now, _RELEASE, release.job.name)
         self._enqueue(release)
 
     @abstractmethod
@@ -270,20 +268,20 @@ class TaskServer(Schedulable, ABC):
         ``run()`` in the Java implementation.
         """
         vm = self._require_vm()
-        if vm.overhead.dispatch_ns:
-            yield Compute(vm.overhead.dispatch_ns)
+        overhead = vm.overhead
+        if overhead.dispatch_ns:
+            yield Compute(overhead.dispatch_ns)
         job = release.job
         start_ns = vm.now_ns
         if job.start_time is None:
             job.start_time = start_ns / NS_PER_UNIT
             vm.trace.add_event(
-                start_ns / NS_PER_UNIT, TraceEventKind.START, job.name
+                start_ns / NS_PER_UNIT, _START, job.name
             )
         self._on_serve_start(start_ns, release)
         thread.activity_label = job.name
-        interruptible = _ReleaseInterruptible(
-            release, vm.overhead.handler_inflation_ns
-        )
+        handler = release.handler
+        inflation_ns = overhead.handler_inflation_ns
         # enforcement narrows the Timed budget to the *declared* cost
         # (inflation included, so a well-behaved handler is never cut by
         # runtime overhead alone); the capacity budget still caps it
@@ -292,13 +290,21 @@ class TaskServer(Schedulable, ABC):
         effective_ns = budget_ns
         if config is not None and config.cuts_execution:
             enforce_ns = (
-                round(config.budget_for(release.handler.cost_ns))
-                + vm.overhead.handler_inflation_ns
+                round(config.budget_for(handler.cost_ns)) + inflation_ns
             )
             effective_ns = min(budget_ns, enforce_ns)
         timed = Timed(RelativeTime.from_nanos(effective_ns), now_ns=start_ns)
         try:
-            ok = yield from timed.do_interruptible(interruptible)
+            if handler.work is None:
+                # a cost-only handler burns its actual cost plus the
+                # runtime's handler inflation: one Compute under the budget
+                ok = yield from timed.do_compute(
+                    handler.actual_cost_ns + inflation_ns
+                )
+            else:
+                ok = yield from timed.do_interruptible(
+                    _WorkInterruptible(release)
+                )
         finally:
             thread.activity_label = None
         end_ns = vm.now_ns
@@ -318,11 +324,9 @@ class TaskServer(Schedulable, ABC):
         ):
             self._record_overrun(end_ns, job.name, config.policy)
         if ok:
-            job.state = JobState.COMPLETED
+            job.state = _COMPLETED
             job.finish_time = end_ns / NS_PER_UNIT
-            vm.trace.add_event(
-                end_ns / NS_PER_UNIT, TraceEventKind.COMPLETION, job.name
-            )
+            vm.trace.add_event(end_ns / NS_PER_UNIT, _COMPLETION, job.name)
         elif enforcement_cut:
             job.finish_time = end_ns / NS_PER_UNIT
             self._record_overrun(end_ns, job.name, config.policy)

@@ -92,6 +92,27 @@ class Timed:
             return False
         return True
 
+    def do_compute(
+        self, duration_ns: int
+    ) -> Generator[Instruction, Any, bool]:
+        """Generator helper: ``ok = yield from timed.do_compute(ns)``.
+
+        The section is straight-line CPU consumption: one
+        :class:`Compute` of ``duration_ns`` carrying this budget's
+        deadline.  Same contract as :meth:`do_interruptible` on a section
+        whose ``run`` yields that compute and has no interrupt action:
+        ``True`` when it completed within the budget, ``False`` when
+        this budget interrupted it.
+        """
+        try:
+            yield Compute(duration_ns, self._deadline_ns, self)
+        except AsynchronouslyInterruptedException as exc:
+            if exc.owner is not None and exc.owner is not self:
+                # an enclosing Timed's interrupt: keep unwinding
+                raise
+            return False
+        return True
+
     def _bounded(
         self, section: Generator[Instruction, Any, Any]
     ) -> Generator[Instruction, Any, Any]:

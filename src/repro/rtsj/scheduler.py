@@ -20,9 +20,8 @@ class PriorityScheduler:
     """Preemptive fixed-priority dispatcher with a feasibility set."""
 
     def __init__(self) -> None:
-        self._ready: list[RealtimeThread] = []  # kept FIFO per arrival
-        self._arrival_seq = 0
-        self._arrival_index: dict[int, int] = {}
+        # kept in arrival order: a re-readied thread goes to the back
+        self._ready: list[RealtimeThread] = []
         self.feasibility_set: list[Schedulable] = []
 
     # -- ready-queue management ---------------------------------------------------
@@ -32,15 +31,12 @@ class PriorityScheduler:
         if thread in self._ready:
             return
         self._check_priority(thread)
-        self._arrival_index[id(thread)] = self._arrival_seq
-        self._arrival_seq += 1
         self._ready.append(thread)
 
     def remove(self, thread: RealtimeThread) -> None:
         """Drop a thread from the ready set if present."""
         if thread in self._ready:
             self._ready.remove(thread)
-            self._arrival_index.pop(id(thread), None)
 
     def pick(self, eligible=None) -> RealtimeThread | None:
         """Highest priority, FIFO within a level; ``None`` when idle.
@@ -48,15 +44,14 @@ class PriorityScheduler:
         ``eligible`` optionally filters the ready set (the VM uses it to
         exclude dispatchable-but-throttled processing-group members).
         """
-        pool = [
-            t for t in self._ready if eligible is None or eligible(t)
-        ]
-        if not pool:
-            return None
-        return min(
-            pool,
-            key=lambda t: (-t.priority, self._arrival_index[id(t)]),
-        )
+        best = None
+        for thread in self._ready:
+            if (
+                (best is None or thread.priority > best.priority)
+                and (eligible is None or eligible(thread))
+            ):
+                best = thread
+        return best
 
     def should_preempt(self, candidate: RealtimeThread,
                        running: RealtimeThread) -> bool:

@@ -47,6 +47,11 @@ class ThreadState(enum.Enum):
     TERMINATED = "terminated"
 
 
+# hot-path constants (an enum member read through its class is slow)
+_READY = ThreadState.READY
+_TERMINATED = ThreadState.TERMINATED
+
+
 class Schedulable:
     """Base for objects the scheduler can dispatch (RTSJ ``Schedulable``)."""
 
@@ -128,7 +133,7 @@ class RealtimeThread(Schedulable):
         self._instruction = Compute(0)
 
     def ready(self) -> bool:
-        return self.state is ThreadState.READY
+        return self.state is _READY
 
     def advance(self, *, value: Any = None,
                 exc: BaseException | None = None) -> Instruction | None:
@@ -142,7 +147,7 @@ class RealtimeThread(Schedulable):
                 instr = self._generator.send(value)
         except StopIteration:
             self._instruction = None
-            self.state = ThreadState.TERMINATED
+            self.state = _TERMINATED
             return None
         if not isinstance(instr, Instruction):
             raise TypeError(

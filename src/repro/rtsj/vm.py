@@ -17,7 +17,6 @@ execution runs.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Callable
 
 from ..sim.trace import ExecutionTrace, TraceEventKind
@@ -32,6 +31,12 @@ __all__ = ["RTSJVirtualMachine", "NS_PER_UNIT"]
 
 #: nanoseconds per trace/metric time unit (1 tu = 1 ms)
 NS_PER_UNIT = 1_000_000
+
+# hot-path constants (an enum member read through its class is slow)
+_READY = ThreadState.READY
+_BLOCKED = ThreadState.BLOCKED
+_TERMINATED = ThreadState.TERMINATED
+_TIMER_FIRE = TraceEventKind.TIMER_FIRE
 
 
 class RTSJVirtualMachine:
@@ -82,7 +87,7 @@ class RTSJVirtualMachine:
         def fire(now: int) -> None:
             self.add_isr_time(self.overhead.timer_fire_ns)
             self.trace.add_event(
-                now / NS_PER_UNIT, TraceEventKind.TIMER_FIRE, "timer"
+                now / NS_PER_UNIT, _TIMER_FIRE, "timer"
             )
             action(now)
 
@@ -130,8 +135,8 @@ class RTSJVirtualMachine:
         bank it in the thread's pending count)."""
         thread.pending_releases += 1
         if (
-            thread.state is ThreadState.BLOCKED
-            and isinstance(thread.instruction, AwaitRelease)
+            thread.state is _BLOCKED
+            and isinstance(thread._instruction, AwaitRelease)
         ):
             self._consume_release(thread)
 
@@ -149,29 +154,32 @@ class RTSJVirtualMachine:
             raise RuntimeError("a VM can only be run once")
         self._ran = True
 
+        events = self._events
         while self.now_ns < until_ns:
-            self._drain_events()
+            # due events fire first (the heap head is read inline)
+            while events and events[0][0] <= self.now_ns:
+                heapq.heappop(events)[3](self.now_ns)
+            now = self.now_ns
             # interrupt windows block every thread
-            if self._busy_until_ns > self.now_ns:
-                stop = min(
-                    self._busy_until_ns,
-                    self._next_event_time() or math.inf,
-                    until_ns,
-                )
+            if self._busy_until_ns > now:
+                stop = self._busy_until_ns
+                if events and events[0][0] < stop:
+                    stop = events[0][0]
+                if until_ns < stop:
+                    stop = until_ns
                 stop = int(stop)
                 self.trace.add_segment(
-                    self.now_ns / NS_PER_UNIT, stop / NS_PER_UNIT, "ISR"
+                    now / NS_PER_UNIT, stop / NS_PER_UNIT, "ISR"
                 )
                 self.now_ns = stop
                 continue
             thread = self._pick()
             if thread is None:
-                nxt = self._next_event_time()
-                if nxt is None or nxt > until_ns:
+                if not events or events[0][0] > until_ns:
                     break
-                self.now_ns = max(self.now_ns, nxt)
+                self.now_ns = max(now, events[0][0])
                 continue
-            if self._busy_until_ns > self.now_ns:
+            if self._busy_until_ns > now:
                 # picking charged a context switch: serve the interrupt
                 # window first (handled at the top of the loop)
                 continue
@@ -182,14 +190,6 @@ class RTSJVirtualMachine:
         return self.trace
 
     # -- internals ---------------------------------------------------------------------
-
-    def _drain_events(self) -> None:
-        while self._events and self._events[0][0] <= self.now_ns:
-            _, _, _, callback = heapq.heappop(self._events)
-            callback(self.now_ns)
-
-    def _next_event_time(self) -> int | None:
-        return self._events[0][0] if self._events else None
 
     def _begin(self, thread: RealtimeThread) -> None:
         """The thread's release instant: it becomes dispatchable; its
@@ -202,7 +202,7 @@ class RTSJVirtualMachine:
         when the thread actually holds the processor — never while a
         higher-priority thread is running."""
         thread.set_resume_marker()
-        thread.state = ThreadState.READY
+        thread.state = _READY
         self.scheduler.make_ready(thread)
 
     def _replenish_pgp(self, now: int,
@@ -213,10 +213,17 @@ class RTSJVirtualMachine:
         # at dispatch
 
     def _pick(self) -> RealtimeThread | None:
-        def dispatchable(t: RealtimeThread) -> bool:
-            return isinstance(t.instruction, Compute) and self._eligible(t)
-
-        best = self.scheduler.pick(dispatchable)
+        # a direct scan of the ready list: it is in arrival order, so the
+        # first dispatchable thread of the highest priority is the one
+        # PriorityScheduler.pick would return (FIFO within a level)
+        best = None
+        for thread in self.scheduler._ready:
+            if (
+                isinstance(thread._instruction, Compute)
+                and self._eligible(thread)
+                and (best is None or thread.priority > best.priority)
+            ):
+                best = thread
         if best is None:
             self._running = None
             return None
@@ -224,8 +231,9 @@ class RTSJVirtualMachine:
         if (
             current is not None
             and current is not best
-            and dispatchable(current)
-            and current.ready()
+            and current.state is _READY
+            and isinstance(current._instruction, Compute)
+            and self._eligible(current)
             and not self.scheduler.should_preempt(best, current)
         ):
             best = current
@@ -241,25 +249,31 @@ class RTSJVirtualMachine:
         return not pgp.exhausted
 
     def _execute_slice(self, thread: RealtimeThread, until_ns: int) -> None:
-        instr = thread.instruction
-        assert isinstance(instr, Compute)
+        instr = thread._instruction
+        now = self.now_ns
+        deadline = instr.deadline_ns
         # a Timed deadline that already passed (e.g. covered by an ISR
         # window) interrupts before any further execution
-        if instr.deadline_ns is not None and instr.deadline_ns <= self.now_ns:
+        if deadline is not None and deadline <= now:
             self._interrupt(thread)
             return
-        stop_candidates = [self.now_ns + instr.remaining_ns, until_ns]
-        if instr.deadline_ns is not None:
-            stop_candidates.append(instr.deadline_ns)
-        nxt = self._next_event_time()
-        if nxt is not None:
-            stop_candidates.append(nxt)
+        # the slice ends at the first of: the compute's end, the horizon,
+        # the Timed deadline, the next event and the group budget
+        stop = now + instr.remaining_ns
+        if until_ns < stop:
+            stop = until_ns
+        if deadline is not None and deadline < stop:
+            stop = deadline
+        events = self._events
+        if events and events[0][0] < stop:
+            stop = events[0][0]
         pgp = thread.pgp
         if pgp is not None and pgp.enforced:
-            stop_candidates.append(self.now_ns + max(pgp.budget_ns, 0))
-        stop = min(stop_candidates)
-        if stop > self.now_ns:
-            elapsed = stop - self.now_ns
+            budget_stop = now + max(pgp.budget_ns, 0)
+            if budget_stop < stop:
+                stop = budget_stop
+        if stop > now:
+            elapsed = stop - now
             instr.remaining_ns -= elapsed
             if pgp is not None:
                 pgp.budget_ns -= elapsed
@@ -267,7 +281,7 @@ class RTSJVirtualMachine:
                     # the portion of this slice past the budget boundary
                     pgp.overrun_ns += min(elapsed, -pgp.budget_ns)
             self.trace.add_segment(
-                self.now_ns / NS_PER_UNIT,
+                now / NS_PER_UNIT,
                 stop / NS_PER_UNIT,
                 thread.name,
                 thread.activity_label,
@@ -276,12 +290,12 @@ class RTSJVirtualMachine:
         if instr.remaining_ns <= 0:
             thread.advance()
             self._handle_instruction(thread)
-        elif instr.deadline_ns is not None and instr.deadline_ns <= self.now_ns:
+        elif deadline is not None and deadline <= self.now_ns:
             self._interrupt(thread)
         # otherwise: preempted by an event/pgp boundary; loop re-picks
 
     def _interrupt(self, thread: RealtimeThread) -> None:
-        instr = thread.instruction
+        instr = thread._instruction
         owner = instr.deadline_owner if isinstance(instr, Compute) else None
         thread.advance(exc=AsynchronouslyInterruptedException(owner))
         self._handle_instruction(thread)
@@ -290,17 +304,17 @@ class RTSJVirtualMachine:
         """Process non-compute instructions until the thread blocks,
         terminates, or parks on a Compute."""
         while True:
-            instr = thread.instruction
-            if thread.state is ThreadState.TERMINATED or instr is None:
+            instr = thread._instruction
+            if thread.state is _TERMINATED or instr is None:
                 self.scheduler.remove(thread)
-                thread.state = ThreadState.TERMINATED
+                thread.state = _TERMINATED
                 return
             if isinstance(instr, Compute):
                 if instr.remaining_ns <= 0:
                     # zero-length compute: complete immediately
                     thread.advance()
                     continue
-                thread.state = ThreadState.READY
+                thread.state = _READY
                 self.scheduler.make_ready(thread)
                 return
             if isinstance(instr, WaitForNextPeriod):
@@ -317,7 +331,7 @@ class RTSJVirtualMachine:
                     # release not in the past (a release due exactly now
                     # is still taken, as in RTSJ waitForNextPeriod)
                     thread.next_release_ns += period
-                thread.state = ThreadState.BLOCKED
+                thread.state = _BLOCKED
                 self.scheduler.remove(thread)
                 self.schedule_event(
                     thread.next_release_ns,
@@ -326,7 +340,7 @@ class RTSJVirtualMachine:
                 )
                 return
             if isinstance(instr, Sleep):
-                thread.state = ThreadState.BLOCKED
+                thread.state = _BLOCKED
                 self.scheduler.remove(thread)
                 wake_at = max(instr.until_ns, self.now_ns)
                 self.schedule_event(
@@ -338,12 +352,12 @@ class RTSJVirtualMachine:
                     thread.pending_releases -= 1
                     thread.advance()
                     continue
-                thread.state = ThreadState.BLOCKED
+                thread.state = _BLOCKED
                 self.scheduler.remove(thread)
                 return
             raise TypeError(f"unknown instruction {instr!r}")
 
     def _wake(self, thread: RealtimeThread) -> None:
-        if thread.state is ThreadState.TERMINATED:
+        if thread.state is _TERMINATED:
             return
         self._make_dispatchable(thread)

@@ -508,7 +508,11 @@ def execute_system(
         handler = ServableAsyncEventHandler(
             cost=RelativeTime.from_units(event.declared_cost),
             server=server,
-            actual_cost=RelativeTime.from_units(event.cost),
+            # unset: the handler runs its declared cost
+            actual_cost=(
+                RelativeTime.from_units(event.actual_cost)
+                if event.actual_cost is not None else None
+            ),
             name=f"h{event.event_id}",
         )
         sae = ServableAsyncEvent(name=f"e{event.event_id}")
@@ -537,19 +541,21 @@ def _run_arm(
     overhead: OverheadModel | None,
     enforcement: "EnforcementConfig | None",
     verify: bool = False,
-    trace_mode: str | None = None,
     kernel: str = "auto",
 ) -> RunMetrics:
+    # a campaign run keeps only its metrics, so both arms record the
+    # columnar trace: the same content and the same non-overlap check as
+    # the object trace, without one frozen dataclass per record
     policy = "polling" if arm.startswith("ps") else "deferrable"
     if arm.endswith("_sim"):
         result = simulate_system(
             system, policy, enforcement=enforcement, verify=verify,
-            trace_mode=trace_mode, kernel=kernel,
+            trace_mode="compact", kernel=kernel,
         )
     else:
         result = execute_system(
             system, policy, overhead, enforcement=enforcement, verify=verify,
-            trace_mode=trace_mode,
+            trace_mode="compact",
         )
     if result.report is not None and not result.report.ok:
         from ..verify.violations import VerificationError
@@ -558,16 +564,15 @@ def _run_arm(
     return result.metrics
 
 
-def _arm_extras(verify: bool, trace_mode: str | None,
-                kernel: str) -> tuple:
+def _arm_extras(verify: bool, kernel: str) -> tuple:
     """Positional extras for a ``_run_arm`` call.
 
-    The performance/verification knobs are opt-in: with everything at its
-    default the historical 4-argument call shape is kept, so test
-    stand-ins with the old signature stay usable.
+    The verification/kernel knobs are opt-in: with both at their default
+    the historical 4-argument call shape is kept, so test stand-ins with
+    the old signature stay usable.
     """
-    if trace_mode is not None or kernel != "auto":
-        return (verify, trace_mode, kernel)
+    if kernel != "auto":
+        return (verify, kernel)
     if verify:
         return (verify,)
     return ()
@@ -637,18 +642,18 @@ def _parallel_map(fn, tasks: list, workers: int,
 def _campaign_worker(task: tuple) -> RunRecord:
     """Pool entry point for one (arm, system) run of the paper campaign."""
     (hardened, arm, params, system, overhead, enforcement, fault_plan,
-     run_policy, verify, trace_mode, kernel) = task
+     run_policy, verify, kernel) = task
     if hardened:
         record = _guarded_run(
             arm, params, system, overhead, enforcement, fault_plan,
-            run_policy, verify, trace_mode, kernel,
+            run_policy, verify, kernel,
         )
         if run_policy.fail_fast and record.status != "ok":
             raise RunExhausted(record.to_dict())
         return record
     key = (params.task_density, params.std_deviation)
     metrics = _run_arm(arm, system, overhead, enforcement,
-                       *_arm_extras(verify, trace_mode, kernel))
+                       *_arm_extras(verify, kernel))
     return RunRecord(
         arm=arm, set_key=key, system_id=system.system_id,
         status="ok", metrics=metrics,
@@ -664,7 +669,6 @@ def _guarded_run(
     fault_plan: "FaultPlan | None",
     run_policy: RunPolicy,
     verify: bool = False,
-    trace_mode: str | None = None,
     kernel: str = "auto",
 ) -> RunRecord:
     """Run one (arm, system) with timeout, bounded retry and seed-bump.
@@ -683,7 +687,7 @@ def _guarded_run(
         try:
             with _time_limit(run_policy.timeout_s):
                 metrics = _run_arm(arm, current, overhead, enforcement,
-                                   *_arm_extras(verify, trace_mode, kernel))
+                                   *_arm_extras(verify, kernel))
             return RunRecord(
                 arm=arm, set_key=key, system_id=system.system_id,
                 status="ok", attempts=attempts, metrics=metrics,
@@ -721,7 +725,6 @@ def run_campaign(
     run_policy: RunPolicy | None = None,
     workers: int = 1,
     verify: bool = False,
-    trace_mode: str | None = None,
     kernel: str = "auto",
     batch: str = "off",
 ) -> CampaignResult:
@@ -840,7 +843,7 @@ def run_campaign(
                     None if source != "pool" else (
                         hardened, arm, params, system, overhead,
                         enforcement, fault_plan, worker_policy, verify,
-                        trace_mode, kernel,
+                        kernel,
                     )
                 )
     fresh = iter(_parallel_map(

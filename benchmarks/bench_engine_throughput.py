@@ -2,8 +2,16 @@
 
 Not a paper table — these pin the cost of the two substrates so that
 regressions in the event kernels are visible: RTSS processing dense and
-wide periodic sets over long horizons, and the emulated RTSJ VM running
-the full Table 1 configuration with events.
+wide periodic sets over long horizons, the emulated RTSJ VM running
+the full Table 1 configuration with events, and the paper pipeline end
+to end.
+
+``bench_e2e_paper_campaign`` is the Tables 2-5 pipeline with default
+knobs (generation, both arms under both servers, aggregation);
+``bench_exec_arms_paper_sets`` and ``bench_sim_arms_paper_sets`` split
+it into its execution (VM) and simulation (RTSS) halves over the same
+six paper sets, and their median ratio is guarded so the VM cannot
+regress against the sim kernel unnoticed.
 
 ``bench_rtss_kernel_dense_periodic`` runs the kernel in its throughput
 configuration (``kernel="fast"``, ``trace_mode="compact"``); the
@@ -16,6 +24,7 @@ guarded by the ``bench-smoke`` CI job (see docs/performance.md).
 from __future__ import annotations
 
 from repro.experiments import SCENARIOS, run_scenario_execution
+from repro.experiments.campaign import ARMS, run_campaign
 from repro.sim import FixedPriorityPolicy, Simulation, TraceEventKind
 from repro.workload.spec import PeriodicTaskSpec
 
@@ -87,3 +96,18 @@ def bench_rtsj_vm_scenario_pipeline(benchmark):
 
     outcomes = benchmark(run)
     assert len(outcomes) == 3
+
+
+def bench_e2e_paper_campaign(benchmark):
+    result = benchmark(run_campaign)
+    assert all(len(result.table(arm)) == 6 for arm in ARMS)
+
+
+def bench_exec_arms_paper_sets(benchmark):
+    result = benchmark(run_campaign, arms=("ps_exec", "ds_exec"))
+    assert len(result.table("ps_exec")) == len(result.table("ds_exec")) == 6
+
+
+def bench_sim_arms_paper_sets(benchmark):
+    result = benchmark(run_campaign, arms=("ps_sim", "ds_sim"))
+    assert len(result.table("ps_sim")) == len(result.table("ds_sim")) == 6

@@ -8,9 +8,11 @@ from repro.rtsj import (
     AsynchronouslyInterruptedException,
     Compute,
     Interruptible,
+    OverheadModel,
     PriorityParameters,
     RealtimeThread,
     RelativeTime,
+    RTSJVirtualMachine,
     Timed,
 )
 from conftest import M, make_periodic_thread, segments_of
@@ -201,6 +203,80 @@ class TestTimed:
         # one unit of work left
         assert results == [(False, 4)]
         assert segments_of(trace, "hi")[0] == (1, 3)
+
+
+class TestDoCompute:
+    """``Timed.do_compute``: a straight-line section as one Compute."""
+
+    @pytest.mark.parametrize("cost, budget, expected", [
+        (3, 4, (True, 3)),    # completes within the budget
+        (2, 2, (True, 2)),    # finishing at the deadline counts
+        (5, 2, (False, 2)),   # interrupted at the wall-clock deadline
+    ])
+    def test_same_outcome_as_do_interruptible(self, cost, budget,
+                                              expected):
+        outcomes = []
+        for section in ("compute", "interruptible"):
+            def script(thread, section=section):
+                timed = Timed(RelativeTime(budget, 0), now_ns=thread.now_ns)
+                if section == "compute":
+                    ok = yield from timed.do_compute(cost * M)
+                else:
+                    ok = yield from timed.do_interruptible(Work(cost))
+                return (ok, thread.now_ns // M)
+
+            vm = RTSJVirtualMachine(overhead=OverheadModel.zero())
+            results, trace = run_server(vm, script)
+            outcomes.append((results, segments_of(trace, "srv")))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [expected]
+
+    def test_inner_budget_interrupts_only_itself(self, zero_vm):
+        class Outer(Interruptible):
+            inner_ok = None
+
+            def run(self, timed):
+                inner = Timed(RelativeTime(2, 0), now_ns=0)
+                self.inner_ok = yield from inner.do_compute(5 * M)
+                yield Compute(1 * M)
+
+        outer_work = Outer()
+
+        def script(thread):
+            outer = Timed(RelativeTime(10, 0), now_ns=thread.now_ns)
+            ok = yield from outer.do_interruptible(outer_work)
+            return (ok, thread.now_ns // M)
+
+        results, _ = run_server(zero_vm, script)
+        assert outer_work.inner_ok is False
+        assert results == [(True, 3)]
+
+    def test_outer_budget_unwinds_through_inner_compute(self, zero_vm):
+        class Outer(Interruptible):
+            interrupted = False
+            inner_returned = False
+
+            def run(self, timed):
+                inner = Timed(RelativeTime(8, 0), now_ns=0)
+                yield from inner.do_compute(5 * M)
+                self.inner_returned = True
+
+            def interrupt_action(self, exc):
+                self.interrupted = True
+
+        outer_work = Outer()
+
+        def script(thread):
+            outer = Timed(RelativeTime(2, 0), now_ns=thread.now_ns)
+            ok = yield from outer.do_interruptible(outer_work)
+            return (ok, thread.now_ns // M)
+
+        results, _ = run_server(zero_vm, script)
+        # the outer deadline is earlier: the inner section re-raises the
+        # outer's interrupt instead of absorbing it
+        assert results == [(False, 2)]
+        assert outer_work.interrupted
+        assert not outer_work.inner_returned
 
 
 class TestNestedTimed:

@@ -36,12 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["TaskServer"]
 
-# hot-path constants (an enum member read through its class is slow)
-_RELEASE = TraceEventKind.RELEASE
-_START = TraceEventKind.START
-_COMPLETION = TraceEventKind.COMPLETION
-_COMPLETED = JobState.COMPLETED
-
 
 class _WorkInterruptible(Interruptible):
     """Adapts one release of a handler with custom ``work`` to the
@@ -229,7 +223,7 @@ class TaskServer(Schedulable, ABC):
             if detector.degraded and handler.optional:
                 self._shed_release(release, "optional handler (degraded mode)")
                 return
-        vm.trace.add_event(now, _RELEASE, release.job.name)
+        vm.trace.add_event(now, TraceEventKind.RELEASE, release.job.name)
         self._enqueue(release)
 
     @abstractmethod
@@ -276,7 +270,7 @@ class TaskServer(Schedulable, ABC):
         if job.start_time is None:
             job.start_time = start_ns / NS_PER_UNIT
             vm.trace.add_event(
-                start_ns / NS_PER_UNIT, _START, job.name
+                start_ns / NS_PER_UNIT, TraceEventKind.START, job.name
             )
         self._on_serve_start(start_ns, release)
         thread.activity_label = job.name
@@ -324,9 +318,9 @@ class TaskServer(Schedulable, ABC):
         ):
             self._record_overrun(end_ns, job.name, config.policy)
         if ok:
-            job.state = _COMPLETED
+            job.state = JobState.COMPLETED
             job.finish_time = end_ns / NS_PER_UNIT
-            vm.trace.add_event(end_ns / NS_PER_UNIT, _COMPLETION, job.name)
+            vm.trace.add_event(end_ns / NS_PER_UNIT, TraceEventKind.COMPLETION, job.name)
         elif enforcement_cut:
             job.finish_time = end_ns / NS_PER_UNIT
             self._record_overrun(end_ns, job.name, config.policy)

@@ -34,7 +34,6 @@ runs an :class:`~repro.service.AdmissionService` (or a PR 8
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -128,28 +127,18 @@ def undecided_entries(ops: list[dict]) -> list[dict]:
     """Ingest ops with no matching decision — the crash's replay debt.
 
     The dispatcher is serial, so the journal strictly alternates
-    ingest/decided per occurrence; pairing is positional per id: each
-    ``decided`` op settles the oldest still-undecided ``ingest`` of its
-    id (a ``decided`` op with none settles nothing).  The result keeps
-    journal order.  Linear in the journal: pending ingests are indexed
-    by request id.
+    ingest/decided per occurrence; pairing is positional per id.
     """
-    ingests: list[dict] = []
-    settled: list[bool] = []
-    #: request id -> positions in ``ingests`` still undecided, oldest first
-    waiting: dict[str, deque[int]] = {}
+    pending: list[dict] = []
     for op in ops:
-        kind = op.get("op")
-        if kind == "ingest":
-            rid = op["request"]["request_id"]
-            waiting.setdefault(rid, deque()).append(len(ingests))
-            ingests.append(op)
-            settled.append(False)
-        elif kind == "decided":
-            positions = waiting.get(op["id"])
-            if positions:
-                settled[positions.popleft()] = True
-    return [op for op, done in zip(ingests, settled) if not done]
+        if op.get("op") == "ingest":
+            pending.append(op)
+        elif op.get("op") == "decided":
+            for i, entry in enumerate(pending):
+                if entry["request"]["request_id"] == op["id"]:
+                    pending.pop(i)
+                    break
+    return pending
 
 
 class AdmissionGateway:

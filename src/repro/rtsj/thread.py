@@ -47,11 +47,6 @@ class ThreadState(enum.Enum):
     TERMINATED = "terminated"
 
 
-# hot-path constants (an enum member read through its class is slow)
-_READY = ThreadState.READY
-_TERMINATED = ThreadState.TERMINATED
-
-
 class Schedulable:
     """Base for objects the scheduler can dispatch (RTSJ ``Schedulable``)."""
 
@@ -133,7 +128,7 @@ class RealtimeThread(Schedulable):
         self._instruction = Compute(0)
 
     def ready(self) -> bool:
-        return self.state is _READY
+        return self.state is ThreadState.READY
 
     def advance(self, *, value: Any = None,
                 exc: BaseException | None = None) -> Instruction | None:
@@ -147,7 +142,7 @@ class RealtimeThread(Schedulable):
                 instr = self._generator.send(value)
         except StopIteration:
             self._instruction = None
-            self.state = _TERMINATED
+            self.state = ThreadState.TERMINATED
             return None
         if not isinstance(instr, Instruction):
             raise TypeError(

@@ -32,12 +32,6 @@ __all__ = ["RTSJVirtualMachine", "NS_PER_UNIT"]
 #: nanoseconds per trace/metric time unit (1 tu = 1 ms)
 NS_PER_UNIT = 1_000_000
 
-# hot-path constants (an enum member read through its class is slow)
-_READY = ThreadState.READY
-_BLOCKED = ThreadState.BLOCKED
-_TERMINATED = ThreadState.TERMINATED
-_TIMER_FIRE = TraceEventKind.TIMER_FIRE
-
 
 class RTSJVirtualMachine:
     """Deterministic virtual-time RTSJ runtime."""
@@ -87,7 +81,7 @@ class RTSJVirtualMachine:
         def fire(now: int) -> None:
             self.add_isr_time(self.overhead.timer_fire_ns)
             self.trace.add_event(
-                now / NS_PER_UNIT, _TIMER_FIRE, "timer"
+                now / NS_PER_UNIT, TraceEventKind.TIMER_FIRE, "timer"
             )
             action(now)
 
@@ -135,7 +129,7 @@ class RTSJVirtualMachine:
         bank it in the thread's pending count)."""
         thread.pending_releases += 1
         if (
-            thread.state is _BLOCKED
+            thread.state is ThreadState.BLOCKED
             and isinstance(thread._instruction, AwaitRelease)
         ):
             self._consume_release(thread)
@@ -202,7 +196,7 @@ class RTSJVirtualMachine:
         when the thread actually holds the processor — never while a
         higher-priority thread is running."""
         thread.set_resume_marker()
-        thread.state = _READY
+        thread.state = ThreadState.READY
         self.scheduler.make_ready(thread)
 
     def _replenish_pgp(self, now: int,
@@ -213,17 +207,7 @@ class RTSJVirtualMachine:
         # at dispatch
 
     def _pick(self) -> RealtimeThread | None:
-        # a direct scan of the ready list: it is in arrival order, so the
-        # first dispatchable thread of the highest priority is the one
-        # PriorityScheduler.pick would return (FIFO within a level)
-        best = None
-        for thread in self.scheduler._ready:
-            if (
-                isinstance(thread._instruction, Compute)
-                and self._eligible(thread)
-                and (best is None or thread.priority > best.priority)
-            ):
-                best = thread
+        best = self.scheduler.pick(self._dispatchable)
         if best is None:
             self._running = None
             return None
@@ -231,9 +215,8 @@ class RTSJVirtualMachine:
         if (
             current is not None
             and current is not best
-            and current.state is _READY
-            and isinstance(current._instruction, Compute)
-            and self._eligible(current)
+            and self._dispatchable(current)
+            and current.ready()
             and not self.scheduler.should_preempt(best, current)
         ):
             best = current
@@ -241,6 +224,12 @@ class RTSJVirtualMachine:
             self.add_isr_time(self.overhead.context_switch_ns)
         self._running = best
         return best
+
+    def _dispatchable(self, thread: RealtimeThread) -> bool:
+        return (
+            isinstance(thread._instruction, Compute)
+            and self._eligible(thread)
+        )
 
     def _eligible(self, thread: RealtimeThread) -> bool:
         pgp = thread.pgp
@@ -305,16 +294,16 @@ class RTSJVirtualMachine:
         terminates, or parks on a Compute."""
         while True:
             instr = thread._instruction
-            if thread.state is _TERMINATED or instr is None:
+            if thread.state is ThreadState.TERMINATED or instr is None:
                 self.scheduler.remove(thread)
-                thread.state = _TERMINATED
+                thread.state = ThreadState.TERMINATED
                 return
             if isinstance(instr, Compute):
                 if instr.remaining_ns <= 0:
                     # zero-length compute: complete immediately
                     thread.advance()
                     continue
-                thread.state = _READY
+                thread.state = ThreadState.READY
                 self.scheduler.make_ready(thread)
                 return
             if isinstance(instr, WaitForNextPeriod):
@@ -331,7 +320,7 @@ class RTSJVirtualMachine:
                     # release not in the past (a release due exactly now
                     # is still taken, as in RTSJ waitForNextPeriod)
                     thread.next_release_ns += period
-                thread.state = _BLOCKED
+                thread.state = ThreadState.BLOCKED
                 self.scheduler.remove(thread)
                 self.schedule_event(
                     thread.next_release_ns,
@@ -340,7 +329,7 @@ class RTSJVirtualMachine:
                 )
                 return
             if isinstance(instr, Sleep):
-                thread.state = _BLOCKED
+                thread.state = ThreadState.BLOCKED
                 self.scheduler.remove(thread)
                 wake_at = max(instr.until_ns, self.now_ns)
                 self.schedule_event(
@@ -352,12 +341,12 @@ class RTSJVirtualMachine:
                     thread.pending_releases -= 1
                     thread.advance()
                     continue
-                thread.state = _BLOCKED
+                thread.state = ThreadState.BLOCKED
                 self.scheduler.remove(thread)
                 return
             raise TypeError(f"unknown instruction {instr!r}")
 
     def _wake(self, thread: RealtimeThread) -> None:
-        if thread.state is _TERMINATED:
+        if thread.state is ThreadState.TERMINATED:
             return
         self._make_dispatchable(thread)

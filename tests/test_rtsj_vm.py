@@ -33,17 +33,6 @@ class TestPeriodicThreads:
         assert segments_of(trace, "hi") == [(0, 1), (3, 4), (6, 7), (9, 10)]
         assert segments_of(trace, "lo") == [(1, 3), (4, 6)]
 
-    def test_fifo_within_a_priority_level(self, zero_vm):
-        # equal priorities dispatch in arrival order, also after a
-        # higher-priority preemption; the newest arrival never jumps ahead
-        zero_vm.add_thread(make_periodic_thread("first", 2, 10, 20))
-        zero_vm.add_thread(make_periodic_thread("second", 2, 10, 20))
-        zero_vm.add_thread(make_periodic_thread("hi", 1, 10, 25, offset=1))
-        trace = zero_vm.run(10 * M)
-        assert segments_of(trace, "first") == [(0, 1), (2, 3)]
-        assert segments_of(trace, "hi") == [(1, 2)]
-        assert segments_of(trace, "second") == [(3, 5)]
-
     def test_offset_start(self, zero_vm):
         zero_vm.add_thread(make_periodic_thread("t", 1, 5, 20, offset=2))
         trace = zero_vm.run(12 * M)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-import random
 import struct
 
 import pytest
@@ -313,52 +312,7 @@ class TestDrain:
         asyncio.run(scenario())
 
 
-def _positional_pairing(ops: list[dict]) -> list[dict]:
-    """The restore rule spelled out: each decided op settles the oldest
-    still-pending ingest of its id, scanning the pending list."""
-    pending: list[dict] = []
-    for op in ops:
-        if op.get("op") == "ingest":
-            pending.append(op)
-        elif op.get("op") == "decided":
-            for i, entry in enumerate(pending):
-                if entry["request"]["request_id"] == op["id"]:
-                    pending.pop(i)
-                    break
-    return pending
-
-
-def _random_journal(rng: random.Random) -> list[dict]:
-    """Ingests over a small id pool (so ids repeat), decisions for pending
-    ids in any order, decisions for ids never ingested, other op kinds."""
-    ops: list[dict] = [{"op": "gateway_init", "t": 0.0}]
-    pending: list[str] = []
-    for step in range(rng.randrange(0, 120)):
-        roll = rng.random()
-        if roll < 0.45:
-            rid = f"r-{rng.randrange(8)}"
-            pending.append(rid)
-            ops.append({"op": "ingest", "t": float(step),
-                        "request": {"request_id": rid, "seq": step}})
-        elif roll < 0.8 and pending:
-            rid = pending.pop(rng.randrange(len(pending)))
-            ops.append({"op": "decided", "t": float(step), "id": rid})
-        elif roll < 0.9:
-            ops.append({"op": "decided", "t": float(step),
-                        "id": f"ghost-{rng.randrange(3)}"})
-        else:
-            ops.append({"op": rng.choice(("clock_pause", "drain")),
-                        "t": float(step)})
-    return ops
-
-
 class TestUndecidedEntries:
-    def test_matches_positional_pairing_on_seeded_journals(self):
-        rng = random.Random(20261017)
-        for _ in range(300):
-            ops = _random_journal(rng)
-            assert undecided_entries(ops) == _positional_pairing(ops)
-
     def test_repeated_ids_settle_oldest_first(self):
         first = {"op": "ingest", "request": {"request_id": "a", "n": 1}}
         second = {"op": "ingest", "request": {"request_id": "a", "n": 2}}

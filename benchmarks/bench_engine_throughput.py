@@ -10,8 +10,7 @@ to end.
 knobs (generation, both arms under both servers, aggregation);
 ``bench_exec_arms_paper_sets`` and ``bench_sim_arms_paper_sets`` split
 it into its execution (VM) and simulation (RTSS) halves over the same
-six paper sets, and their median ratio is guarded so the VM cannot
-regress against the sim kernel unnoticed.
+six paper sets.
 
 ``bench_rtss_kernel_dense_periodic`` runs the kernel in its throughput
 configuration (``kernel="fast"``, ``trace_mode="compact"``); the

@@ -150,7 +150,7 @@ class RTSJVirtualMachine:
 
         events = self._events
         while self.now_ns < until_ns:
-            # due events fire first (the heap head is read inline)
+            # due events fire first
             while events and events[0][0] <= self.now_ns:
                 heapq.heappop(events)[3](self.now_ns)
             now = self.now_ns

@@ -3,10 +3,15 @@
 Each digest covers the full-precision numbers (``repr`` of every float),
 not a rounded rendering, so a refactor that claims "same behaviour" has
 to reproduce the paper campaign, a long pure-periodic trace, the
-execution arm's VM traces, the Figures 2-4 text and a multicore campaign
-bit for bit.  A deliberate
-behaviour change updates the pinned digest in its own commit, with the
-reason.
+execution arm's VM traces, the Figures 2-4 text, a multicore campaign
+and the Section 7 admission path (a skewed service storm and a fabric
+kill drill) bit for bit.  A deliberate behaviour change updates the
+pinned digest in its own commit, with the reason.
+
+The two admission-path digests run on a ``VirtualClock`` and read the
+same whether ``advance`` settles for 1, 2, 3, 4 or 32 event-loop rounds
+after each wakeup (measured): they guard the fates, not the settle
+bound.  ``tests/test_gateway_clock.py`` guards the settle itself.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import json
 
 from repro.experiments.campaign import ARMS, execute_system, run_campaign
 from repro.experiments.figures import render_all_figures
+from repro.fabric import FabricStormConfig, ShardKill, run_fabric_storm
+from repro.service import StormConfig, run_service_storm
 from repro.sim import FixedPriorityPolicy, Simulation
 from repro.sim.engine import KERNEL_MODES, TRACE_MODES
 from repro.smp.campaign import MulticoreParameters, run_multicore_campaign
@@ -34,6 +41,10 @@ PINNED = {
         "5d2e9dd9e1bd70518227c8babecfe6d669e0fbc83e0dfe24f63d83b392ba1183",
     "exec_trace":
         "efcae029ab31272ec88909aa2d322fea117a25c42e5698e5cce7c5d9e49909e0",
+    "service_storm":
+        "9e22eba77459842ae66fe5180473cc7f5b4c46f65b2817533f8a50885a9278d1",
+    "fabric_kill_drill":
+        "28835b37fa7fd25e30b1a7c866ef114198011ffdddfd9dd9f0ba64304a85f322",
 }
 
 # dense dyadic set on the 0.25-tu grid: hyperperiod 16 tu, utilization
@@ -46,6 +57,12 @@ DYADIC_TASKS = (
     ("e", 2.0, 16.0, 0.0),
 )
 DYADIC_HORIZON = 800.0
+
+# the benchmark's admission_storm skew: twin divergences trigger repairs
+STORM_SKEW = dict(drift_ppm=40000.0, overrun_factor=1.6,
+                  overrun_probability=0.5)
+#: report fields that read the wall clock
+STORM_WALL_KEYS = ("admissions_per_sec", "wall_seconds", "replan_latency_s")
 
 
 def _paper_campaign_digest() -> str:
@@ -140,7 +157,38 @@ def _multicore_campaign_digest() -> str:
     return digest.hexdigest()
 
 
-def test_behaviour_lock_digests():
+def _report_digest(report, wall_keys) -> str:
+    payload = {key: value for key, value in report.to_dict().items()
+               if key not in wall_keys}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+    _update_with_trace(digest, report.trace)
+    return digest.hexdigest()
+
+
+def _service_storm_digest() -> str:
+    """A skewed storm at seed 1983: every fate and count in the report
+    (the twin hash included) plus the service's full trace."""
+    report = run_service_storm(StormConfig(seed=1983, **STORM_SKEW))
+    assert report.clean
+    return _report_digest(report, STORM_WALL_KEYS)
+
+
+def _fabric_kill_drill_digest(checkpoint_dir) -> str:
+    """Three shards at seed 2, killed at 30 (torn checkpoint tail) and
+    55: the report (state and twin hashes included) plus the merged
+    cross-shard trace."""
+    report = run_fabric_storm(FabricStormConfig(
+        shards=3, seed=2,
+        kills=(ShardKill(at=30.0, shard=0, corrupt_tail=True),
+               ShardKill(at=55.0, shard=2)),
+        rate=0.8, horizon=90.0, settle=40.0, sources=4,
+        burst=(25.0, 40.0, 3.0),
+    ), checkpoint_dir=checkpoint_dir)
+    assert report.clean
+    return _report_digest(report, ("wall_seconds",))
+
+
+def test_behaviour_lock_digests(tmp_path):
     dyadic = _dyadic_trace_digests()
     assert len(dyadic) == 1, "kernel/trace modes disagree on the trace"
     exec_trace = _exec_trace_digests()
@@ -153,5 +201,7 @@ def test_behaviour_lock_digests():
         ).hexdigest(),
         "multicore_campaign": _multicore_campaign_digest(),
         "exec_trace": exec_trace.pop(),
+        "service_storm": _service_storm_digest(),
+        "fabric_kill_drill": _fabric_kill_drill_digest(tmp_path),
     }
     assert observed == PINNED

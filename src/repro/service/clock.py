@@ -21,6 +21,10 @@ implement it:
 ``advance()`` wakes sleepers strictly in (time, registration) order and
 lets the woken tasks settle between wakeups, so completions scheduled
 for t=4 run — and can schedule new work — before anything at t=5 fires.
+Settling lasts until nothing else on the running loop is ready, however
+many loop turns a woken chain takes; the test for "nothing is ready"
+reads the ready queue of CPython's ``asyncio`` event loop, so the
+virtual clock needs that loop (not a replacement such as uvloop).
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from dataclasses import dataclass
 __all__ = ["ClockPause", "VirtualClock", "WallClock"]
 
 _EPS = 1e-9
-#: ready-queue cycles granted after each wakeup so woken tasks reach
-#: their next clock await before time moves again
-_SETTLE_ROUNDS = 32
 
 
 class VirtualClock:
@@ -67,16 +68,26 @@ class VirtualClock:
 
     @staticmethod
     async def _settle() -> None:
-        for _ in range(_SETTLE_ROUNDS):
+        """Yield until no other callback is ready to run.
+
+        Every runnable task step sits in the CPython loop's ``_ready``
+        deque; when it is empty as this task resumes, each woken task
+        has reached its next await (a clock sleep, a queue, a future)
+        and time may move on.
+        """
+        ready = asyncio.get_running_loop()._ready
+        await asyncio.sleep(0)
+        while ready:
             await asyncio.sleep(0)
 
     async def advance(self, to: float) -> None:
         """Move logical time to ``to``, waking sleepers in order.
 
-        Each wakeup is followed by a settle phase, so a task woken at an
-        intermediate instant observes ``now() == its wake time`` and may
-        register earlier sleeps than ``to`` — the heap is re-examined
-        after every wakeup.  A sleeper whose task was cancelled while
+        Each wakeup is followed by a settle phase that lasts until
+        nothing else on the loop is ready, so a task woken at an
+        intermediate instant observes ``now() == its wake time`` however
+        long its chain of awaits, and may register earlier sleeps than
+        ``to`` — the heap is re-examined after every wakeup.  A sleeper whose task was cancelled while
         suspended leaves a done future in the heap; those are skipped
         without advancing time or burning a settle phase.
         """

@@ -250,3 +250,26 @@ class TestVirtualClockSleeperLifecycle:
             await task
 
         asyncio.run(scenario())
+
+    def test_settle_outlasts_any_fixed_round_bound(self):
+        """A woken chain may take any number of loop turns to reach its
+        next clock await; time must not move under it meanwhile."""
+        async def scenario():
+            clock = VirtualClock()
+            seen: list[float] = []
+
+            async def chain() -> None:
+                for when in (1.0, 2.0):
+                    await clock.sleep_until(when)
+                    for _ in range(1000):
+                        await asyncio.sleep(0)
+                    seen.append(clock.now())
+
+            task = asyncio.create_task(chain())
+            await asyncio.sleep(0)
+            await clock.advance(3.0)
+            assert seen == [1.0, 2.0]
+            assert clock.now() == 3.0
+            await task
+
+        asyncio.run(scenario())

@@ -530,7 +530,12 @@ class AdmissionService:
         self._record_repair_sheds(now, result)
 
     def _record_repair_sheds(self, now: float, result) -> None:
-        current = asyncio.current_task()
+        try:
+            current = asyncio.current_task()
+        except RuntimeError:
+            # finish() may close the detector's books (and so leave
+            # degraded mode) after the event loop has returned
+            current = None
         # no per-id "shed" op: replaying the "replan" op re-derives the
         # shed set deterministically (logging both would double-count)
         for rid in result.shed:

@@ -76,6 +76,18 @@ class TestSkewedStorm:
             assert 0.0 <= stats["mean"] <= stats["max"] < 1.0
 
 
+    def test_degraded_at_the_horizon_finishes_cleanly(self):
+        """A short quiet tail leaves the detector degraded when the
+        event loop returns; ``finish()`` then restores normal mode
+        outside the loop and must not need a running task."""
+        report = run_service_storm(StormConfig(
+            seed=96, drift_ppm=40000.0, overrun_factor=1.6,
+            overrun_probability=0.5, burst=(60.0, 85.0, 8.0), settle=5.0,
+        ))
+        assert report.mode_at_end == "degraded"
+        assert report.clean, report.violations
+
+
 class TestKillRestore:
     def test_kill_then_restore_resumes_identically(self, tmp_path):
         path = tmp_path / "storm.jsonl"

@@ -61,7 +61,9 @@ class ServerSupply:
             raise ValueError(f"workload must be >= 0, got {workload}")
         if workload == 0:
             return 0.0
-        full = math.ceil(workload / self.capacity) - 1
+        # at least one period's supply: a denormal workload / capacity
+        # underflows to 0
+        full = max(1, math.ceil(workload / self.capacity)) - 1
         rest = workload - full * self.capacity
         return self.blackout + full * self.period + rest
 

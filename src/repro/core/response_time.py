@@ -77,7 +77,9 @@ def ideal_ps_finish_time(
         # equation (1), first case: served entirely in the current instance
         return t + workload
     residual = workload - cs_usable
-    f = math.ceil(residual / capacity)
+    # at least one more instance: a denormal residual / capacity
+    # underflows to 0
+    f = max(1, math.ceil(residual / capacity))
     last_residue = residual - (f - 1) * capacity
     return start + (g + f - 1) * period + last_residue
 

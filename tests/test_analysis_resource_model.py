@@ -58,6 +58,12 @@ class TestSbfShape:
             assert s.sbf(t) == pytest.approx(w)
             assert s.sbf(t - 1e-6) < w
 
+    def test_inverse_of_a_denormal_workload_covers_the_blackout(self):
+        s = ServerSupply(capacity=4.0, period=6.0, blackout=4.0)
+        # the first two underflow workload / capacity to 0
+        for w in (5e-324, 1e-323, 1e-310):
+            assert s.inverse_sbf(w) == s.blackout
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ServerSupply(capacity=0, period=6, blackout=0)

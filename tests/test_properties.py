@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.queues import InstanceBucketQueue, PendingQueue
@@ -217,6 +217,8 @@ class TestEquationProperties:
         w=st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
         cs_frac=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     )
+    # a denormal residual / capacity underflows to 0 instances
+    @example(t=41.0, w=5e-324, cs_frac=0.0)
     def test_finish_time_bounds(self, t, w, cs_frac):
         capacity, period = 4.0, 6.0
         cs = cs_frac * capacity

@@ -12,6 +12,13 @@ knobs (generation, both arms under both servers, aggregation);
 it into its execution (VM) and simulation (RTSS) halves over the same
 six paper sets.
 
+``bench_e2e_admission_storm`` is the Section 7 admission path end to
+end: one skewed service storm on the virtual clock.  Besides its time
+it records ``extra_info["loop_turns_per_decision"]``, counted from
+outside the program by a selector that tallies its polls (one per
+event-loop turn).  The count repeats exactly, so its guard holds on any
+host.
+
 ``bench_rtss_kernel_dense_periodic`` runs the kernel in its throughput
 configuration (``kernel="fast"``, ``trace_mode="compact"``); the
 ``*_default`` companions pin the byte-identical default path so a
@@ -22,8 +29,12 @@ guarded by the ``bench-smoke`` CI job (see docs/performance.md).
 
 from __future__ import annotations
 
+import asyncio
+import selectors
+
 from repro.experiments import SCENARIOS, run_scenario_execution
 from repro.experiments.campaign import ARMS, run_campaign
+from repro.service import StormConfig, run_service_storm
 from repro.sim import FixedPriorityPolicy, Simulation, TraceEventKind
 from repro.workload.spec import PeriodicTaskSpec
 
@@ -33,6 +44,10 @@ DENSE_UNTIL = 5000.0
 # per-slice bookkeeping (the dense set stresses the opposite).
 WIDE_TASKS = [(0.2 + (i % 7) * 0.1, 20 + (i * 13) % 60) for i in range(40)]
 WIDE_UNTIL = 3000.0
+# the perfbench admission_storm op at the paper's master seed: twin
+# divergences under timer drift and WCET overruns trigger repairs
+STORM = StormConfig(seed=1983, drift_ppm=40000.0, overrun_factor=1.6,
+                    overrun_probability=0.5)
 
 
 def _build(tasks, base_priority, **knobs):
@@ -110,3 +125,47 @@ def bench_exec_arms_paper_sets(benchmark):
 def bench_sim_arms_paper_sets(benchmark):
     result = benchmark(run_campaign, arms=("ps_sim", "ds_sim"))
     assert len(result.table("ps_sim")) == len(result.table("ds_sim")) == 6
+
+
+class _PollCountingSelector(selectors.DefaultSelector):
+    """A selector that counts its polls: every event-loop turn polls
+    the selector exactly once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.polls = 0
+
+    def select(self, timeout=None):
+        self.polls += 1
+        return super().select(timeout)
+
+
+def _count_loop_turns(run):
+    """``run()`` with every new event loop counting its turns; returns
+    ``(result, turns)``."""
+    selectors_made: list[_PollCountingSelector] = []
+
+    class CountingPolicy(asyncio.DefaultEventLoopPolicy):
+        def new_event_loop(self):
+            selector = _PollCountingSelector()
+            selectors_made.append(selector)
+            return asyncio.SelectorEventLoop(selector)
+
+    previous = asyncio.get_event_loop_policy()
+    asyncio.set_event_loop_policy(CountingPolicy())
+    try:
+        result = run()
+    finally:
+        asyncio.set_event_loop_policy(previous)
+    return result, sum(s.polls for s in selectors_made)
+
+
+def bench_e2e_admission_storm(benchmark):
+    report = benchmark(run_service_storm, STORM)
+    assert report.clean
+    counted, turns = _count_loop_turns(lambda: run_service_storm(STORM))
+    assert counted.clean
+    decisions = sum(counted.decisions.values())
+    benchmark.extra_info["loop_turns_per_decision"] = round(
+        turns / decisions, 3
+    )

@@ -6,7 +6,7 @@ Usage::
         --benchmark-json=bench-results.json -q
     python benchmarks/check_bench_regression.py bench-results.json
 
-Two passes over ``benchmarks/BENCH_engine.json``:
+Three passes over ``benchmarks/BENCH_engine.json``:
 
 * **guards** — each guard names a fast-path benchmark and its
   default-kernel companion from the *same* pytest-benchmark run and
@@ -19,6 +19,14 @@ Two passes over ``benchmarks/BENCH_engine.json``:
   guard compares *per-system* medians this way).  A guard that is
   malformed (missing keys) or that references benchmarks absent from
   the run fails *clearly*, it never KeyErrors.
+* **count guards** — each names a benchmark and a count it records in
+  ``extra_info`` (say, event-loop turns per decision) and requires the
+  count to stay at or under ``max`` (the landed value plus 25%).  A
+  count of work repeats exactly from run to run, so unlike a time the
+  host's speed cannot move it.  A count guard that is malformed
+  (missing keys, non-numeric bounds), or whose benchmark ran without
+  recording the count, fails clearly; one whose benchmark is absent
+  from the run is skipped, as a ratio guard is.
 * **auto-seeding** — a benchmark present in the results but absent from
   the baseline trajectory is reported and, unless ``--no-seed`` is
   given, appended to the baseline file as an ``auto-seeded`` entry, so
@@ -35,10 +43,16 @@ import sys
 BASELINE = pathlib.Path(__file__).with_name("BENCH_engine.json")
 
 _GUARD_KEYS = ("fast", "default", "baseline_ratio", "max_ratio")
+_COUNT_GUARD_KEYS = ("bench", "count", "baseline", "max")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _load_medians(results_path: pathlib.Path) -> dict[str, dict]:
-    """name -> {median_ms, min_ms} from a pytest-benchmark JSON file."""
+    """name -> {median_ms, min_ms, <numeric extra_info>} from a
+    pytest-benchmark JSON file."""
     try:
         results = json.loads(results_path.read_text())
     except (OSError, ValueError) as exc:
@@ -60,9 +74,13 @@ def _load_medians(results_path: pathlib.Path) -> dict[str, dict]:
             "median_ms": round(stats["median"] * 1e3, 4),
             "min_ms": round(stats.get("min", stats["median"]) * 1e3, 4),
         }
-        systems = (bench.get("extra_info") or {}).get("systems")
-        if isinstance(systems, (int, float)) and systems > 0:
-            out[name]["systems"] = systems
+        out[name].update(
+            (key, value)
+            for key, value in (bench.get("extra_info") or {}).items()
+            if _is_number(value)
+        )
+        systems = out[name].get("systems")
+        if systems is not None and systems > 0:
             out[name]["systems_per_sec"] = round(
                 systems / (stats["median"] or 1e-12), 1
             )
@@ -99,6 +117,41 @@ def _check_guards(baseline: dict, medians: dict[str, dict]) -> int:
             f"max {guard['max_ratio']:.3f})"
         )
         if ratio > guard["max_ratio"]:
+            failures += 1
+    return failures
+
+
+def _check_count_guards(baseline: dict, medians: dict[str, dict]) -> int:
+    failures = 0
+    for index, guard in enumerate(baseline.get("count_guards", [])):
+        missing_keys = [k for k in _COUNT_GUARD_KEYS if k not in guard]
+        if missing_keys:
+            problem = f"is missing {', '.join(missing_keys)}"
+        elif not (_is_number(guard["baseline"]) and _is_number(guard["max"])):
+            problem = "has a non-numeric baseline or max"
+        else:
+            problem = None
+        if problem:
+            print(f"BROKEN  count guard #{index} {problem} "
+                  "— fix BENCH_engine.json")
+            failures += 1
+            continue
+        bench, count = guard["bench"], guard["count"]
+        if bench not in medians:
+            print(f"SKIP  {bench}: missing from results")
+            continue
+        value = medians[bench].get(count)
+        if not _is_number(value):
+            print(f"BROKEN  {bench} recorded no extra_info[{count!r}] "
+                  "for its count guard")
+            failures += 1
+            continue
+        verdict = "ok" if value <= guard["max"] else "REGRESSION"
+        print(
+            f"{verdict:>10}  {bench}: {count} {value:g} "
+            f"(baseline {guard['baseline']:g}, max {guard['max']:g})"
+        )
+        if value > guard["max"]:
             failures += 1
     return failures
 
@@ -154,6 +207,7 @@ def main(argv: list[str]) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot read baseline {BASELINE}: {exc}")
     failures = _check_guards(baseline, medians)
+    failures += _check_count_guards(baseline, medians)
     throughput = _throughput_deltas(baseline, medians)
     new = _seed_new(baseline, medians, seed)
     if new and seed:

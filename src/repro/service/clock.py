@@ -87,9 +87,10 @@ class VirtualClock:
         nothing else on the loop is ready, so a task woken at an
         intermediate instant observes ``now() == its wake time`` however
         long its chain of awaits, and may register earlier sleeps than
-        ``to`` — the heap is re-examined after every wakeup.  A sleeper whose task was cancelled while
-        suspended leaves a done future in the heap; those are skipped
-        without advancing time or burning a settle phase.
+        ``to`` — the heap is re-examined after every wakeup.  A sleeper
+        whose task was cancelled while suspended leaves a done future in
+        the heap; those are skipped without advancing time or burning a
+        settle phase.
         """
         while self._sleepers and self._sleepers[0][0] <= to + _EPS:
             when, _seq, future = heapq.heappop(self._sleepers)

@@ -75,7 +75,6 @@ class TestSkewedStorm:
         if stats["count"]:
             assert 0.0 <= stats["mean"] <= stats["max"] < 1.0
 
-
     def test_degraded_at_the_horizon_finishes_cleanly(self):
         """A short quiet tail leaves the detector degraded when the
         event loop returns; ``finish()`` then restores normal mode

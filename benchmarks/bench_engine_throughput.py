@@ -10,7 +10,11 @@ to end.
 knobs (generation, both arms under both servers, aggregation);
 ``bench_exec_arms_paper_sets`` and ``bench_sim_arms_paper_sets`` split
 it into its execution (VM) and simulation (RTSS) halves over the same
-six paper sets.
+six paper sets.  After its timed rounds the end-to-end bench runs one
+more campaign under cProfile and records
+``extra_info["calls_per_event_run"]``: primitive calls per aperiodic
+event per arm.  The count repeats to two decimals on one CPython minor
+version, so its guard is pinned to one.
 
 ``bench_e2e_admission_storm`` is the Section 7 admission path end to
 end: one skewed service storm on the virtual clock.  Besides its time
@@ -30,12 +34,15 @@ guarded by the ``bench-smoke`` CI job (see docs/performance.md).
 from __future__ import annotations
 
 import asyncio
+import cProfile
+import pstats
 import selectors
 
 from repro.experiments import SCENARIOS, run_scenario_execution
 from repro.experiments.campaign import ARMS, run_campaign
 from repro.service import StormConfig, run_service_storm
 from repro.sim import FixedPriorityPolicy, Simulation, TraceEventKind
+from repro.workload import PAPER_SETS, RandomSystemGenerator
 from repro.workload.spec import PeriodicTaskSpec
 
 DENSE_TASKS = [(1, 5), (2, 8), (1, 10), (3, 20), (2, 25)]
@@ -112,9 +119,24 @@ def bench_rtsj_vm_scenario_pipeline(benchmark):
     assert len(outcomes) == 3
 
 
+def _calls_per_event_run() -> float:
+    """Primitive calls cProfile counts in one ``run_campaign()``, per
+    aperiodic event of the paper sets per arm."""
+    events = sum(
+        len(system.events)
+        for params in PAPER_SETS
+        for system in RandomSystemGenerator(params).generate()
+    )
+    profiler = cProfile.Profile()
+    profiler.runcall(run_campaign)
+    calls = pstats.Stats(profiler).prim_calls
+    return round(calls / (len(ARMS) * events), 2)
+
+
 def bench_e2e_paper_campaign(benchmark):
     result = benchmark(run_campaign)
     assert all(len(result.table(arm)) == 6 for arm in ARMS)
+    benchmark.extra_info["calls_per_event_run"] = _calls_per_event_run()
 
 
 def bench_exec_arms_paper_sets(benchmark):

@@ -23,10 +23,15 @@ Three passes over ``benchmarks/BENCH_engine.json``:
   ``extra_info`` (say, event-loop turns per decision) and requires the
   count to stay at or under ``max`` (the landed value plus 25%).  A
   count of work repeats exactly from run to run, so unlike a time the
-  host's speed cannot move it.  A count guard that is malformed
-  (missing keys, non-numeric bounds), or whose benchmark ran without
-  recording the count, fails clearly; one whose benchmark is absent
-  from the run is skipped, as a ratio guard is.
+  host's speed cannot move it.  A count that moves with the interpreter
+  (say, profiled calls, which CPython 3.12's inlined comprehensions
+  change) carries a ``python`` key, ``"major.minor"``: the guard is
+  skipped when the results' ``machine_info.python_version`` is another
+  minor version.  A count guard that is malformed (missing keys,
+  non-numeric bounds, a ``python`` value that is not ``"major.minor"``),
+  or whose benchmark ran without recording the count, fails clearly;
+  one whose benchmark is absent from the run is skipped, as a ratio
+  guard is.
 * **auto-seeding** — a benchmark present in the results but absent from
   the baseline trajectory is reported and, unless ``--no-seed`` is
   given, appended to the baseline file as an ``auto-seeded`` entry, so
@@ -38,25 +43,39 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 import sys
 
 BASELINE = pathlib.Path(__file__).with_name("BENCH_engine.json")
 
 _GUARD_KEYS = ("fast", "default", "baseline_ratio", "max_ratio")
 _COUNT_GUARD_KEYS = ("bench", "count", "baseline", "max")
+_MINOR_VERSION = re.compile(r"\d+\.\d+")
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _read_results(results_path: pathlib.Path) -> dict:
+    try:
+        return json.loads(results_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read benchmark results: {exc}")
+
+
+def _python_version(results_path: pathlib.Path) -> str | None:
+    """The interpreter version a pytest-benchmark JSON file was made
+    with (``machine_info.python_version``), if it says."""
+    machine = _read_results(results_path).get("machine_info") or {}
+    version = machine.get("python_version")
+    return version if isinstance(version, str) else None
+
+
 def _load_medians(results_path: pathlib.Path) -> dict[str, dict]:
     """name -> {median_ms, min_ms, <numeric extra_info>} from a
     pytest-benchmark JSON file."""
-    try:
-        results = json.loads(results_path.read_text())
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read benchmark results: {exc}")
+    results = _read_results(results_path)
     benches = results.get("benchmarks")
     if not isinstance(benches, list):
         raise SystemExit(
@@ -121,14 +140,26 @@ def _check_guards(baseline: dict, medians: dict[str, dict]) -> int:
     return failures
 
 
-def _check_count_guards(baseline: dict, medians: dict[str, dict]) -> int:
+def _check_count_guards(baseline: dict, medians: dict[str, dict],
+                        python_version: str | None = None) -> int:
+    """Check every count guard; ``python_version`` is the results'
+    interpreter version (a guard pinned to a Python minor version is
+    checked whenever it is unknown)."""
     failures = 0
+    running = (
+        ".".join(python_version.split(".")[:2]) if python_version else None
+    )
     for index, guard in enumerate(baseline.get("count_guards", [])):
         missing_keys = [k for k in _COUNT_GUARD_KEYS if k not in guard]
+        python = guard.get("python")
         if missing_keys:
             problem = f"is missing {', '.join(missing_keys)}"
         elif not (_is_number(guard["baseline"]) and _is_number(guard["max"])):
             problem = "has a non-numeric baseline or max"
+        elif python is not None and not (
+            isinstance(python, str) and _MINOR_VERSION.fullmatch(python)
+        ):
+            problem = f"has python {python!r}, not \"major.minor\""
         else:
             problem = None
         if problem:
@@ -139,6 +170,10 @@ def _check_count_guards(baseline: dict, medians: dict[str, dict]) -> int:
         bench, count = guard["bench"], guard["count"]
         if bench not in medians:
             print(f"SKIP  {bench}: missing from results")
+            continue
+        if python is not None and running is not None and running != python:
+            print(f"SKIP  {bench}: {count} is pinned for Python {python}, "
+                  f"results are from {python_version}")
             continue
         value = medians[bench].get(count)
         if not _is_number(value):
@@ -201,13 +236,16 @@ def main(argv: list[str]) -> int:
     if len(args) != 1:
         print(__doc__)
         return 2
-    medians = _load_medians(pathlib.Path(args[0]))
+    results_path = pathlib.Path(args[0])
+    medians = _load_medians(results_path)
     try:
         baseline = json.loads(BASELINE.read_text())
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot read baseline {BASELINE}: {exc}")
     failures = _check_guards(baseline, medians)
-    failures += _check_count_guards(baseline, medians)
+    failures += _check_count_guards(
+        baseline, medians, _python_version(results_path)
+    )
     throughput = _throughput_deltas(baseline, medians)
     new = _seed_new(baseline, medians, seed)
     if new and seed:

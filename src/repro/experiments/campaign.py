@@ -60,7 +60,8 @@ from ..sim import (
 )
 from ..overload.metrics import OverloadReport, measure_overload
 from ..sim.servers.base import AperiodicServer
-from ..sim.trace import CompactTrace, ExecutionTrace
+from ..sim.engine import TRACE_MODES
+from ..sim.trace import CheckOnlyTrace, CompactTrace, ExecutionTrace
 from ..workload import GeneratedSystem, GenerationParameters, PAPER_SETS, RandomSystemGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,6 +88,10 @@ __all__ = [
 ]
 
 ARMS = ("ps_sim", "ps_exec", "ds_sim", "ds_exec")
+
+#: ``trace_mode=`` values of the two arm runners: the kernels' modes plus
+#: ``"check"``, the record-free :class:`~repro.sim.trace.CheckOnlyTrace`
+_ARM_TRACE_MODES = (*TRACE_MODES, "check")
 
 logger = logging.getLogger("repro.experiments.campaign")
 
@@ -304,6 +309,18 @@ class CampaignResult:
         return self.tables[arm]
 
 
+def _check_trace_mode(trace_mode: str | None, verify: bool) -> None:
+    if trace_mode is not None and trace_mode not in _ARM_TRACE_MODES:
+        raise ValueError(
+            f"trace_mode must be one of {_ARM_TRACE_MODES}, got {trace_mode!r}"
+        )
+    if verify and trace_mode == "check":
+        raise ValueError(
+            "trace_mode='check' stores no records for the monitors to "
+            "read; verify with 'object' or 'compact'"
+        )
+
+
 def simulate_system(system: GeneratedSystem,
                     policy: str = "polling",
                     enforcement: "EnforcementConfig | None" = None,
@@ -324,10 +341,13 @@ def simulate_system(system: GeneratedSystem,
     :mod:`repro.overload`); ``verify`` attaches the standard
     :mod:`repro.verify` monitor battery and fills ``SystemResult.report``
     (off = the byte-identical golden path).  ``trace_mode``/``kernel``
-    select the columnar trace and the kernel fast path (see
-    docs/performance.md); the defaults are byte-identical to the
-    historical behaviour.
+    select the trace and the kernel fast path (see docs/performance.md):
+    ``"object"`` (the default) or ``"compact"`` store the trace;
+    ``"check"`` stores no records and only checks non-overlap, so
+    ``SystemResult.trace`` reads empty and ``verify`` is refused.  The
+    defaults are byte-identical to the historical behaviour.
     """
+    _check_trace_mode(trace_mode, verify)
     server_cls = _SIM_SERVERS[policy]
     top = max(
         (t.priority for t in system.periodic_tasks),
@@ -347,9 +367,12 @@ def simulate_system(system: GeneratedSystem,
             # service, so exact-demand accounting only holds without both
             check_demand=enforcement is None and overload is None,
         )
+    check_only = trace_mode == "check"
     sim = Simulation(
-        FixedPriorityPolicy(), enforcement=enforcement, monitors=monitors,
-        trace_mode=trace_mode, kernel=kernel,
+        FixedPriorityPolicy(),
+        trace=CheckOnlyTrace() if check_only else None,
+        enforcement=enforcement, monitors=monitors,
+        trace_mode=None if check_only else trace_mode, kernel=kernel,
     )
     server.attach(sim, horizon=system.horizon)
     detector = None
@@ -409,8 +432,11 @@ def execute_system(
     declared costs; ``timer_drift_ppm`` makes the VM's release timers
     drift (see :mod:`repro.faults`); ``overload`` bounds the server's
     pending queue, installs one circuit breaker per event source and
-    drives degraded modes (see :mod:`repro.overload`).
+    drives degraded modes (see :mod:`repro.overload`).  ``trace_mode``
+    takes :func:`simulate_system`'s values; any other raises
+    ``ValueError``.
     """
+    _check_trace_mode(trace_mode, verify)
     monitored = None
     if verify:
         # the VM charges ISR/dispatch overheads and its servers are
@@ -439,7 +465,8 @@ def execute_system(
         timer_drift_ppm=timer_drift_ppm,
         trace=(
             monitored if monitored is not None
-            else CompactTrace() if trace_mode == "compact" else None
+            else CompactTrace() if trace_mode == "compact"
+            else CheckOnlyTrace() if trace_mode == "check" else None
         ),
     )
     params = TaskServerParameters.from_spec(
@@ -543,19 +570,20 @@ def _run_arm(
     verify: bool = False,
     kernel: str = "auto",
 ) -> RunMetrics:
-    # a campaign run keeps only its metrics, so both arms record the
-    # columnar trace: the same content and the same non-overlap check as
-    # the object trace, without one frozen dataclass per record
+    # a campaign run keeps only its metrics, so both arms check
+    # non-overlap as segments arrive and store no records; monitors read
+    # the record stream, so a verified run keeps the compact trace
     policy = "polling" if arm.startswith("ps") else "deferrable"
+    trace_mode = "compact" if verify else "check"
     if arm.endswith("_sim"):
         result = simulate_system(
             system, policy, enforcement=enforcement, verify=verify,
-            trace_mode="compact", kernel=kernel,
+            trace_mode=trace_mode, kernel=kernel,
         )
     else:
         result = execute_system(
             system, policy, overhead, enforcement=enforcement, verify=verify,
-            trace_mode="compact",
+            trace_mode=trace_mode,
         )
     if result.report is not None and not result.report.ok:
         from ..verify.violations import VerificationError
@@ -1002,6 +1030,16 @@ def _overload_run_from_record(record: RunRecord) -> OverloadRun | None:
     )
 
 
+def _reject_retries(policy: RunPolicy, campaign: str) -> None:
+    """The overload campaigns run each system once: a retry budget is
+    rejected rather than silently ignored."""
+    if policy.max_retries:
+        raise ValueError(
+            f"{campaign} does not retry runs; got max_retries="
+            f"{policy.max_retries}"
+        )
+
+
 def _overload_worker(task: tuple) -> RunRecord:
     """Pool entry point: baseline + burst run of one (arm, system)."""
     (arm, params, clean, burst_system, overhead, overload,
@@ -1057,7 +1095,8 @@ def run_overload_campaign(
     :class:`~repro.overload.metrics.OverloadReport` — shed rate, breaker
     activity, time in degraded mode and post-burst recovery time —
     reported alongside the paper's AART/AIR/ASR.  ``run_policy`` applies
-    the usual hardening (timeout, checkpoint/resume, ``fail_fast``);
+    the usual hardening (timeout, checkpoint/resume, ``fail_fast``) but
+    not retries: a policy with ``max_retries > 0`` raises ``ValueError``.
     ``workers > 1`` fans runs over a process pool with fold-back in
     sequential order.
     """
@@ -1068,6 +1107,7 @@ def run_overload_campaign(
     if burst is None:
         burst = EventBurst(extra=3, probability=0.5, spacing=0.05)
     policy = run_policy if run_policy is not None else RunPolicy()
+    _reject_retries(policy, "run_overload_campaign")
     log, checkpointed = _open_checkpoint(policy.checkpoint_path)
     worker_policy = _replace(policy, checkpoint_path=None)
 

@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="retry a crashed/hung run up to N times with a bumped "
-             "generator seed",
+             "generator seed (the overload target rejects it)",
     )
     parser.add_argument(
         "--checkpoint", type=Path, default=None, metavar="PATH",
@@ -376,6 +376,9 @@ def _dispatch(args: argparse.Namespace,
         if args.target == "multicore":
             return _run_multicore(args, run_policy)
         if args.target == "overload":
+            if args.retries:
+                parser.error("the overload target does not retry runs; "
+                             f"got --retries {args.retries}")
             return _run_overload(args, run_policy, overhead)
         if args.target == "verify":
             return _run_verify(args)

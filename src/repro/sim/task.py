@@ -173,6 +173,12 @@ class AperiodicJob(Job):
     ``declared_cost`` is what admission control sees; ``cost`` (inherited)
     is the true execution demand.  They coincide unless a scenario models
     a mis-declared handler (paper Scenario 3).
+
+    Fields are set directly rather than through the dataclass
+    constructor, as :meth:`PeriodicTask.release_job` does: every
+    aperiodic event of a campaign run builds one job here.  The order is
+    ``Job``'s: the ``job_id`` is drawn first, then ``Job.__post_init__``'s
+    checks run, then the declared cost is checked.
     """
 
     def __init__(
@@ -184,9 +190,20 @@ class AperiodicJob(Job):
         deadline: float | None = None,
         value: float | None = None,
     ) -> None:
-        super().__init__(
-            name=name, release=release, cost=cost, deadline=deadline, value=value
-        )
+        self.name = name
+        self.release = release
+        self.cost = cost
+        self.deadline = deadline
+        self.value = value
+        self.job_id = next(_job_counter)
+        if cost <= 0:
+            raise ValueError(f"job cost must be > 0, got {cost}")
+        if release < 0:
+            raise ValueError(f"job release must be >= 0, got {release}")
+        self.remaining = cost
+        self.state = JobState.PENDING
+        self.start_time = None
+        self.finish_time = None
         self.declared_cost = declared_cost if declared_cost is not None else cost
         if self.declared_cost <= 0:
             raise ValueError(

@@ -10,6 +10,7 @@ module work identically on either.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -18,6 +19,7 @@ __all__ = [
     "Segment",
     "ExecutionTrace",
     "CompactTrace",
+    "CheckOnlyTrace",
 ]
 
 _EPS = 1e-9
@@ -366,3 +368,69 @@ class CompactTrace(ExecutionTrace):
             f"<CompactTrace {len(self._seg_start)} segments, "
             f"{len(self._evt_time)} events, makespan={self.makespan:.3f}>"
         )
+
+
+class CheckOnlyTrace(ExecutionTrace):
+    """A uniprocessor trace that stores nothing and checks as it goes.
+
+    For runs that keep only their job records, such as the paper
+    campaign's.  Segments pass through :class:`CompactTrace`'s drop and
+    merge rules, but only the latest one is kept.  A segment that starts
+    before that one ends raises at once with the message
+    :meth:`ExecutionTrace.validate` gives.  On a stream arriving in start
+    order, the order both uniprocessor kernels emit, that is exactly when
+    ``validate()`` would raise at the end of the run.  Events are checked
+    for a non-negative time and dropped.  ``segments`` and ``events``
+    always read empty.
+
+    Selected with ``trace_mode="check"`` on
+    :func:`repro.experiments.campaign.simulate_system` and
+    :func:`~repro.experiments.campaign.execute_system`.
+    """
+
+    segments: tuple[Segment, ...] = ()  # type: ignore[assignment]
+    events: tuple[TraceEvent, ...] = ()  # type: ignore[assignment]
+
+    def __init__(self) -> None:
+        # deliberately no super().__init__(): nothing is stored; an end
+        # at -inf means "no segment yet" and never merges or overlaps
+        self._start = self._end = -math.inf
+        self._entity: str | None = None
+        self._job: str | None = None
+
+    def add_segment(self, start: float, end: float, entity: str,
+                    job: str | None = None, core: int | None = None) -> None:
+        if core is not None:
+            raise ValueError("CheckOnlyTrace is uniprocessor: core must be None")
+        if end - start <= _EPS:
+            return
+        last_end = self._end
+        if (
+            -_EPS <= last_end - start <= _EPS
+            and self._entity == entity
+            and self._job == job
+        ):
+            self._end = end
+            return
+        if start < last_end - _EPS:
+            previous = Segment(self._start, last_end, self._entity, self._job)
+            raise AssertionError(
+                "overlapping segments: "
+                f"{previous} / {Segment(start, end, entity, job)}"
+            )
+        self._start = start
+        self._end = end
+        self._entity = entity
+        self._job = job
+
+    def add_event(self, time: float, kind: TraceEventKind, subject: str,
+                  detail: str = "") -> None:
+        if time < -_EPS:
+            # same contract the TraceEvent constructor enforces
+            raise ValueError(f"event time must be >= 0, got {time}")
+
+    def validate(self) -> None:
+        """Nothing left to check: every segment was checked on arrival."""
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return "<CheckOnlyTrace>"

@@ -613,6 +613,8 @@ def run_multicore_overload_campaign(
     the ``overload`` stack armed — per-server queue bounds and breakers,
     the degraded-mode detector, and (partitioned modes) overload-aware
     routing that steers arrivals around open breakers and full queues.
+    Like its twin it never retries a run: a ``run_policy`` with
+    ``max_retries > 0`` raises ``ValueError``.
     Returns an :class:`~repro.experiments.campaign.OverloadCampaignResult`.
     """
     from ..experiments.campaign import (
@@ -621,6 +623,7 @@ def run_multicore_overload_campaign(
         _open_checkpoint,
         _overload_run_from_record,
         _parallel_map,
+        _reject_retries,
         default_overload_config,
     )
     from ..faults.injectors import EventBurst, FaultPlan
@@ -635,6 +638,7 @@ def run_multicore_overload_campaign(
     if burst is None:
         burst = EventBurst(extra=3, probability=0.5, spacing=0.05)
     policy = run_policy if run_policy is not None else RunPolicy()
+    _reject_retries(policy, "run_multicore_overload_campaign")
     log, checkpointed = _open_checkpoint(policy.checkpoint_path)
     worker_policy = _replace(policy, checkpoint_path=None)
     key = (float(params.n_cores), float(params.total_utilization))

@@ -57,6 +57,24 @@ class TestArms:
         with pytest.raises(KeyError):
             simulate_system(system, "sporadic")
 
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_exec_rejects_an_unknown_trace_mode(self, verify):
+        system = RandomSystemGenerator(SMALL).generate()[0]
+        with pytest.raises(ValueError, match="trace_mode must be one of"):
+            execute_system(system, trace_mode="compcat", verify=verify)
+
+    @pytest.mark.parametrize("run", [simulate_system, execute_system])
+    def test_check_mode_keeps_the_metrics_and_no_records(self, run):
+        for system in RandomSystemGenerator(SMALL).generate():
+            stored = run(system, "deferrable", trace_mode="compact")
+            checked = run(system, "deferrable", trace_mode="check")
+            assert checked.metrics == stored.metrics
+            assert len(stored.trace.segments) > 0
+            assert len(checked.trace.segments) == 0
+            assert len(checked.trace.events) == 0
+            with pytest.raises(ValueError, match="stores no records"):
+                run(system, "deferrable", trace_mode="check", verify=True)
+
 
 class TestCampaignStructure:
     def test_all_arms_and_sets_present(self, campaign):

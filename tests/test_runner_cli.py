@@ -117,6 +117,14 @@ class TestMulticoreTarget:
             main(["table2", "--workers", "0"])
 
 
+class TestOverloadTarget:
+    def test_retries_rejected_with_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["overload", "--retries", "2"])
+        assert caught.value.code == 2
+        assert "does not retry runs" in capsys.readouterr().err
+
+
 class TestFabricTarget:
     ARGS = ["fabric", "--storm-rate", "0.4", "--storm-horizon", "50"]
 

@@ -378,10 +378,12 @@ class CheckOnlyTrace(ExecutionTrace):
     merge rules, but only the latest one is kept.  A segment that starts
     before that one ends raises at once with the message
     :meth:`ExecutionTrace.validate` gives.  On a stream arriving in start
-    order, the order both uniprocessor kernels emit, that is exactly when
-    ``validate()`` would raise at the end of the run.  Events are checked
-    for a non-negative time and dropped.  ``segments`` and ``events``
-    always read empty.
+    order, the order both uniprocessor kernels emit, that is when
+    ``validate()`` would raise at the end of the run.  The one exception
+    is two segments starting at the same instant, the later one within a
+    rounding step of EPS long: ``validate()`` can miss that overlap, and
+    this check reports it.  Events are checked for a non-negative time
+    and dropped.  ``segments`` and ``events`` always read empty.
 
     Selected with ``trace_mode="check"`` on
     :func:`repro.experiments.campaign.simulate_system` and

@@ -1,6 +1,7 @@
 """The record-free trace campaign runs use: it stores nothing and raises
-on an overlapping segment exactly when ``CompactTrace.validate()``
-would on the same stream."""
+on an overlapping segment when ``CompactTrace.validate()`` would on the
+same in-order stream, and also in one same-start rounding case that
+``validate()`` misses."""
 
 from __future__ import annotations
 
@@ -56,6 +57,21 @@ class TestCheckOnlyTrace:
         with pytest.raises(AssertionError, match=r"end=4\.0, entity='b'"):
             trace.add_segment(3.5, 5.0, "c")
 
+    def test_reports_a_same_start_overlap_validate_misses(self):
+        # 100.0 + EPS rounds to a segment a rounding step over EPS long,
+        # so it is kept; validate() sorts it first and compares
+        # 100.0 < (100.0 + EPS) - EPS, which rounds back to 100.0
+        stream = [(100.0, 101.0, "a"), (100.0, 100.0 + EPS, "b")]
+        assert stream[1][1] - stream[1][0] > EPS
+        compact = CompactTrace()
+        for segment in stream:
+            compact.add_segment(*segment)
+        compact.validate()
+        trace = CheckOnlyTrace()
+        trace.add_segment(*stream[0])
+        with pytest.raises(AssertionError, match="overlapping segments"):
+            trace.add_segment(*stream[1])
+
     def test_rejects_negative_event_time(self):
         with pytest.raises(ValueError, match="event time must be >= 0"):
             CheckOnlyTrace().add_event(-1.0, TraceEventKind.RELEASE, "x")
@@ -72,7 +88,9 @@ class TestCheckOnlyTrace:
 _GAPS = st.sampled_from(
     [0.0, 0.0, EPS / 2, -EPS / 2, 2 * EPS, -2 * EPS, 0.25, 1.0, -0.5, -1.25]
 )
-#: lengths: zero and sub-EPS slivers (dropped), and real segments
+#: lengths: zero and sub-EPS slivers (dropped), and real segments, all
+#: clear of EPS by more than a rounding step (see the same-start case
+#: above, where validate() itself misses an overlap)
 _LENGTHS = st.sampled_from([0.0, EPS / 2, 3 * EPS, 0.25, 0.5, 1.0, 2.75])
 _STEPS = st.lists(
     st.tuples(_GAPS, _LENGTHS, st.sampled_from(["a", "b"]),

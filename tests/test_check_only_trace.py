@@ -48,7 +48,7 @@ class TestCheckOnlyTrace:
             f"{Segment(2.5, 4.0, 'b')}"
         )
 
-    def test_slivers_and_eps_contiguity_do_not_raise(self):
+    def test_slivers_eps_contiguity_and_merges(self):
         trace = CheckOnlyTrace()
         trace.add_segment(0.0, 2.0, "a")
         trace.add_segment(1.0, 1.0 + EPS / 2, "b")   # dropped sliver

@@ -32,9 +32,7 @@ count guards there (see docs/performance.md).
 
 from __future__ import annotations
 
-import asyncio
 import cProfile
-import selectors
 
 from repro.experiments import SCENARIOS, run_scenario_execution
 from repro.experiments.campaign import ARMS, run_campaign
@@ -42,6 +40,8 @@ from repro.service import StormConfig, run_service_storm
 from repro.sim import FixedPriorityPolicy, Simulation, TraceEventKind
 from repro.workload import PAPER_SETS, RandomSystemGenerator
 from repro.workload.spec import PeriodicTaskSpec
+
+from loop_turns import count_loop_turns
 
 DENSE_TASKS = [(1, 5), (2, 8), (1, 10), (3, 20), (2, 25)]
 DENSE_UNTIL = 5000.0
@@ -125,43 +125,10 @@ def bench_sim_arms_paper_sets(benchmark):
     assert len(result.table("ps_sim")) == len(result.table("ds_sim")) == 6
 
 
-class _PollCountingSelector(selectors.DefaultSelector):
-    """A selector that counts its polls: every event-loop turn polls
-    the selector exactly once."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.polls = 0
-
-    def select(self, timeout=None):
-        self.polls += 1
-        return super().select(timeout)
-
-
-def _count_loop_turns(run):
-    """``run()`` with every new event loop counting its turns; returns
-    ``(result, turns)``."""
-    selectors_made: list[_PollCountingSelector] = []
-
-    class CountingPolicy(asyncio.DefaultEventLoopPolicy):
-        def new_event_loop(self):
-            selector = _PollCountingSelector()
-            selectors_made.append(selector)
-            return asyncio.SelectorEventLoop(selector)
-
-    previous = asyncio.get_event_loop_policy()
-    asyncio.set_event_loop_policy(CountingPolicy())
-    try:
-        result = run()
-    finally:
-        asyncio.set_event_loop_policy(previous)
-    return result, sum(s.polls for s in selectors_made)
-
-
 def bench_e2e_admission_storm(benchmark):
     report = benchmark(run_service_storm, STORM)
     assert report.clean
-    counted, turns = _count_loop_turns(lambda: run_service_storm(STORM))
+    counted, turns = count_loop_turns(lambda: run_service_storm(STORM))
     assert counted.clean
     decisions = sum(counted.decisions.values())
     benchmark.extra_info["loop_turns_per_decision"] = round(

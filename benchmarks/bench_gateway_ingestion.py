@@ -9,14 +9,23 @@ Not a paper table — these pin the PR 9 wall-clock ingestion path:
   the last round;
 * ``bench_gateway_direct_submit`` — the same workload submitted
   straight to a bare :class:`AdmissionService` on the same wall clock,
-  the in-process baseline the gateway wraps.
+  the in-process baseline the gateway wraps;
+* ``bench_gateway_edge_turns`` — one stream client sends requests the
+  service rejects outright (no executor, no journal) through an
+  in-process gateway, and ``extra_info["loop_turns_per_request"]``
+  records the event-loop turns per round trip, client and server
+  together, counted by a selector that tallies its polls.
 
-The ``bench-smoke`` guard in ``BENCH_engine.json`` holds the
-socket/direct median ratio: the wire edge pays for framing and the
-crash journal, but it must stay a bounded constant factor over a
-direct submit, never drift into a second admission service.  Ratios
-within one pytest-benchmark run are portable across machines; the
-absolute milliseconds are not.
+The ratio guard in ``BENCH_engine.json``, checked by the
+``gateway-soak`` CI job, holds the socket/direct median ratio: the
+wire edge pays for framing and the crash journal, but it must stay a
+bounded constant factor over a direct submit, never drift into a
+second admission service.  Ratios within one pytest-benchmark run are
+portable across machines; the absolute milliseconds are not.  The
+edge's turn count is a count of work, not a time: no wall-clock timer
+fires during the run (the clock watchdog and the service heartbeat
+are set far beyond it), so it repeats exactly on any host, and a count
+guard holds it.
 """
 
 from __future__ import annotations
@@ -34,11 +43,22 @@ from repro.gateway import (
     read_frame,
     submit_payload,
 )
-from repro.service import AdmissionService, EventRequest, ServiceConfig, WallClock
+from repro.service import (
+    AdmissionService,
+    EventRequest,
+    ServiceConfig,
+    TwinConfig,
+    WallClock,
+)
+
+from loop_turns import count_loop_turns
 
 SUBMITS = 256
 SCALE = 1e-3  # 1 tu = 1 ms, the deployment convention
 CONFIG = ServiceConfig(capacity=2.0, period=2.0, detector=None)
+#: tu; far beyond any run, so neither the clock watchdog nor the
+#: service's heartbeat arms a timer that fires
+NEVER = 1e9
 
 
 def _requests(n: int) -> list[EventRequest]:
@@ -121,3 +141,44 @@ def bench_gateway_direct_submit(benchmark):
     assert admitted > 0
     print(f"\n{admitted}/{SUBMITS} admitted on the bare wall-clock "
           "service")
+
+
+def bench_gateway_edge_turns(benchmark):
+    """SUBMITS round trips the service rejects outright, with the
+    event-loop turns they take counted after the timed rounds."""
+    requests = [
+        EventRequest(request_id=f"edge-{i:05d}", cost=50.0,
+                     relative_deadline=1.0, source=f"src-{i % 3}")
+        for i in range(SUBMITS)
+    ]
+
+    async def run():
+        with tempfile.TemporaryDirectory() as tmp:
+            gateway = await AdmissionGateway(
+                GatewayConfig(unix_path=str(Path(tmp) / "gw.sock"),
+                              watchdog_interval=NEVER),
+                ServiceConfig(capacity=2.0, period=2.0, detector=None,
+                              twin=TwinConfig(heartbeat=NEVER)),
+                clock=WallClock(scale=SCALE),
+            ).start()
+            reader, writer = await asyncio.open_unix_connection(
+                gateway.address
+            )
+            rejected = 0
+            try:
+                for request in requests:
+                    writer.write(encode_frame(submit_payload(request)))
+                    await writer.drain()
+                    ticket = parse_ticket(await read_frame(reader))
+                    rejected += not ticket.admitted
+            finally:
+                writer.close()
+                gateway.kill(_journal_crash=False)
+            return rejected
+
+    assert benchmark(lambda: asyncio.run(run())) == SUBMITS
+    rejected, turns = count_loop_turns(lambda: asyncio.run(run()))
+    assert rejected == SUBMITS
+    benchmark.extra_info["loop_turns_per_request"] = round(
+        turns / SUBMITS, 3
+    )

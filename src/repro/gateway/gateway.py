@@ -3,14 +3,32 @@
 :class:`AdmissionGateway` is an asyncio TCP/Unix-socket front end that
 runs an :class:`~repro.service.AdmissionService` (or a PR 8
 :class:`~repro.fabric.AdmissionFabric` behind its router) on a hardened
-:class:`~repro.service.WallClock`.  Robustness layers:
+:class:`~repro.service.WallClock`.  Requests flow through three stages:
 
-* **ingress hardening** — every connection is bounded: frame size,
-  idle/read timeouts (slowloris), a connection cap, and a bounded
-  in-flight pipeline whose overflow surfaces as a retryable
-  ``REJECT_BUSY`` instead of unbounded queueing.  SIGTERM drains
-  gracefully (finish what was accepted, explicit drain-cutoff fates); a
-  second signal forces an immediate checkpoint-and-exit.
+* **the edge** — one :class:`asyncio.Protocol` per connection buffers
+  bytes and decodes complete frames in the transport's
+  ``data_received`` callback: no per-connection task and no stream
+  reader.  Pings, protocol errors and the two edge refusals are
+  answered right there.  A submit goes into the bounded pipeline
+  together with its connection.  Each connection has at most one
+  request in flight; later frames wait in its buffer and are answered
+  in order, and it stops reading once more than one frame ceiling of
+  bytes waits unread.
+* **the bounded pipeline** — ``max_in_flight`` deep; overflow surfaces
+  as a retryable ``REJECT_BUSY`` instead of unbounded queueing.
+* **the single dispatcher** — stamps, settles, journals and submits
+  every request, then writes the ticket straight to the connection's
+  transport.
+
+Robustness layers:
+
+* **ingress hardening** — every connection is bounded: frame size
+  (checked on the header, before a payload is buffered), an idle bound
+  while a header is awaited and a read bound while a started payload
+  is incomplete (slowloris), both on one timer per connection, and a
+  connection cap.  SIGTERM drains gracefully (finish what was
+  accepted, explicit drain-cutoff fates); a second signal forces an
+  immediate checkpoint-and-exit.
 * **clock robustness** — the wall clock is anchored once, monotonic by
   construction, and watched: a stalled loop or suspended process
   registers as a :class:`~repro.service.ClockPause` which the gateway
@@ -53,20 +71,22 @@ from repro.sim.trace import ExecutionTrace, TraceEvent, TraceEventKind
 
 from .protocol import (
     FrameError,
-    FrameTimeout,
-    FrameTooLarge,
-    TornFrame,
+    decode_payload,
+    encode_frame,
     error_payload,
     parse_request,
-    read_frame,
+    # the edge does not call the two stream helpers, but perfbench's
+    # span wrappers look them up in this module's namespace
+    read_frame,  # noqa: F401
     ticket_payload,
-    write_frame,
+    write_frame,  # noqa: F401
 )
 
 __all__ = ["GatewayConfig", "AdmissionGateway", "load_journal",
            "undecided_entries"]
 
 _EPS = 1e-9
+_HEADER_BYTES = 4
 #: how far past the last journal/checkpoint stamp a restored gateway's
 #: logical timeline resumes
 _RESUME_SLACK = 1e-6
@@ -195,9 +215,7 @@ class AdmissionGateway:
         self._pipeline: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
         self._drain_task: asyncio.Task | None = None
-        self._handlers: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._conn_seq = 0
+        self._connections: set[_Connection] = set()
         self.terminated: asyncio.Event | None = None
         self.draining = False
         self.killed = False
@@ -239,16 +257,17 @@ class AdmissionGateway:
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="gateway-dispatcher"
         )
+        loop = asyncio.get_running_loop()
         if self.config.unix_path is not None:
             path = Path(self.config.unix_path)
             path.unlink(missing_ok=True)
-            self.server = await asyncio.start_unix_server(
-                self._handle_connection, path=str(path)
+            self.server = await loop.create_unix_server(
+                lambda: _Connection(self), path=str(path)
             )
             self.address = str(path)
         else:
-            self.server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
+            self.server = await loop.create_server(
+                lambda: _Connection(self), self.config.host, self.config.port
             )
             sock = self.server.sockets[0].getsockname()
             self.address = (sock[0], sock[1])
@@ -340,22 +359,26 @@ class AdmissionGateway:
     # -- the decision pipeline ---------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        assert self._pipeline is not None
+        pipeline = self._pipeline
+        assert pipeline is not None
         while True:
-            request, waiter = await self._pipeline.get()
+            request, connection = await pipeline.get()
             try:
                 ticket = await self._decide(request)
-                if not waiter.done():
-                    waiter.set_result(ticket)
-            except asyncio.CancelledError:
-                if not waiter.done():
-                    waiter.cancel()
-                raise
             except Exception as exc:
-                if not waiter.done():
-                    waiter.set_exception(exc)
+                # the client cannot learn this request's fate: drop its
+                # connection and report, never fail silently
+                asyncio.get_running_loop().call_exception_handler({
+                    "message": f"gateway failed to decide "
+                               f"{request.request_id!r}",
+                    "exception": exc,
+                    "protocol": connection,
+                })
+                connection.close()
+            else:
+                connection.answer(ticket)
             finally:
-                self._pipeline.task_done()
+                pipeline.task_done()
 
     async def _settle_before(self, stamp: float) -> None:
         """Yield until no in-flight completion is due at or before
@@ -363,7 +386,7 @@ class AdmissionGateway:
         wake-then-settle ordering, so retire-before-admit interleavings
         match the control replay."""
         for spin in range(self.config.settle_rounds):
-            if not self._pending_due(stamp):
+            if not self._has_due(stamp):
                 return
             if spin and spin % 16 == 0:
                 # a due executor may still be on a timer a few hundred
@@ -373,14 +396,13 @@ class AdmissionGateway:
                 await asyncio.sleep(0)
         self.settle_overruns += 1
 
-    def _pending_due(self, stamp: float) -> list[str]:
+    def _has_due(self, stamp: float) -> bool:
         if self.service is not None:
-            return self.service.pending_due(stamp)
-        due: list[str] = []
-        for shard in self.fabric.shards:
-            if shard.alive:
-                due.extend(shard.service.pending_due(stamp))
-        return due
+            return self.service.has_due(stamp)
+        return any(
+            shard.service.has_due(stamp)
+            for shard in self.fabric.shards if shard.alive
+        )
 
     async def _decide(self, request: EventRequest) -> AdmissionTicket:
         stamp = self.clock.now()
@@ -430,88 +452,20 @@ class AdmissionGateway:
 
     # -- the socket edge ---------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        if self.killed or len(self._writers) >= self.config.max_connections:
-            self.connections_rejected += 1
-            writer.close()
-            return
-        self.connections_total += 1
-        self._conn_seq += 1
-        self._writers.add(writer)
-        try:
-            await self._serve_frames(reader, writer)
-        except FrameTooLarge as exc:
-            self.oversized_frames += 1
-            await self._best_effort_error(writer, str(exc))
-        except FrameTimeout:
-            self.timeouts += 1
-        except TornFrame:
-            self.torn_frames += 1
-        except FrameError as exc:
-            self.protocol_errors += 1
-            await self._best_effort_error(writer, str(exc))
-        except (ConnectionError, OSError):
-            pass  # peer reset mid-write
-        except asyncio.CancelledError:
-            # kill() cancelled us; the task is loop-owned, so finishing
-            # quietly here keeps asyncio's stream callback from logging
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _serve_frames(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        cid = self._conn_seq
-        while not self.killed:
-            payload = await read_frame(
-                reader,
-                max_frame=self.config.max_frame_bytes,
-                idle_timeout=self.config.idle_timeout_s,
-                read_timeout=self.config.read_timeout_s,
-            )
-            if payload is None:
-                return
-            kind = payload.get("kind")
-            if kind == "ping":
-                await write_frame(
-                    writer, {"kind": "pong", "now": self.clock.now()}
-                )
-                continue
-            if kind != "submit":
-                self.protocol_errors += 1
-                await write_frame(
-                    writer, error_payload(f"unknown frame kind {kind!r}")
-                )
-                continue
-            try:
-                request = parse_request(payload)
-            except FrameError as exc:
-                self.protocol_errors += 1
-                await write_frame(writer, error_payload(str(exc)))
-                continue
-            ticket = await self._admit_or_reject_at_edge(request, cid)
-            await write_frame(writer, ticket_payload(ticket))
-
-    async def _admit_or_reject_at_edge(
-        self, request: EventRequest, cid: int
-    ) -> AdmissionTicket:
+    def _admit_or_reject_at_edge(
+        self, request: EventRequest, connection: "_Connection",
+    ) -> AdmissionTicket | None:
         """Enqueue into the bounded pipeline, or reject at the edge.
 
-        Edge rejections (draining, pipeline full) never reach the
-        journal or the backend — a control replay must not see them.
+        Returns the edge rejection, or ``None`` once the request is in
+        the pipeline.  Edge rejections (draining, pipeline full) never
+        reach the journal or the backend — a control replay must not
+        see them.
         """
         assert self._pipeline is not None
-        now = self.clock.now()
         if self.draining:
             self.draining_rejections += 1
+            now = self.clock.now()
             ticket = AdmissionTicket(
                 request.request_id, Decision.REJECT_DRAINING, now,
                 detail="gateway draining",
@@ -521,13 +475,11 @@ class AdmissionGateway:
                 detail=f"{ticket.decision.value} edge",
             )
             return ticket
-        waiter: asyncio.Future = (
-            asyncio.get_running_loop().create_future()
-        )
         try:
-            self._pipeline.put_nowait((request, waiter))
+            self._pipeline.put_nowait((request, connection))
         except asyncio.QueueFull:
             self.busy_rejections += 1
+            now = self.clock.now()
             bound = self.config.max_in_flight
             ticket = AdmissionTicket(
                 request.request_id, Decision.REJECT_BUSY, now,
@@ -539,15 +491,7 @@ class AdmissionGateway:
                 detail=f"{ticket.decision.value} depth={bound}/{bound} edge",
             )
             return ticket
-        return await waiter
-
-    async def _best_effort_error(
-        self, writer: asyncio.StreamWriter, message: str
-    ) -> None:
-        try:
-            await write_frame(writer, error_payload(message))
-        except (ConnectionError, OSError):
-            pass
+        return None
 
     # -- clock robustness --------------------------------------------------
 
@@ -648,13 +592,9 @@ class AdmissionGateway:
         self.clock.stop_watchdog()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
-        for task in list(self._handlers):
-            task.cancel()
-        for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        self._writers.clear()
+        for connection in list(self._connections):
+            connection.abort()
+        self._connections.clear()
         if self.server is not None:
             self.server.close()
             self.server = None
@@ -679,9 +619,9 @@ class AdmissionGateway:
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             self._dispatcher = None
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
+        for connection in list(self._connections):
+            connection.close()
+        self._connections.clear()
 
     # -- verification ------------------------------------------------------
 
@@ -769,3 +709,197 @@ class AdmissionGateway:
             },
             "backend": backend,
         }
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection at the gateway edge.
+
+    Bytes are buffered and complete frames decoded in the transport's
+    callbacks.  A submit goes into the gateway's bounded pipeline with
+    this connection attached, and the dispatcher hands the ticket back
+    through :meth:`answer`.  At most one request is in flight: later
+    frames wait in the buffer and are taken in order once it is
+    answered.  While a request is in flight, or the transport asks to
+    pause writing, reading stops once more than one frame ceiling of
+    bytes waits unread.
+
+    One timer bounds the wait: ``idle_timeout_s`` while a header is
+    awaited, ``read_timeout_s`` while a started payload is incomplete,
+    nothing while the connection is blocked.  Moving the deadline does
+    not touch the timer unless the deadline moves earlier; a timer that
+    fires before the current deadline re-arms itself to it.
+    """
+
+    def __init__(self, gateway: AdmissionGateway) -> None:
+        self.gateway = gateway
+        self.ceiling = gateway.config.max_frame_bytes
+        self.transport: asyncio.Transport | None = None
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self.buffer = bytearray()
+        self.in_flight = False
+        self.write_paused = False
+        self.reading_paused = False
+        self.eof = False
+        self.closed = False
+        #: what ``deadline`` bounds: "idle" (the next header), "read" (a
+        #: started payload) or None (nothing: a frame was just taken)
+        self.waiting: str | None = None
+        self.deadline: float | None = None
+        self.timer: asyncio.TimerHandle | None = None
+
+    # -- transport callbacks -------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.loop = asyncio.get_running_loop()
+        gateway = self.gateway
+        if gateway.killed or (
+            len(gateway._connections) >= gateway.config.max_connections
+        ):
+            gateway.connections_rejected += 1
+            self.close()
+            return
+        gateway.connections_total += 1
+        gateway._connections.add(self)
+        self._take_frames()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._take_frames()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._take_frames()
+        return True  # keep the write side open for tickets still owed
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed = True
+        self.gateway._connections.discard(self)
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._take_frames()
+
+    # -- frames --------------------------------------------------------
+
+    def _take_frames(self) -> None:
+        """Serve every complete frame in the buffer, in order, until a
+        request is in flight; then bound the wait for the next one."""
+        buffer = self.buffer
+        while not (self.in_flight or self.write_paused or self.closed):
+            size = len(buffer)
+            if size >= _HEADER_BYTES:
+                length = int.from_bytes(buffer[:_HEADER_BYTES], "big")
+                if length > self.ceiling:
+                    self.gateway.oversized_frames += 1
+                    self._refuse(f"declared payload {length} bytes, "
+                                 f"ceiling {self.ceiling}")
+                    return
+                end = _HEADER_BYTES + length
+                if size >= end:
+                    body = bytes(buffer[_HEADER_BYTES:end])
+                    del buffer[:end]
+                    self.waiting = self.deadline = None
+                    self._serve(body)
+                    continue
+            if self.eof:
+                if buffer:
+                    self.gateway.torn_frames += 1
+                self.close()
+                return
+            self._wait("read" if size >= _HEADER_BYTES else "idle")
+            break
+        paused = (self.in_flight or self.write_paused) and (
+            len(buffer) > self.ceiling
+        )
+        if paused != self.reading_paused and not (self.closed or self.eof):
+            self.reading_paused = paused
+            if paused:
+                self.transport.pause_reading()
+            else:
+                self.transport.resume_reading()
+
+    def _serve(self, body: bytes) -> None:
+        gateway = self.gateway
+        try:
+            payload = decode_payload(body)
+        except FrameError as exc:
+            gateway.protocol_errors += 1
+            self._refuse(str(exc))
+            return
+        kind = payload.get("kind")
+        if kind == "submit":
+            try:
+                request = parse_request(payload)
+            except FrameError as exc:
+                gateway.protocol_errors += 1
+                self._send(error_payload(str(exc)))
+                return
+            refusal = gateway._admit_or_reject_at_edge(request, self)
+            if refusal is None:
+                self.in_flight = True
+            else:
+                self._send(ticket_payload(refusal))
+        elif kind == "ping":
+            self._send({"kind": "pong", "now": gateway.clock.now()})
+        else:
+            gateway.protocol_errors += 1
+            self._send(error_payload(f"unknown frame kind {kind!r}"))
+
+    def answer(self, ticket: AdmissionTicket) -> None:
+        """The dispatcher's ticket for this connection's request."""
+        self.in_flight = False
+        self._send(ticket_payload(ticket))
+        self._take_frames()
+
+    def _send(self, payload: dict) -> None:
+        if not self.closed:
+            self.transport.write(encode_frame(payload))
+
+    def _refuse(self, message: str) -> None:
+        """A framing error: an error frame, then close."""
+        self._send(error_payload(message))
+        self.close()
+
+    def close(self) -> None:
+        """Close after the pending writes are flushed."""
+        if not self.closed:
+            self.closed = True
+            self.transport.close()
+
+    def abort(self) -> None:
+        self.closed = True
+        self.transport.abort()
+
+    # -- the timer -----------------------------------------------------
+
+    def _wait(self, waiting: str) -> None:
+        if self.waiting == waiting:
+            return  # a trickle does not extend the bound
+        config = self.gateway.config
+        self.waiting = waiting
+        self.deadline = self.loop.time() + (
+            config.read_timeout_s if waiting == "read"
+            else config.idle_timeout_s
+        )
+        if self.timer is not None:
+            if self.timer.when() <= self.deadline:
+                return  # fires early and re-arms
+            self.timer.cancel()
+        self.timer = self.loop.call_at(self.deadline, self._on_timer)
+
+    def _on_timer(self) -> None:
+        fired_at, self.timer = self.timer.when(), None
+        if self.closed or self.deadline is None:
+            return
+        if self.deadline > fired_at:
+            self.timer = self.loop.call_at(self.deadline, self._on_timer)
+            return
+        self.gateway.timeouts += 1
+        self.close()

@@ -38,6 +38,7 @@ __all__ = [
     "FrameTimeout",
     "TornFrame",
     "encode_frame",
+    "decode_payload",
     "read_frame",
     "read_raw_frame",
     "write_frame",
@@ -77,6 +78,20 @@ def encode_frame(payload: dict, *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
             f"payload is {len(body)} bytes, ceiling {max_frame}"
         )
     return _HEADER.pack(len(body)) + body
+
+
+def decode_payload(body: bytes) -> dict:
+    """The JSON object one frame's payload bytes encode; raises
+    :class:`FrameError` for invalid UTF-8 or JSON, or a non-object."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise FrameError(f"payload is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FrameError(
+            f"payload must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
 
 
 async def _read_exactly(
@@ -139,15 +154,7 @@ async def read_frame(
     )
     if raw is None:
         return None
-    try:
-        payload = json.loads(raw[_HEADER.size:].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise FrameError(f"payload is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FrameError(
-            f"payload must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
+    return decode_payload(raw[_HEADER.size:])
 
 
 async def write_frame(

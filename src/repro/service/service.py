@@ -733,8 +733,9 @@ class AdmissionService:
 
     # -- gateway hooks -----------------------------------------------------
 
-    def pending_due(self, t: float) -> list[str]:
-        """In-flight ids whose settle instant is at or before ``t``.
+    def has_due(self, t: float) -> bool:
+        """Whether an in-flight job's settle instant is at or before
+        ``t``; stops at the first one.
 
         The gateway's settle discipline uses this before stamping a new
         arrival: on a wall clock, completions due before the stamp must
@@ -742,13 +743,12 @@ class AdmissionService:
         wake-then-settle ordering so a control replay sees the same
         ledger state at every stamp.
         """
-        due: list[str] = []
-        for rid, job in self.planner.jobs.items():
+        for job in self.planner.jobs.values():
             actual, _served = self._actual_outcome(job)
             settle = min(actual, job.deadline) if job.request.hard else actual
             if settle <= t + _EPS:
-                due.append(rid)
-        return due
+                return True
+        return False
 
     def note_clock_pause(self, now: float, detail: str) -> None:
         """Register an externally detected wall-clock stall.

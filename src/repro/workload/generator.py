@@ -70,33 +70,12 @@ class RandomSystemGenerator:
                 round(params.server_period * 1000),
             )
         )
-        self._master_seed = params.seed ^ (mix & 0x7FFFFFFFFFFFFFFF)
-        self._master = PortableRandom(self._master_seed)
+        self._master = PortableRandom(params.seed ^ (mix & 0x7FFFFFFFFFFFFFFF))
 
     def generate(self) -> list[GeneratedSystem]:
         """Generate all ``nb_generation`` systems of this set."""
         return [self._generate_one(i, self._master.fork())
                 for i in range(self.params.nb_generation)]
-
-    def generate_slice(self, start: int, count: int) -> list[GeneratedSystem]:
-        """Generate systems ``[start, start + count)`` of this set.
-
-        Replays the master stream's per-system fan-out from a fresh
-        generator (one ``fork()`` per skipped index), so any slicing of
-        the set is bit-identical to the corresponding slice of
-        :meth:`generate`, without materialising the rest of the set.
-        """
-        nb = self.params.nb_generation
-        if start < 0 or count < 0 or start + count > nb:
-            raise ValueError(
-                f"slice [{start}, {start + count}) outside the set's "
-                f"{nb} systems"
-            )
-        master = PortableRandom(self._master_seed)
-        for _ in range(start):
-            master.fork()
-        return [self._generate_one(start + i, master.fork())
-                for i in range(count)]
 
     def __iter__(self) -> Iterator[GeneratedSystem]:
         return iter(self.generate())

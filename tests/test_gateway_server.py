@@ -1,4 +1,4 @@
-"""AdmissionGateway (PR 9): ingress limits, backpressure, drain, crash."""
+"""AdmissionGateway: ingress limits, backpressure, the edge, drain, crash."""
 
 from __future__ import annotations
 
@@ -176,45 +176,235 @@ class TestIngressLimits:
         asyncio.run(scenario())
 
 
+def _stall_dispatcher(gateway):
+    """Hold every request at the dispatcher until the returned event is
+    set; the list collects the ids held so far."""
+    release = asyncio.Event()
+    held: list[str] = []
+    decide = gateway._decide
+
+    async def stalled(request):
+        held.append(request.request_id)
+        await release.wait()
+        return await decide(request)
+
+    gateway._decide = stalled
+    return release, held
+
+
+async def _eventually(predicate, timeout: float = 2.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+def _journaled_ids(path) -> set[str]:
+    ids = set()
+    for op in load_journal(path):
+        if "request" in op:
+            ids.add(op["request"]["request_id"])
+        if "id" in op:
+            ids.add(op["id"])
+    return ids
+
+
 class TestBackpressure:
     def test_pipeline_overflow_answers_reject_busy(self, tmp_path):
         async def scenario():
-            gateway = AdmissionGateway(
+            gateway = await AdmissionGateway(
                 _config(tmp_path, max_in_flight=1),
-                default_gateway_service_config(),
-            )
-            # no dispatcher: the pipeline cannot drain, so depth 1 fills
-            gateway._pipeline = asyncio.Queue(maxsize=1)
-            first = asyncio.create_task(
-                gateway._admit_or_reject_at_edge(_request("r-1"), 1)
-            )
-            await asyncio.sleep(0)
-            busy = await gateway._admit_or_reject_at_edge(_request("r-2"), 1)
+                default_gateway_service_config(), **_paths(tmp_path),
+            ).start()
+            release, held = _stall_dispatcher(gateway)
+            lanes = [await _connect(gateway) for _ in range(3)]
+            # r-0 stalls at the dispatcher, r-1 fills the depth-1 pipeline
+            await write_frame(lanes[0][1], submit_payload(_request("r-0")))
+            await _eventually(lambda: held == ["r-0"])
+            await write_frame(lanes[1][1], submit_payload(_request("r-1")))
+            await _eventually(lambda: sum(
+                c.in_flight for c in gateway._connections) == 2)
+            busy = await _submit(*lanes[2], _request("r-2"))
             assert busy.decision.value == "reject_busy"
             assert busy.retryable
             assert "depth=1/1" in busy.detail
             assert gateway.busy_rejections == 1
-            first.cancel()
-            await asyncio.gather(first, return_exceptions=True)
+            release.set()
+            for reader, _writer in lanes[:2]:
+                ticket = parse_ticket(await read_frame(reader))
+                assert ticket.decision.value == "admit"
+            for _reader, writer in lanes:
+                writer.close()
+            gateway.request_shutdown()
+            await gateway.terminated.wait()
             # the edge rejection is traced but never journaled
             kinds = [e.detail for e in gateway.trace.events
                      if e.subject == "r-2"]
             assert kinds == ["reject_busy depth=1/1 edge"]
+            journaled = _journaled_ids(tmp_path / "journal.jsonl")
+            assert {"r-0", "r-1"} <= journaled
+            assert "r-2" not in journaled
 
         asyncio.run(scenario())
 
     def test_draining_answers_reject_draining_at_the_edge(self, tmp_path):
         async def scenario():
-            gateway = AdmissionGateway(
+            gateway = await AdmissionGateway(
                 _config(tmp_path), default_gateway_service_config(),
-            )
-            gateway._pipeline = asyncio.Queue(maxsize=4)
-            gateway.draining = True
-            ticket = await gateway._admit_or_reject_at_edge(
-                _request("r-1"), 1
-            )
+                **_paths(tmp_path),
+            ).start()
+            release, held = _stall_dispatcher(gateway)
+            (r1, w1), (r2, w2) = [await _connect(gateway) for _ in range(2)]
+            await write_frame(w1, submit_payload(_request("r-1")))
+            await _eventually(lambda: held == ["r-1"])
+            gateway.request_shutdown()
+            # the drain waits for r-1 at the dispatcher; a new frame on
+            # a live connection is refused at the edge meanwhile
+            await _eventually(lambda: gateway.draining)
+            ticket = await _submit(r2, w2, _request("r-2"))
             assert ticket.decision.value == "reject_draining"
             assert gateway.draining_rejections == 1
+            release.set()
+            first = parse_ticket(await read_frame(r1))
+            assert first.decision.value == "admit"
+            for writer in (w1, w2):
+                writer.close()
+            await gateway.terminated.wait()
+            kinds = [e.detail for e in gateway.trace.events
+                     if e.subject == "r-2"]
+            assert kinds == ["reject_draining edge"]
+            assert "r-2" not in _journaled_ids(tmp_path / "journal.jsonl")
+
+        asyncio.run(scenario())
+
+
+class TestEdge:
+    """The per-connection frame parser at a live socket."""
+
+    def test_frames_in_one_write_are_answered_in_order(self, tmp_path):
+        async def scenario():
+            gateway = await AdmissionGateway(
+                _config(tmp_path), default_gateway_service_config(),
+            ).start()
+            reader, writer = await _connect(gateway)
+            ids = [f"r-{i:02d}" for i in range(12)]
+            frames = [encode_frame(submit_payload(_request(rid, cost=0.05)))
+                      for rid in ids]
+            frames.insert(6, encode_frame(ping_payload()))
+            writer.write(b"".join(frames))
+            await writer.drain()
+            answers = [await read_frame(reader) for _ in frames]
+            assert answers[6]["kind"] == "pong"
+            del answers[6]
+            assert [parse_ticket(a).request_id for a in answers] == ids
+            assert gateway.ingested == len(ids)
+            writer.close()
+            gateway.request_shutdown()
+            await gateway.terminated.wait()
+
+        asyncio.run(scenario())
+
+    def test_frame_trickled_one_byte_per_write_decodes(self, tmp_path):
+        async def scenario():
+            gateway = await AdmissionGateway(
+                _config(tmp_path, read_timeout_s=5.0),
+                default_gateway_service_config(),
+            ).start()
+            reader, writer = await _connect(gateway)
+            frame = encode_frame(submit_payload(_request("r-slow")))
+            for i in range(len(frame)):
+                writer.write(frame[i:i + 1])
+                await writer.drain()
+                await asyncio.sleep(0.001)
+            ticket = parse_ticket(await read_frame(reader))
+            assert ticket.request_id == "r-slow"
+            assert ticket.decision.value == "admit"
+            assert gateway.timeouts == 0
+            assert gateway.torn_frames == 0
+            writer.close()
+            gateway.request_shutdown()
+            await gateway.terminated.wait()
+
+        asyncio.run(scenario())
+
+    def test_pipelining_past_the_ceiling_pauses_reading(self, tmp_path):
+        async def scenario():
+            gateway = await AdmissionGateway(
+                _config(tmp_path, max_frame_bytes=512),
+                default_gateway_service_config(),
+            ).start()
+            release, held = _stall_dispatcher(gateway)
+            reader, writer = await _connect(gateway)
+            ids = [f"r-{i:02d}" for i in range(40)]
+            burst = b"".join(
+                encode_frame(submit_payload(_request(rid, cost=0.01)))
+                for rid in ids
+            )
+            assert len(burst) > 4 * 512
+            writer.write(burst)
+            await writer.drain()
+            await _eventually(lambda: gateway._connections)
+            (connection,) = gateway._connections
+            # r-00 is in flight; the rest waits unread past one ceiling
+            await _eventually(
+                lambda: not connection.transport.is_reading())
+            assert held == ["r-00"]
+            release.set()
+            tickets = [parse_ticket(await read_frame(reader)) for _ in ids]
+            assert [t.request_id for t in tickets] == ids
+            assert connection.transport.is_reading()
+            assert not connection.buffer
+            writer.close()
+            gateway.request_shutdown()
+            await gateway.terminated.wait()
+
+        asyncio.run(scenario())
+
+    def test_failed_decision_drops_the_connection_and_reports(
+            self, tmp_path):
+        async def scenario():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context))
+            gateway = await AdmissionGateway(
+                _config(tmp_path), default_gateway_service_config(),
+            ).start()
+
+            async def broken(request):
+                raise RuntimeError("backend exploded")
+
+            gateway._decide = broken
+            reader, writer = await _connect(gateway)
+            await write_frame(writer, submit_payload(_request("r-1")))
+            assert await read_frame(reader) is None  # closed, no ticket
+            assert [str(c["exception"]) for c in reported] == [
+                "backend exploded"]
+            assert "'r-1'" in reported[0]["message"]
+            del gateway._decide  # the dispatcher serves the next request
+            r2, w2 = await _connect(gateway)
+            ticket = await _submit(r2, w2, _request("r-2"))
+            assert ticket.decision.value == "admit"
+            for w in (writer, w2):
+                w.close()
+            gateway.request_shutdown()
+            await gateway.terminated.wait()
+
+        asyncio.run(scenario())
+
+    def test_partial_header_then_eof_is_torn(self, tmp_path):
+        async def scenario():
+            gateway = await AdmissionGateway(
+                _config(tmp_path), default_gateway_service_config(),
+            ).start()
+            _reader, writer = await _connect(gateway)
+            writer.write(encode_frame(ping_payload())[:2])
+            await writer.drain()
+            writer.close()
+            await _eventually(lambda: gateway.torn_frames == 1)
+            assert gateway.ingested == 0
+            assert gateway.timeouts == 0
+            gateway.request_shutdown()
+            await gateway.terminated.wait()
 
         asyncio.run(scenario())
 

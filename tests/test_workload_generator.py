@@ -129,32 +129,6 @@ class TestGenerator:
         r2 = [e.release for e in sets[(2, 0.0)][0].events]
         assert r1 != r2[: len(r1)]
 
-    def test_generate_slice_matches_generate(self):
-        full = RandomSystemGenerator(params()).generate()
-        generator = RandomSystemGenerator(params())
-        for start, count in ((0, 10), (0, 3), (3, 4), (7, 3), (9, 1),
-                             (10, 0)):
-            window = generator.generate_slice(start, count)
-            assert len(window) == count
-            for offset, system in enumerate(window):
-                reference = full[start + offset]
-                assert system.system_id == reference.system_id
-                assert [e.release for e in system.events] == [
-                    e.release for e in reference.events
-                ]
-                assert [e.declared_cost for e in system.events] == [
-                    e.declared_cost for e in reference.events
-                ]
-
-    def test_generate_slice_bounds_checked(self):
-        generator = RandomSystemGenerator(params())
-        with pytest.raises(ValueError):
-            generator.generate_slice(-1, 2)
-        with pytest.raises(ValueError):
-            generator.generate_slice(8, 3)
-        with pytest.raises(ValueError):
-            generator.generate_slice(0, -1)
-
 
 class TestSpecs:
     def test_event_validation(self):

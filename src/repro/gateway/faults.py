@@ -34,11 +34,9 @@ from pathlib import Path
 
 from repro.workload.rng import PortableRandom
 
-from .protocol import FrameError, read_raw_frame
+from .protocol import HEADER_BYTES, FrameError, read_raw_frame
 
 __all__ = ["ProxyFaultPlan", "NetworkFaultProxy"]
-
-_HEADER_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -210,8 +208,8 @@ class NetworkFaultProxy:
                     raise _Reset()
                 if rng.random() < self.plan.torn_frame_probability:
                     self.torn += 1
-                    cut = _HEADER_BYTES + max(
-                        1, (len(frame) - _HEADER_BYTES) // 2
+                    cut = HEADER_BYTES + max(
+                        1, (len(frame) - HEADER_BYTES) // 2
                     )
                     await self._forward(writer, frame[:cut])
                     raise _Reset()

@@ -70,10 +70,13 @@ from repro.service.clock import ClockPause
 from repro.sim.trace import ExecutionTrace, TraceEvent, TraceEventKind
 
 from .protocol import (
+    HEADER_BYTES,
     FrameError,
+    FrameTooLarge,
     decode_payload,
     encode_frame,
     error_payload,
+    frame_length,
     parse_request,
     # the edge does not call the two stream helpers, but perfbench's
     # span wrappers look them up in this module's namespace
@@ -86,7 +89,6 @@ __all__ = ["GatewayConfig", "AdmissionGateway", "load_journal",
            "undecided_entries"]
 
 _EPS = 1e-9
-_HEADER_BYTES = 4
 #: how far past the last journal/checkpoint stamp a restored gateway's
 #: logical timeline resumes
 _RESUME_SLACK = 1e-6
@@ -364,19 +366,17 @@ class AdmissionGateway:
         while True:
             request, connection = await pipeline.get()
             try:
-                ticket = await self._decide(request)
+                connection.answer(await self._decide(request))
             except Exception as exc:
                 # the client cannot learn this request's fate: drop its
                 # connection and report, never fail silently
                 asyncio.get_running_loop().call_exception_handler({
-                    "message": f"gateway failed to decide "
+                    "message": f"gateway failed to decide or answer "
                                f"{request.request_id!r}",
                     "exception": exc,
                     "protocol": connection,
                 })
                 connection.close()
-            else:
-                connection.answer(ticket)
             finally:
                 pipeline.task_done()
 
@@ -793,17 +793,16 @@ class _Connection(asyncio.Protocol):
         request is in flight; then bound the wait for the next one."""
         buffer = self.buffer
         while not (self.in_flight or self.write_paused or self.closed):
-            size = len(buffer)
-            if size >= _HEADER_BYTES:
-                length = int.from_bytes(buffer[:_HEADER_BYTES], "big")
-                if length > self.ceiling:
-                    self.gateway.oversized_frames += 1
-                    self._refuse(f"declared payload {length} bytes, "
-                                 f"ceiling {self.ceiling}")
-                    return
-                end = _HEADER_BYTES + length
-                if size >= end:
-                    body = bytes(buffer[_HEADER_BYTES:end])
+            try:
+                length = frame_length(buffer, max_frame=self.ceiling)
+            except FrameTooLarge as exc:
+                self.gateway.oversized_frames += 1
+                self._refuse(str(exc))
+                return
+            if length is not None:
+                end = HEADER_BYTES + length
+                if len(buffer) >= end:
+                    body = bytes(buffer[HEADER_BYTES:end])
                     del buffer[:end]
                     self.waiting = self.deadline = None
                     self._serve(body)
@@ -813,7 +812,7 @@ class _Connection(asyncio.Protocol):
                     self.gateway.torn_frames += 1
                 self.close()
                 return
-            self._wait("read" if size >= _HEADER_BYTES else "idle")
+            self._wait("idle" if length is None else "read")
             break
         paused = (self.in_flight or self.write_paused) and (
             len(buffer) > self.ceiling
@@ -859,8 +858,19 @@ class _Connection(asyncio.Protocol):
         self._take_frames()
 
     def _send(self, payload: dict) -> None:
-        if not self.closed:
-            self.transport.write(encode_frame(payload))
+        """Write one frame; never raises.  A frame the peer's own bytes
+        made too large (a ticket echoing a huge request id, an error
+        naming a huge kind) becomes a short error frame and closes this
+        connection only."""
+        if self.closed:
+            return
+        try:
+            frame = encode_frame(payload)
+        except FrameTooLarge as exc:
+            self.gateway.oversized_frames += 1
+            self._refuse(str(exc))
+            return
+        self.transport.write(frame)
 
     def _refuse(self, message: str) -> None:
         """A framing error: an error frame, then close."""

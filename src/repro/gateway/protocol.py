@@ -37,7 +37,9 @@ __all__ = [
     "FrameTooLarge",
     "FrameTimeout",
     "TornFrame",
+    "HEADER_BYTES",
     "encode_frame",
+    "frame_length",
     "decode_payload",
     "read_frame",
     "read_raw_frame",
@@ -53,6 +55,8 @@ __all__ = [
 #: default ceiling on one frame's JSON payload
 MAX_FRAME_BYTES = 64 * 1024
 _HEADER = struct.Struct(">I")
+#: bytes of the length header in front of every payload
+HEADER_BYTES = _HEADER.size
 
 
 class FrameError(Exception):
@@ -80,12 +84,29 @@ def encode_frame(payload: dict, *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
+def frame_length(
+    buffer: bytes | bytearray, *, max_frame: int = MAX_FRAME_BYTES,
+) -> int | None:
+    """The payload length the header at the start of ``buffer``
+    declares, or ``None`` while the header is incomplete; raises
+    :class:`FrameTooLarge` for a length beyond ``max_frame``."""
+    if len(buffer) < HEADER_BYTES:
+        return None
+    (length,) = _HEADER.unpack_from(buffer)
+    if length > max_frame:
+        raise FrameTooLarge(
+            f"declared payload {length} bytes, ceiling {max_frame}"
+        )
+    return length
+
+
 def decode_payload(body: bytes) -> dict:
     """The JSON object one frame's payload bytes encode; raises
-    :class:`FrameError` for invalid UTF-8 or JSON, or a non-object."""
+    :class:`FrameError` for invalid UTF-8 or JSON (nesting deeper than
+    the decoder's recursion limit included), or a non-object."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise FrameError(f"payload is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FrameError(
@@ -127,15 +148,11 @@ async def read_raw_frame(
     coherently without caring about their JSON.  Returns ``None`` on
     clean EOF at a frame boundary.
     """
-    header = await _read_exactly(reader, _HEADER.size, idle_timeout,
+    header = await _read_exactly(reader, HEADER_BYTES, idle_timeout,
                                  mid_frame=False)
     if header is None:
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame:
-        raise FrameTooLarge(
-            f"declared payload {length} bytes, ceiling {max_frame}"
-        )
+    length = frame_length(header, max_frame=max_frame)
     body = await _read_exactly(reader, length, read_timeout, mid_frame=True)
     return header + body
 
@@ -154,7 +171,7 @@ async def read_frame(
     )
     if raw is None:
         return None
-    return decode_payload(raw[_HEADER.size:])
+    return decode_payload(raw[HEADER_BYTES:])
 
 
 async def write_frame(

@@ -23,6 +23,7 @@ from repro.gateway import (
     submit_payload,
     ticket_payload,
 )
+from repro.gateway.protocol import frame_length
 from repro.service import AdmissionTicket, EventRequest
 from repro.service.requests import RETRYABLE, Decision
 
@@ -70,6 +71,14 @@ class TestFraming:
 
         asyncio.run(scenario())
 
+    def test_frame_length_reads_and_bounds_the_header(self):
+        frame = encode_frame(ping_payload())
+        assert frame_length(frame[:3]) is None  # header incomplete
+        assert frame_length(frame) == len(frame) - 4
+        assert frame_length(bytearray(frame[:4])) == len(frame) - 4
+        with pytest.raises(FrameTooLarge, match="ceiling 1024"):
+            frame_length(struct.pack(">I", 1025), max_frame=1024)
+
     def test_encode_rejects_oversized_payload(self):
         with pytest.raises(FrameTooLarge):
             encode_frame({"blob": "x" * 2048}, max_frame=1024)
@@ -115,6 +124,10 @@ class TestFraming:
             with pytest.raises(FrameError):
                 await read_frame(reader)
             body = b"[1,2,3]"
+            reader = _reader(struct.pack(">I", len(body)) + body)
+            with pytest.raises(FrameError):
+                await read_frame(reader)
+            body = b"[" * 60_000  # nested past the decoder's recursion limit
             reader = _reader(struct.pack(">I", len(body)) + body)
             with pytest.raises(FrameError):
                 await read_frame(reader)

@@ -8,6 +8,7 @@ import struct
 import pytest
 
 from repro.gateway import (
+    MAX_FRAME_BYTES,
     AdmissionGateway,
     GatewayConfig,
     encode_frame,
@@ -388,6 +389,71 @@ class TestEdge:
                 w.close()
             gateway.request_shutdown()
             await gateway.terminated.wait()
+
+        asyncio.run(scenario())
+
+    def test_oversized_ticket_closes_only_its_connection(self, tmp_path):
+        async def scenario():
+            gateway = await AdmissionGateway(
+                _config(tmp_path), default_gateway_service_config(),
+            ).start()
+            # a submit exactly at the ceiling: its ticket, which echoes
+            # the request id with more overhead, cannot be framed
+            base = len(encode_frame(submit_payload(_request("r")))) - 4
+            huge = _request("r" * (1 + MAX_FRAME_BYTES - base))
+            reader, writer = await _connect(gateway)
+            await write_frame(writer, submit_payload(huge))
+            answer = await asyncio.wait_for(read_frame(reader), 5.0)
+            assert answer["kind"] == "error"
+            assert "ceiling" in answer["error"]
+            assert await read_frame(reader) is None  # connection closed
+            assert gateway.oversized_frames == 1
+            r2, w2 = await _connect(gateway)
+            ticket = await asyncio.wait_for(
+                _submit(r2, w2, _request("r-2")), 5.0)
+            assert ticket.decision.value == "admit"
+            for w in (writer, w2):
+                w.close()
+            gateway.request_shutdown()
+            await asyncio.wait_for(gateway.terminated.wait(), 5.0)
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("behind_submit", [False, True])
+    def test_oversized_error_frame_closes_only_its_connection(
+            self, tmp_path, behind_submit):
+        async def scenario():
+            gateway = await AdmissionGateway(
+                _config(tmp_path), default_gateway_service_config(),
+            ).start()
+            # an unknown kind exactly at the ceiling: the error frame
+            # naming it cannot be framed
+            kind = "k" * (MAX_FRAME_BYTES - len('{"kind":""}'))
+            frames = [encode_frame({"kind": kind})]
+            if behind_submit:  # answered from the dispatcher's callback
+                frames.insert(0, encode_frame(
+                    submit_payload(_request("r-1"))))
+            reader, writer = await _connect(gateway)
+            writer.write(b"".join(frames))
+            await writer.drain()
+            if behind_submit:
+                ticket = parse_ticket(
+                    await asyncio.wait_for(read_frame(reader), 5.0))
+                assert ticket.decision.value == "admit"
+            answer = await asyncio.wait_for(read_frame(reader), 5.0)
+            assert answer["kind"] == "error"
+            assert "ceiling" in answer["error"]
+            assert await read_frame(reader) is None  # connection closed
+            assert gateway.protocol_errors == 1
+            assert gateway.oversized_frames == 1
+            r2, w2 = await _connect(gateway)
+            ticket = await asyncio.wait_for(
+                _submit(r2, w2, _request("r-2")), 5.0)
+            assert ticket.decision.value == "admit"
+            for w in (writer, w2):
+                w.close()
+            gateway.request_shutdown()
+            await asyncio.wait_for(gateway.terminated.wait(), 5.0)
 
         asyncio.run(scenario())
 

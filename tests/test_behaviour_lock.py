@@ -3,10 +3,11 @@
 Each digest covers the full-precision numbers (``repr`` of every float),
 not a rounded rendering, so a refactor that claims "same behaviour" has
 to reproduce the paper campaign, a long pure-periodic trace, the
-execution arm's VM traces, the Figures 2-4 text, a multicore campaign
-and the Section 7 admission path (a skewed service storm and a fabric
-kill drill) bit for bit.  A deliberate behaviour change updates the
-pinned digest in its own commit, with the reason.
+execution arm's VM traces, the Figures 2-4 text, a multicore campaign,
+every run record of the four campaigns and the Section 7 admission path
+(a skewed service storm and a fabric kill drill) bit for bit.  A
+deliberate behaviour change updates the pinned digest in its own commit,
+with the reason.
 
 The two admission-path digests run on a ``VirtualClock`` and read the
 same whether ``advance`` settles for 1, 2, 3, 4 or 32 event-loop rounds
@@ -18,14 +19,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
-from repro.experiments.campaign import ARMS, execute_system, run_campaign
+from repro.experiments.campaign import (
+    ARMS,
+    RunPolicy,
+    execute_system,
+    run_campaign,
+    run_overload_campaign,
+)
 from repro.experiments.figures import render_all_figures
 from repro.fabric import FabricStormConfig, ShardKill, run_fabric_storm
 from repro.service import StormConfig, run_service_storm
 from repro.sim import FixedPriorityPolicy, Simulation
 from repro.sim.engine import KERNEL_MODES, TRACE_MODES
-from repro.smp.campaign import MulticoreParameters, run_multicore_campaign
+from repro.smp.campaign import (
+    MulticoreParameters,
+    run_multicore_campaign,
+    run_multicore_overload_campaign,
+)
 from repro.smp.metrics import multicore_metrics_to_dict
 from repro.workload import PAPER_SETS, RandomSystemGenerator
 from repro.workload.spec import PeriodicTaskSpec
@@ -45,6 +57,8 @@ PINNED = {
         "9e22eba77459842ae66fe5180473cc7f5b4c46f65b2817533f8a50885a9278d1",
     "fabric_kill_drill":
         "28835b37fa7fd25e30b1a7c866ef114198011ffdddfd9dd9f0ba64304a85f322",
+    "campaign_records":
+        "6b5197dbbd48d2290b2066d9755255bb6d119aded8fcb4b661d04b2e96c808e5",
 }
 
 # dense dyadic set on the 0.25-tu grid: hyperperiod 16 tu, utilization
@@ -157,6 +171,37 @@ def _multicore_campaign_digest() -> str:
     return digest.hexdigest()
 
 
+def _campaign_records_digest() -> str:
+    """Every hardened run record (status, attempts, metrics, payload) of
+    small runs of the paper, multicore and both overload campaigns."""
+    policy = RunPolicy()
+    results = (
+        run_campaign(
+            sets=tuple(replace(p, nb_generation=2) for p in PAPER_SETS[:2]),
+            run_policy=policy,
+        ),
+        run_multicore_campaign(
+            MulticoreParameters(nb_systems=3), run_policy=policy
+        ),
+        run_overload_campaign(
+            sets=(replace(PAPER_SETS[0], nb_generation=2),),
+            run_policy=policy,
+        ),
+        run_multicore_overload_campaign(
+            MulticoreParameters(n_cores=2, n_tasks=4,
+                                total_utilization=0.8, task_density=3.0),
+            run_policy=policy,
+        ),
+    )
+    digest = hashlib.sha256()
+    for result in results:
+        for record in result.records:
+            digest.update(
+                json.dumps(record.to_dict(), sort_keys=True).encode() + b"\n"
+            )
+    return digest.hexdigest()
+
+
 def _report_digest(report, wall_keys) -> str:
     payload = {key: value for key, value in report.to_dict().items()
                if key not in wall_keys}
@@ -203,5 +248,6 @@ def test_behaviour_lock_digests(tmp_path):
         "exec_trace": exec_trace.pop(),
         "service_storm": _service_storm_digest(),
         "fabric_kill_drill": _fabric_kill_drill_digest(tmp_path),
+        "campaign_records": _campaign_records_digest(),
     }
     assert observed == PINNED

@@ -20,9 +20,10 @@ import signal
 import threading
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace as _replace
+from dataclasses import asdict, dataclass, field, replace as _replace
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..core import (
     DeferrableTaskServer,
@@ -128,10 +129,12 @@ class RunPolicy:
       on platforms without POSIX signals);
     * ``max_retries`` — how many times a crashed/hung run is retried,
       each retry regenerating the system from a bumped master seed so a
-      pathological random stream cannot wedge the sweep.  Bumps come
-      from the shared :class:`~repro.service.backoff.BackoffPolicy` —
-      exponentially widening, jittered, deterministic under the master
-      seed — with ``retry_seed_bump`` as the scale factor;
+      pathological random stream cannot wedge the sweep.  In all four
+      campaigns retry ``attempt`` regenerates from ``seed +
+      DEFAULT_BACKOFF.seed_bump(seed, attempt, scale=retry_seed_bump)``:
+      the shared :class:`~repro.service.backoff.BackoffPolicy` bump,
+      exponentially widening, jittered and deterministic under the
+      master seed (see :func:`guarded`);
     * ``checkpoint_path`` — JSONL file of per-run records; an existing
       file is loaded on start and completed runs are skipped, so an
       interrupted campaign resumes instead of restarting;
@@ -187,30 +190,13 @@ class RunRecord:
             "error": self.error,
         }
         if self.metrics is not None:
-            out["metrics"] = {
-                "released": self.metrics.released,
-                "served": self.metrics.served,
-                "interrupted": self.metrics.interrupted,
-                "average_response_time":
-                    self.metrics.average_response_time,
-                "response_times": list(self.metrics.response_times),
-            }
+            out["metrics"] = _metrics_to_dict(self.metrics)
         if self.payload is not None:
             out["payload"] = self.payload
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        metrics = None
-        if data.get("metrics") is not None:
-            m = data["metrics"]
-            metrics = RunMetrics(
-                released=m["released"],
-                served=m["served"],
-                interrupted=m["interrupted"],
-                average_response_time=m["average_response_time"],
-                response_times=tuple(m["response_times"]),
-            )
         return cls(
             arm=data["arm"],
             set_key=tuple(data["set_key"]),
@@ -218,9 +204,32 @@ class RunRecord:
             status=data["status"],
             attempts=data.get("attempts", 1),
             error=data.get("error", ""),
-            metrics=metrics,
+            metrics=(
+                _metrics_from_dict(data["metrics"])
+                if data.get("metrics") is not None else None
+            ),
             payload=data.get("payload"),
         )
+
+
+def _metrics_to_dict(metrics: RunMetrics) -> dict:
+    return {
+        "released": metrics.released,
+        "served": metrics.served,
+        "interrupted": metrics.interrupted,
+        "average_response_time": metrics.average_response_time,
+        "response_times": list(metrics.response_times),
+    }
+
+
+def _metrics_from_dict(data: dict) -> RunMetrics:
+    return RunMetrics(
+        released=data["released"],
+        served=data["served"],
+        interrupted=data["interrupted"],
+        average_response_time=data["average_response_time"],
+        response_times=tuple(data["response_times"]),
+    )
 
 
 @contextmanager
@@ -583,15 +592,6 @@ def _run_arm(
     return result.metrics
 
 
-def _arm_extras(verify: bool) -> tuple:
-    """Positional extras for a ``_run_arm`` call.
-
-    Verification is opt-in: without it the historical 4-argument call
-    shape is kept, so test stand-ins with the old signature stay usable.
-    """
-    return (verify,) if verify else ()
-
-
 def _open_checkpoint(
     path: Path | None,
 ) -> tuple["CheckpointLog | None", dict[tuple, RunRecord]]:
@@ -653,80 +653,129 @@ def _parallel_map(fn, tasks: list, workers: int,
         return pool.map(fn, tasks, chunksize=1)
 
 
-def _campaign_worker(task: tuple) -> RunRecord:
-    """Pool entry point for one (arm, system) run of the paper campaign."""
-    (hardened, arm, params, system, overhead, enforcement, fault_plan,
-     run_policy, verify) = task
-    if hardened:
-        record = _guarded_run(
-            arm, params, system, overhead, enforcement, fault_plan,
-            run_policy, verify,
-        )
-        if run_policy.fail_fast and record.status != "ok":
-            raise RunExhausted(record.to_dict())
-        return record
-    key = (params.task_density, params.std_deviation)
-    metrics = _run_arm(arm, system, overhead, enforcement,
-                       *_arm_extras(verify))
-    return RunRecord(
-        arm=arm, set_key=key, system_id=system.system_id,
-        status="ok", metrics=metrics,
-    )
+class CampaignRun(NamedTuple):
+    """One (arm, set, system) run of a campaign sweep.
 
-
-def _guarded_run(
-    arm: str,
-    params: GenerationParameters,
-    system: GeneratedSystem,
-    overhead: OverheadModel | None,
-    enforcement: "EnforcementConfig | None",
-    fault_plan: "FaultPlan | None",
-    run_policy: RunPolicy,
-    verify: bool = False,
-) -> RunRecord:
-    """Run one (arm, system) with timeout, bounded retry and seed-bump.
-
-    A retry regenerates the *same* system index from a bumped master
-    seed (fault plan re-applied), so a pathological random stream is
-    routed around rather than hammered.
+    ``execute(arm, system)`` is the campaign's per-run function; it
+    returns the run's ``(metrics, payload)``.  ``regenerate(seed,
+    system_id)`` builds the run's system again from another master seed
+    for a retry, with the campaign's fault plan re-applied.  Both are
+    module-level functions or ``functools.partial``\\ s of them, so a run
+    pickles by qualified name into a ``spawn`` worker.
     """
-    key = (params.task_density, params.std_deviation)
-    attempts = 0
-    current = system
-    last_error = ""
-    status = "failed"
-    while attempts <= run_policy.max_retries:
+
+    arm: str
+    set_key: tuple[float, float]
+    system_id: int
+    #: the master seed ``system`` was generated from
+    seed: int
+    #: what ``execute`` runs: a generated system, or the overload
+    #: campaigns' ``(clean, burst)`` pair
+    system: object
+    execute: Callable
+    regenerate: Callable
+
+    @property
+    def key(self) -> tuple:
+        """``(arm, set_key, system_id)``, as the checkpoint keys it."""
+        return self[:3]
+
+
+def guarded(run: CampaignRun, policy: RunPolicy | None) -> RunRecord:
+    """Run one campaign run and record its outcome.
+
+    Without a policy the run is a direct call and an exception
+    propagates: the paper campaign's unguarded golden path.  With one,
+    a crash or a ``timeout_s`` overrun becomes a failure record, and
+    each of up to ``max_retries`` retries regenerates the system from
+    ``seed + DEFAULT_BACKOFF.seed_bump(seed, attempt,
+    scale=retry_seed_bump)``, so a pathological random stream is routed
+    around rather than hammered.  With ``fail_fast`` a run that uses up
+    its retries raises :class:`RunExhausted` instead.
+    """
+    if policy is None:
+        return _execute(run, run.system, attempts=1)
+    system, attempts = run.system, 0
+    while True:
         attempts += 1
         try:
-            with _time_limit(run_policy.timeout_s):
-                metrics = _run_arm(arm, current, overhead, enforcement,
-                                   *_arm_extras(verify))
-            return RunRecord(
-                arm=arm, set_key=key, system_id=system.system_id,
-                status="ok", attempts=attempts, metrics=metrics,
-            )
+            with _time_limit(policy.timeout_s):
+                return _execute(run, system, attempts)
         except RunTimeout as exc:
-            status, last_error = "timeout", str(exc)
+            status, error = "timeout", str(exc)
         except Exception:
-            status, last_error = "failed", traceback.format_exc(limit=5)
-        if attempts <= run_policy.max_retries:
-            from ..service.backoff import DEFAULT_BACKOFF
+            # the innermost frames, where the run failed
+            status, error = "failed", traceback.format_exc(limit=-5)
+        if attempts > policy.max_retries:
+            break
+        from ..service.backoff import DEFAULT_BACKOFF
 
-            bumped = _replace(
-                params,
-                seed=params.seed + DEFAULT_BACKOFF.seed_bump(
-                    params.seed, attempts,
-                    scale=run_policy.retry_seed_bump,
-                ),
-            )
-            regenerated = RandomSystemGenerator(bumped).generate()
-            current = regenerated[system.system_id]
-            if fault_plan is not None:
-                current = fault_plan.apply(current)
-    return RunRecord(
-        arm=arm, set_key=key, system_id=system.system_id,
-        status=status, attempts=attempts, error=last_error,
+        seed = run.seed + DEFAULT_BACKOFF.seed_bump(
+            run.seed, attempts, scale=policy.retry_seed_bump
+        )
+        system = run.regenerate(seed, run.system_id)
+    record = RunRecord(
+        arm=run.arm, set_key=run.set_key, system_id=run.system_id,
+        status=status, attempts=attempts, error=error,
     )
+    if policy.fail_fast:
+        raise RunExhausted(record.to_dict())
+    return record
+
+
+def _execute(run: CampaignRun, system, attempts: int) -> RunRecord:
+    metrics, payload = run.execute(run.arm, system)
+    return RunRecord(
+        arm=run.arm, set_key=run.set_key, system_id=run.system_id,
+        status="ok", attempts=attempts, metrics=metrics, payload=payload,
+    )
+
+
+def sweep(runs: list[CampaignRun], policy: RunPolicy | None,
+          workers: int) -> list[RunRecord]:
+    """Every run's record, in run order.
+
+    A run already in the policy's checkpoint keeps its record; the rest
+    go through :func:`guarded`, over a ``workers``-process pool when
+    ``workers > 1``.  Records come back in submission order, so a
+    parallel sweep is bit-identical to a sequential one, and this parent
+    process alone appends them to the checkpoint (workers run with
+    ``checkpoint_path=None``).
+    """
+    log, done = _open_checkpoint(
+        policy.checkpoint_path if policy is not None else None
+    )
+    worker_policy = (
+        _replace(policy, checkpoint_path=None) if policy is not None
+        else None
+    )
+    fresh = iter(_parallel_map(
+        partial(guarded, policy=worker_policy),
+        [run for run in runs if run.key not in done], workers,
+    ))
+    records = []
+    for run in runs:
+        record = done.get(run.key)
+        if record is None:
+            record = next(fresh)
+            if log is not None:
+                log.append(record.to_dict())
+        records.append(record)
+    return records
+
+
+def _paper_run(overhead, enforcement, verify, arm, system):
+    return _run_arm(arm, system, overhead, enforcement, verify), None
+
+
+def _paper_system(params: GenerationParameters, fault_plan, seed: int,
+                  system_id: int) -> GeneratedSystem:
+    """System ``system_id`` of ``params`` generated from master seed
+    ``seed``, with ``fault_plan`` (if any) applied."""
+    system = RandomSystemGenerator(_replace(params, seed=seed)).generate()[
+        system_id
+    ]
+    return fault_plan.apply(system) if fault_plan is not None else system
 
 
 def run_campaign(
@@ -755,62 +804,33 @@ def run_campaign(
     written (flushed + fsynced) by this parent process only.  Everything
     defaults to the paper-faithful golden path.
     """
-    result = CampaignResult(tables={arm: {} for arm in arms})
-    policy = run_policy if run_policy is not None else RunPolicy()
-    log, checkpointed = _open_checkpoint(policy.checkpoint_path)
-    hardened = run_policy is not None
-    # workers never see the checkpoint path: the parent is the only writer
-    worker_policy = _replace(policy, checkpoint_path=None)
-
-    generated: list[tuple[GenerationParameters, list[GeneratedSystem]]] = []
+    execute = partial(_paper_run, overhead, enforcement, verify)
+    runs: list[CampaignRun] = []
     for params in sets:
         systems = RandomSystemGenerator(params).generate()
         if fault_plan is not None:
             systems = fault_plan.apply_all(systems)
-        generated.append((params, systems))
-
-    # flatten into (slot per run) preserving the sequential sweep order;
-    # checkpointed runs keep their record (slot None), the rest go to
-    # the pool
-    order: list[tuple[GenerationParameters, str, int]] = []
-    pending: list[tuple | None] = []
-    for params, systems in generated:
         key = (params.task_density, params.std_deviation)
-        for system in systems:
-            for arm in arms:
-                done = (
-                    hardened and (arm, key, system.system_id) in checkpointed
-                )
-                order.append((params, arm, system.system_id))
-                pending.append(
-                    None if done else (
-                        hardened, arm, params, system, overhead,
-                        enforcement, fault_plan, worker_policy, verify,
-                    )
-                )
-    fresh = iter(_parallel_map(
-        _campaign_worker, [t for t in pending if t is not None], workers
-    ))
+        regenerate = partial(_paper_system, params, fault_plan)
+        runs += [
+            CampaignRun(arm, key, system.system_id, params.seed, system,
+                        execute, regenerate)
+            for system in systems for arm in arms
+        ]
+    records = sweep(runs, run_policy, workers)
 
+    result = CampaignResult(tables={arm: {} for arm in arms})
+    if run_policy is not None:
+        result.records = records
     per_set: dict[tuple[float, float], dict[str, list[RunMetrics]]] = {}
-    for slot, (params, arm, system_id) in zip(pending, order):
-        key = (params.task_density, params.std_deviation)
-        per_arm = per_set.setdefault(key, {a: [] for a in arms})
-        if slot is None:
-            record = checkpointed[(arm, key, system_id)]
-        else:
-            record = next(fresh)
-            if log is not None:
-                log.append(record.to_dict())
-        if hardened:
-            result.records.append(record)
+    for run, record in zip(runs, records):
         if record.metrics is not None:
-            per_arm[arm].append(record.metrics)
-    for params, _ in generated:
-        key = (params.task_density, params.std_deviation)
-        for arm in arms:
-            if per_set[key][arm]:
-                result.tables[arm][key] = aggregate(per_set[key][arm])
+            per_set.setdefault(run.set_key, {}).setdefault(
+                run.arm, []
+            ).append(record.metrics)
+    for key, per_arm in per_set.items():
+        for arm, metrics in per_arm.items():
+            result.tables[arm][key] = aggregate(metrics)
     return result
 
 
@@ -901,87 +921,49 @@ def _run_overload_arm(
     return execute_system(system, policy, overhead, overload=overload)
 
 
-def _report_payload(report: OverloadReport, baseline: RunMetrics) -> dict:
-    from dataclasses import asdict
-
-    return {
-        "overload": asdict(report),
-        "baseline": {
-            "released": baseline.released,
-            "served": baseline.served,
-            "interrupted": baseline.interrupted,
-            "average_response_time": baseline.average_response_time,
-            "response_times": list(baseline.response_times),
-        },
-    }
-
-
-def _overload_run_from_record(record: RunRecord) -> OverloadRun | None:
-    if record.status != "ok" or record.payload is None:
-        return None
-    payload = record.payload
-    b = payload["baseline"]
-    return OverloadRun(
-        arm=record.arm,
-        set_key=record.set_key,
-        system_id=record.system_id,
-        baseline=RunMetrics(
-            released=b["released"],
-            served=b["served"],
-            interrupted=b["interrupted"],
-            average_response_time=b["average_response_time"],
-            response_times=tuple(b["response_times"]),
-        ),
-        metrics=record.metrics,
-        report=OverloadReport(**payload["overload"]),
+def _overload_payload(faulted, horizon: float, baseline: RunMetrics) -> dict:
+    """A burst run's record payload: its overload report, and the
+    unfaulted baseline metrics that calibrated the recovery criterion."""
+    report = measure_overload(
+        faulted.trace, faulted.jobs, horizon=horizon,
+        pre_burst_aart=baseline.average_response_time or None,
     )
+    return {"overload": asdict(report), "baseline": _metrics_to_dict(baseline)}
 
 
-def _reject_retries(policy: RunPolicy, campaign: str) -> None:
-    """The overload campaigns run each system once: a retry budget is
-    rejected rather than silently ignored."""
-    if policy.max_retries:
-        raise ValueError(
-            f"{campaign} does not retry runs; got max_retries="
-            f"{policy.max_retries}"
-        )
+def _with_burst(regenerate, plan: "FaultPlan", seed: int,
+                system_id: int) -> tuple[GeneratedSystem, GeneratedSystem]:
+    """An overload run's input: ``regenerate``'s system and its twin
+    with the burst ``plan`` applied."""
+    clean = regenerate(seed, system_id)
+    return clean, plan.apply(clean)
 
 
-def _overload_worker(task: tuple) -> RunRecord:
-    """Pool entry point: baseline + burst run of one (arm, system)."""
-    (arm, params, clean, burst_system, overhead, overload,
-     run_policy) = task
-    key = (params.task_density, params.std_deviation)
-    policy = run_policy if run_policy is not None else RunPolicy()
-    status, last_error = "failed", ""
-    try:
-        with _time_limit(policy.timeout_s):
-            # the unfaulted baseline calibrates the recovery criterion
-            baseline = _run_overload_arm(arm, clean, overhead, None)
-            faulted = _run_overload_arm(arm, burst_system, overhead, overload)
-    except RunTimeout as exc:
-        status, last_error = "timeout", str(exc)
-    except Exception:
-        status, last_error = "failed", traceback.format_exc(limit=5)
-    else:
-        report = measure_overload(
-            faulted.trace,
-            faulted.jobs,
-            horizon=burst_system.horizon,
-            pre_burst_aart=baseline.metrics.average_response_time or None,
-        )
-        return RunRecord(
-            arm=arm, set_key=key, system_id=clean.system_id, status="ok",
-            metrics=faulted.metrics,
-            payload=_report_payload(report, baseline.metrics),
-        )
-    record = RunRecord(
-        arm=arm, set_key=key, system_id=clean.system_id,
-        status=status, error=last_error,
+def _overload_result(records: list[RunRecord]) -> OverloadCampaignResult:
+    """Both overload campaigns' fold: one :class:`OverloadRun` per
+    successful record."""
+    result = OverloadCampaignResult(records=records)
+    for record in records:
+        if record.status == "ok" and record.payload is not None:
+            result.runs.append(OverloadRun(
+                arm=record.arm,
+                set_key=record.set_key,
+                system_id=record.system_id,
+                baseline=_metrics_from_dict(record.payload["baseline"]),
+                metrics=record.metrics,
+                report=OverloadReport(**record.payload["overload"]),
+            ))
+    return result
+
+
+def _overload_run(overhead, overload, arm, systems):
+    clean, burst_system = systems
+    # the unfaulted baseline calibrates the recovery criterion
+    baseline = _run_overload_arm(arm, clean, overhead, None).metrics
+    faulted = _run_overload_arm(arm, burst_system, overhead, overload)
+    return faulted.metrics, _overload_payload(
+        faulted, burst_system.horizon, baseline
     )
-    if run_policy is not None and run_policy.fail_fast:
-        raise RunExhausted(record.to_dict())
-    return record
 
 
 def run_overload_campaign(
@@ -1002,10 +984,11 @@ def run_overload_campaign(
     :class:`~repro.overload.metrics.OverloadReport` — shed rate, breaker
     activity, time in degraded mode and post-burst recovery time —
     reported alongside the paper's AART/AIR/ASR.  ``run_policy`` applies
-    the usual hardening (timeout, checkpoint/resume, ``fail_fast``) but
-    not retries: a policy with ``max_retries > 0`` raises ``ValueError``.
-    ``workers > 1`` fans runs over a process pool with fold-back in
-    sequential order.
+    the usual hardening (timeout, retry, checkpoint/resume,
+    ``fail_fast``); a retry regenerates the system and re-applies the
+    burst.  Every run is recorded, with ``RunPolicy()`` when none is
+    given.  ``workers > 1`` fans runs over a process pool with fold-back
+    in sequential order.
     """
     from ..faults.injectors import EventBurst, FaultPlan
 
@@ -1013,43 +996,19 @@ def run_overload_campaign(
         overload = default_overload_config()
     if burst is None:
         burst = EventBurst(extra=3, probability=0.5, spacing=0.05)
-    policy = run_policy if run_policy is not None else RunPolicy()
-    _reject_retries(policy, "run_overload_campaign")
-    log, checkpointed = _open_checkpoint(policy.checkpoint_path)
-    worker_policy = _replace(policy, checkpoint_path=None)
-
-    order: list[tuple[GenerationParameters, str, int, bool]] = []
-    pending: list[tuple | None] = []
+    execute = partial(_overload_run, overhead, overload)
+    runs: list[CampaignRun] = []
     for params in sets:
         key = (params.task_density, params.std_deviation)
-        systems = RandomSystemGenerator(params).generate()
         plan = FaultPlan(injectors=(burst,), seed=params.seed)
-        for system in systems:
-            burst_system = plan.apply(system)
-            for arm in arms:
-                cached = (arm, key, system.system_id) in checkpointed
-                order.append((params, arm, system.system_id, cached))
-                pending.append(
-                    None if cached else (
-                        arm, params, system, burst_system, overhead,
-                        overload, worker_policy,
-                    )
-                )
-    fresh = iter(_parallel_map(
-        _overload_worker, [t for t in pending if t is not None], workers
-    ))
-
-    result = OverloadCampaignResult()
-    for slot, (params, arm, system_id, cached) in zip(pending, order):
-        key = (params.task_density, params.std_deviation)
-        if cached:
-            record = checkpointed[(arm, key, system_id)]
-        else:
-            record = next(fresh)
-            if log is not None:
-                log.append(record.to_dict())
-        result.records.append(record)
-        run = _overload_run_from_record(record)
-        if run is not None:
-            result.runs.append(run)
-    return result
+        regenerate = partial(
+            _with_burst, partial(_paper_system, params, None), plan
+        )
+        for system in RandomSystemGenerator(params).generate():
+            systems = (system, plan.apply(system))
+            runs += [
+                CampaignRun(arm, key, system.system_id, params.seed,
+                            systems, execute, regenerate)
+                for arm in arms
+            ]
+    return _overload_result(sweep(runs, run_policy or RunPolicy(), workers))

@@ -70,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="retry a crashed/hung run up to N times with a bumped "
-             "generator seed (the overload target rejects it)",
+             "generator seed",
     )
     parser.add_argument(
         "--checkpoint", type=Path, default=None, metavar="PATH",
@@ -349,9 +349,6 @@ def _dispatch(args: argparse.Namespace,
         if args.target == "multicore":
             return _run_multicore(args, run_policy)
         if args.target == "overload":
-            if args.retries:
-                parser.error("the overload target does not retry runs; "
-                             f"got --retries {args.retries}")
             return _run_overload(args, run_policy, overhead)
         if args.target == "verify":
             return _run_verify(args)
@@ -374,15 +371,7 @@ def _dispatch(args: argparse.Namespace,
         except RunExhausted as exc:
             print(f"fail-fast: {exc}", file=sys.stderr)
             return 2
-        if campaign.failures:
-            print(f"WARNING: {len(campaign.failures)} run(s) failed:")
-            for record in campaign.failures:
-                print(
-                    f"  [{record.status}] {record.arm} set={record.set_key} "
-                    f"system={record.system_id} after {record.attempts} "
-                    f"attempt(s)"
-                )
-            failures += len(campaign.failures)
+        failures += _report_failures(campaign.failures)
         table_numbers = (
             (2, 3, 4, 5) if args.target in ("all", "checks")
             else (int(args.target[-1]),)
@@ -408,6 +397,19 @@ def _dispatch(args: argparse.Namespace,
         print(render_all_figures(svg_dir=args.svg_dir))
 
     return 1 if failures else 0
+
+
+def _report_failures(failures: list) -> int:
+    """Print a campaign's failed runs, if any; returns their number."""
+    if failures:
+        print(f"WARNING: {len(failures)} run(s) failed:")
+        for record in failures:
+            print(
+                f"  [{record.status}] {record.arm} set={record.set_key} "
+                f"system={record.system_id} after {record.attempts} "
+                f"attempt(s)"
+            )
+    return len(failures)
 
 
 def _run_multicore(args: argparse.Namespace, run_policy) -> int:
@@ -453,15 +455,7 @@ def _run_multicore(args: argparse.Namespace, run_policy) -> int:
         verify=args.verify,
     )
     print(format_multicore_campaign(result.tables))
-    failures = [r for r in result.records if r.status != "ok"]
-    if failures:
-        print(f"WARNING: {len(failures)} run(s) failed:")
-        for record in failures:
-            print(
-                f"  [{record.status}] {record.arm} "
-                f"system={record.system_id} after {record.attempts} "
-                f"attempt(s)"
-            )
+    failures = _report_failures(result.failures)
     if args.svg_dir is not None:
         args.svg_dir.mkdir(parents=True, exist_ok=True)
         system = build_multicore_system(params, 0)
@@ -879,15 +873,7 @@ def _run_overload(args: argparse.Namespace, run_policy,
         for key, value in summary.items():
             print(f"  {key:>24s}: {value:.4g}")
         print()
-    failures = result.failures
-    if failures:
-        print(f"WARNING: {len(failures)} run(s) failed:")
-        for record in failures:
-            print(
-                f"  [{record.status}] {record.arm} set={record.set_key} "
-                f"system={record.system_id}"
-            )
-    return 1 if failures else 0
+    return 1 if _report_failures(result.failures) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI shim

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace as _replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..sim import (
@@ -228,6 +229,14 @@ class _GlobalDeferrableServer(IdealDeferrableServer):
         return (math.floor(now / period + EPS) + 1) * period
 
 
+def _check_modes(modes: tuple[str, ...]) -> None:
+    for mode in modes:
+        if mode not in MULTICORE_MODES:
+            raise ValueError(
+                f"unknown mode {mode!r}; choose from {MULTICORE_MODES}"
+            )
+
+
 def run_multicore_system(
     system: GeneratedSystem,
     n_cores: int,
@@ -255,10 +264,7 @@ def run_multicore_system(
     release-scheduling path (see docs/performance.md); defaults are
     byte-identical to the historical behaviour.
     """
-    if mode not in MULTICORE_MODES:
-        raise ValueError(
-            f"unknown mode {mode!r}; choose from {MULTICORE_MODES}"
-        )
+    _check_modes((mode,))
     if server is not None and server not in _SERVER_CLASSES:
         raise ValueError(
             f"unknown server {server!r}; choose 'polling', 'deferrable' "
@@ -460,139 +466,64 @@ def _run_global(
     )
 
 
-# -- the campaign -----------------------------------------------------------
+# -- the campaigns ----------------------------------------------------------
 
 
-def _mc_worker(task: tuple) -> "object":
-    """Pool entry point: run one (mode, system) with guard rails."""
-    (mode, params, system_id, system, server, enforcement, fault_plan,
-     run_policy, verify) = task
-    return _guarded_mc_run(
-        mode, params, system_id, system, server, enforcement, fault_plan,
-        run_policy, verify,
+def _mc_system(params: MulticoreParameters, fault_plan, seed: int,
+               system_id: int) -> GeneratedSystem:
+    """System ``system_id`` of ``params`` built from master seed
+    ``seed``, with ``fault_plan`` (if any) applied."""
+    system = build_multicore_system(_replace(params, seed=seed), system_id)
+    return fault_plan.apply(system) if fault_plan is not None else system
+
+
+def _mc_run(n_cores, server, enforcement, verify, mode, system):
+    """One (mode, system) run: the aggregate metrics, with the per-core
+    metrics as the record's payload."""
+    result = run_multicore_system(
+        system, n_cores, mode, server=server, enforcement=enforcement,
+        verify=verify,
+    )
+    if result.report is not None and not result.report.ok:
+        from ..verify.violations import VerificationError
+
+        raise VerificationError(result.report.summary())
+    return result.metrics.aggregate, multicore_metrics_to_dict(result.metrics)
+
+
+def _mc_overload_run(n_cores, server, overload, mode, systems):
+    from ..experiments.campaign import _overload_payload
+
+    clean, burst_system = systems
+    # the unfaulted baseline calibrates the recovery criterion
+    baseline = run_multicore_system(clean, n_cores, mode, server=server)
+    faulted = run_multicore_system(
+        burst_system, n_cores, mode, server=server, overload=overload,
+    )
+    return faulted.metrics.aggregate, _overload_payload(
+        faulted, burst_system.horizon, baseline.metrics.aggregate
     )
 
 
-def _guarded_mc_run(
-    mode: str,
-    params: MulticoreParameters,
-    system_id: int,
-    system: GeneratedSystem,
-    server: str | None,
-    enforcement: "EnforcementConfig | None",
-    fault_plan: "FaultPlan | None",
-    run_policy: "RunPolicy | None",
-    verify: bool = False,
-):
-    """One hardened run -> a RunRecord (metrics carry the aggregate)."""
-    import traceback
+def _mc_sweep(params: MulticoreParameters, modes: tuple[str, ...],
+              execute, regenerate, run_policy: "RunPolicy | None",
+              workers: int) -> list:
+    """The records of every (system, mode) run of ``params``, in sweep
+    order.  Every run is recorded, with ``RunPolicy()`` when none is
+    given."""
+    from ..experiments.campaign import CampaignRun, RunPolicy, sweep
 
-    from ..experiments.campaign import (
-        RunExhausted,
-        RunRecord,
-        RunTimeout,
-        _time_limit,
-    )
-    from ..verify.violations import VerificationError
-
+    _check_modes(modes)
     key = (float(params.n_cores), float(params.total_utilization))
-    policy = run_policy
-    max_retries = policy.max_retries if policy is not None else 0
-    timeout_s = policy.timeout_s if policy is not None else None
-    seed_bump = policy.retry_seed_bump if policy is not None else 1
-    attempts = 0
-    current = system
-    status, last_error = "failed", ""
-    result: MulticoreSystemResult | None = None
-    while attempts <= max_retries:
-        attempts += 1
-        try:
-            with _time_limit(timeout_s):
-                result = run_multicore_system(
-                    current, params.n_cores, mode, server=server,
-                    enforcement=enforcement, verify=verify,
-                )
-                if result.report is not None and not result.report.ok:
-                    raise VerificationError(result.report.summary())
-            return RunRecord(
-                arm=mode, set_key=key, system_id=system_id,
-                status="ok", attempts=attempts,
-                metrics=result.metrics.aggregate,
-                payload=multicore_metrics_to_dict(result.metrics),
-            )
-        except RunTimeout as exc:
-            status, last_error = "timeout", str(exc)
-        except Exception:
-            status, last_error = "failed", traceback.format_exc(limit=5)
-        if attempts <= max_retries:
-            bumped = _replace(
-                params, seed=params.seed + attempts * seed_bump
-            )
-            current = build_multicore_system(bumped, system_id)
-            if fault_plan is not None:
-                current = fault_plan.apply(current)
-    record = RunRecord(
-        arm=mode, set_key=key, system_id=system_id,
-        status=status, attempts=attempts, error=last_error,
-    )
-    if policy is not None and policy.fail_fast:
-        raise RunExhausted(record.to_dict())
-    return record
-
-
-def _mc_overload_worker(task: tuple):
-    """Pool entry point: baseline + burst run of one (mode, system)."""
-    import traceback
-
-    from ..experiments.campaign import (
-        RunExhausted,
-        RunPolicy,
-        RunRecord,
-        RunTimeout,
-        _report_payload,
-        _time_limit,
-    )
-    from ..overload.metrics import measure_overload
-
-    (mode, params, clean, burst_system, server, overload, run_policy) = task
-    key = (float(params.n_cores), float(params.total_utilization))
-    policy = run_policy if run_policy is not None else RunPolicy()
-    status, last_error = "failed", ""
-    try:
-        with _time_limit(policy.timeout_s):
-            # the unfaulted baseline calibrates the recovery criterion
-            baseline = run_multicore_system(
-                clean, params.n_cores, mode, server=server
-            )
-            faulted = run_multicore_system(
-                burst_system, params.n_cores, mode, server=server,
-                overload=overload,
-            )
-    except RunTimeout as exc:
-        status, last_error = "timeout", str(exc)
-    except Exception:
-        status, last_error = "failed", traceback.format_exc(limit=5)
-    else:
-        report = measure_overload(
-            faulted.trace,
-            faulted.jobs,
-            horizon=burst_system.horizon,
-            pre_burst_aart=(
-                baseline.metrics.aggregate.average_response_time or None
-            ),
-        )
-        return RunRecord(
-            arm=mode, set_key=key, system_id=clean.system_id, status="ok",
-            metrics=faulted.metrics.aggregate,
-            payload=_report_payload(report, baseline.metrics.aggregate),
-        )
-    record = RunRecord(
-        arm=mode, set_key=key, system_id=clean.system_id,
-        status=status, error=last_error,
-    )
-    if run_policy is not None and run_policy.fail_fast:
-        raise RunExhausted(record.to_dict())
-    return record
+    runs = []
+    for system_id in range(params.nb_systems):
+        system = regenerate(params.seed, system_id)
+        runs += [
+            CampaignRun(mode, key, system_id, params.seed, system, execute,
+                        regenerate)
+            for mode in modes
+        ]
+    return sweep(runs, run_policy or RunPolicy(), workers)
 
 
 def run_multicore_overload_campaign(
@@ -613,68 +544,30 @@ def run_multicore_overload_campaign(
     the ``overload`` stack armed — per-server queue bounds and breakers,
     the degraded-mode detector, and (partitioned modes) overload-aware
     routing that steers arrivals around open breakers and full queues.
-    Like its twin it never retries a run: a ``run_policy`` with
-    ``max_retries > 0`` raises ``ValueError``.
+    Like its twin it records every run, and a retry regenerates the
+    system and re-applies the burst.
     Returns an :class:`~repro.experiments.campaign.OverloadCampaignResult`.
     """
     from ..experiments.campaign import (
-        OverloadCampaignResult,
-        RunPolicy,
-        _open_checkpoint,
-        _overload_run_from_record,
-        _parallel_map,
-        _reject_retries,
+        _overload_result,
+        _with_burst,
         default_overload_config,
     )
     from ..faults.injectors import EventBurst, FaultPlan
 
-    for mode in modes:
-        if mode not in MULTICORE_MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; choose from {MULTICORE_MODES}"
-            )
     if overload is None:
         overload = default_overload_config()
     if burst is None:
         burst = EventBurst(extra=3, probability=0.5, spacing=0.05)
-    policy = run_policy if run_policy is not None else RunPolicy()
-    _reject_retries(policy, "run_multicore_overload_campaign")
-    log, checkpointed = _open_checkpoint(policy.checkpoint_path)
-    worker_policy = _replace(policy, checkpoint_path=None)
-    key = (float(params.n_cores), float(params.total_utilization))
-    plan = FaultPlan(injectors=(burst,), seed=params.seed)
-
-    order: list[tuple[str, int, bool]] = []
-    pending: list[tuple | None] = []
-    for system_id in range(params.nb_systems):
-        clean = build_multicore_system(params, system_id)
-        burst_system = plan.apply(clean)
-        for mode in modes:
-            cached = (mode, key, system_id) in checkpointed
-            order.append((mode, system_id, cached))
-            pending.append(
-                None if cached else (
-                    mode, params, clean, burst_system, server, overload,
-                    worker_policy,
-                )
-            )
-    fresh = iter(_parallel_map(
-        _mc_overload_worker, [t for t in pending if t is not None], workers
+    regenerate = partial(
+        _with_burst, partial(_mc_system, params, None),
+        FaultPlan(injectors=(burst,), seed=params.seed),
+    )
+    return _overload_result(_mc_sweep(
+        params, modes,
+        partial(_mc_overload_run, params.n_cores, server, overload),
+        regenerate, run_policy, workers,
     ))
-
-    result = OverloadCampaignResult()
-    for slot, (mode, system_id, cached) in zip(pending, order):
-        if cached:
-            record = checkpointed[(mode, key, system_id)]
-        else:
-            record = next(fresh)
-            if log is not None:
-                log.append(record.to_dict())
-        result.records.append(record)
-        run = _overload_run_from_record(record)
-        if run is not None:
-            result.runs.append(run)
-    return result
 
 
 def run_multicore_campaign(
@@ -689,61 +582,24 @@ def run_multicore_campaign(
 ) -> MulticoreCampaignResult:
     """Run every generated system under every multicore arm.
 
+    Every run is recorded, with ``RunPolicy()`` when none is given.
     ``workers > 1`` fans the (mode, system) runs out over a
     ``multiprocessing`` pool with the master-seed fan-out preserved, so
     results are bit-identical to a sequential sweep; checkpoint lines
     (``run_policy.checkpoint_path``) are written by the parent only,
     flushed and fsynced per record, and an existing checkpoint resumes.
     """
-    from ..experiments.campaign import _open_checkpoint, _parallel_map
-
-    for mode in modes:
-        if mode not in MULTICORE_MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; choose from {MULTICORE_MODES}"
-            )
-    log, checkpointed = _open_checkpoint(
-        run_policy.checkpoint_path if run_policy is not None else None
+    records = _mc_sweep(
+        params, modes,
+        partial(_mc_run, params.n_cores, server, enforcement, verify),
+        partial(_mc_system, params, fault_plan), run_policy, workers,
     )
-    systems = []
-    for system_id in range(params.nb_systems):
-        system = build_multicore_system(params, system_id)
-        if fault_plan is not None:
-            system = fault_plan.apply(system)
-        systems.append(system)
-    key = (float(params.n_cores), float(params.total_utilization))
-    # workers never see the checkpoint path: the parent is the only writer
-    worker_policy = (
-        _replace(run_policy, checkpoint_path=None)
-        if run_policy is not None else None
+    result = MulticoreCampaignResult(
+        tables={mode: [] for mode in modes}, records=records
     )
-    pending = []
-    order = []
-    for system_id, system in enumerate(systems):
-        for mode in modes:
-            order.append((mode, system_id))
-            if (mode, key, system_id) in checkpointed:
-                pending.append(None)
-                continue
-            pending.append(
-                (mode, params, system_id, system, server, enforcement,
-                 fault_plan, worker_policy, verify)
-            )
-    fresh = _parallel_map(
-        _mc_worker, [t for t in pending if t is not None], workers
-    )
-    fresh_iter = iter(fresh)
-    result = MulticoreCampaignResult(tables={m: [] for m in modes})
-    for slot, (mode, system_id) in zip(pending, order):
-        if slot is None:
-            record = checkpointed[(mode, key, system_id)]
-        else:
-            record = next(fresh_iter)
-            if log is not None:
-                log.append(record.to_dict())
-        result.records.append(record)
+    for record in records:
         if record.payload is not None:
-            result.tables[mode].append(
+            result.tables[record.arm].append(
                 multicore_metrics_from_dict(record.payload)
             )
     return result

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,10 @@ from repro.experiments.campaign import (
     RunTimeout,
     run_campaign,
 )
+from repro.faults.injectors import EventBurst, FaultPlan
+from repro.service.backoff import DEFAULT_BACKOFF
+from repro.smp import campaign as smp_campaign
+from repro.smp.campaign import MulticoreParameters
 from repro.workload.generator import GenerationParameters
 
 SMALL = (
@@ -102,10 +107,10 @@ class TestFailureRecording:
     def test_crash_becomes_record_not_exception(self, monkeypatch):
         real = campaign._run_arm
 
-        def flaky(arm, system, overhead, enforcement):
+        def flaky(arm, system, overhead, enforcement, verify):
             if arm == "ps_exec" and system.system_id == 1:
                 raise RuntimeError("boom")
-            return real(arm, system, overhead, enforcement)
+            return real(arm, system, overhead, enforcement, verify)
 
         monkeypatch.setattr(campaign, "_run_arm", flaky)
         result = run_campaign(sets=SMALL, run_policy=RunPolicy())
@@ -119,7 +124,7 @@ class TestFailureRecording:
         assert result.tables["ps_exec"]
 
     def test_all_runs_failing_leaves_arm_empty(self, monkeypatch):
-        def doomed(arm, system, overhead, enforcement):
+        def doomed(arm, system, overhead, enforcement, verify):
             raise RuntimeError("nothing works")
 
         monkeypatch.setattr(campaign, "_run_arm", doomed)
@@ -130,7 +135,7 @@ class TestFailureRecording:
         assert result.tables["ps_sim"] == {}
 
     def test_unhardened_campaign_still_raises(self, monkeypatch):
-        def doomed(arm, system, overhead, enforcement):
+        def doomed(arm, system, overhead, enforcement, verify):
             raise RuntimeError("nothing works")
 
         monkeypatch.setattr(campaign, "_run_arm", doomed)
@@ -146,11 +151,11 @@ class TestRetry:
         real = campaign._run_arm
         calls = {"n": 0}
 
-        def flaky_once(arm, system, overhead, enforcement):
+        def flaky_once(arm, system, overhead, enforcement, verify):
             if arm == "ps_sim" and system.system_id == 0 and calls["n"] == 0:
                 calls["n"] += 1
                 raise RuntimeError("first attempt dies")
-            return real(arm, system, overhead, enforcement)
+            return real(arm, system, overhead, enforcement, verify)
 
         monkeypatch.setattr(campaign, "_run_arm", flaky_once)
         result = run_campaign(sets=SMALL, run_policy=RunPolicy(max_retries=2))
@@ -163,7 +168,7 @@ class TestRetry:
         assert not result.failures
 
     def test_retries_exhausted(self, monkeypatch):
-        def doomed(arm, system, overhead, enforcement):
+        def doomed(arm, system, overhead, enforcement, verify):
             raise RuntimeError("always")
 
         monkeypatch.setattr(campaign, "_run_arm", doomed)
@@ -173,12 +178,121 @@ class TestRetry:
         assert all(r.attempts == 3 for r in result.failures)
 
 
+class TestRetryInEveryCampaign:
+    """The multicore and both overload campaigns retry like the paper
+    campaign: retry ``a`` regenerates the system from ``seed +
+    DEFAULT_BACKOFF.seed_bump(seed, a)`` and re-applies the campaign's
+    fault plan (for the overload campaigns, the burst)."""
+
+    BURST = EventBurst(extra=3, probability=0.5, spacing=0.05)
+
+    @staticmethod
+    def _failing_twice(real, calls, at=0):
+        """``real``, failing its first two calls and logging the system
+        (positional argument ``at``) of every later one."""
+        left = {"n": 2}
+
+        def flaky(*args, **kwargs):
+            if left["n"]:
+                left["n"] -= 1
+                raise RuntimeError("still warming up")
+            calls.append(args[at])
+            return real(*args, **kwargs)
+
+        return flaky
+
+    @staticmethod
+    def _bumped(seed):
+        return [seed + DEFAULT_BACKOFF.seed_bump(seed, a) for a in (1, 2)]
+
+    def test_multicore_campaign(self, monkeypatch):
+        params = MulticoreParameters(n_cores=2, n_tasks=4,
+                                     total_utilization=0.8, nb_systems=1)
+        seeds, calls = [], []
+        real_build = smp_campaign.build_multicore_system
+
+        def spying_build(p, system_id=0):
+            seeds.append(p.seed)
+            return real_build(p, system_id)
+
+        monkeypatch.setattr(smp_campaign, "build_multicore_system",
+                            spying_build)
+        monkeypatch.setattr(
+            smp_campaign, "run_multicore_system",
+            self._failing_twice(smp_campaign.run_multicore_system, calls),
+        )
+        result = smp_campaign.run_multicore_campaign(
+            params, modes=("part-ff",), run_policy=RunPolicy(max_retries=2)
+        )
+        [record] = result.records
+        assert (record.status, record.attempts) == ("ok", 3)
+        assert seeds == [params.seed, *self._bumped(params.seed)]
+        assert calls == [real_build(replace(params, seed=seeds[-1]), 0)]
+
+    def test_overload_campaign(self, monkeypatch):
+        params = SMALL[0]
+        seeds, calls = [], []
+        real_generator = campaign.RandomSystemGenerator
+
+        def spying_generator(p):
+            seeds.append(p.seed)
+            return real_generator(p)
+
+        monkeypatch.setattr(campaign, "RandomSystemGenerator",
+                            spying_generator)
+        monkeypatch.setattr(
+            campaign, "_run_overload_arm",
+            self._failing_twice(campaign._run_overload_arm, calls, at=1),
+        )
+        result = campaign.run_overload_campaign(
+            sets=(replace(params, nb_generation=1),), arms=("ps_sim",),
+            burst=self.BURST, run_policy=RunPolicy(max_retries=2),
+        )
+        [record] = result.records
+        assert (record.status, record.attempts) == ("ok", 3)
+        assert seeds == [params.seed, *self._bumped(params.seed)]
+        clean = real_generator(replace(params, seed=seeds[-1])).generate()[0]
+        burst = FaultPlan(injectors=(self.BURST,), seed=params.seed)
+        assert calls == [clean, burst.apply(clean)]
+        assert calls[1] != calls[0]
+        assert [run.system_id for run in result.runs] == [0]
+
+    def test_multicore_overload_campaign(self, monkeypatch):
+        params = MulticoreParameters(n_cores=2, n_tasks=4,
+                                     total_utilization=0.8, task_density=3.0)
+        seeds, calls = [], []
+        real_build = smp_campaign.build_multicore_system
+
+        def spying_build(p, system_id=0):
+            seeds.append(p.seed)
+            return real_build(p, system_id)
+
+        monkeypatch.setattr(smp_campaign, "build_multicore_system",
+                            spying_build)
+        monkeypatch.setattr(
+            smp_campaign, "run_multicore_system",
+            self._failing_twice(smp_campaign.run_multicore_system, calls),
+        )
+        result = smp_campaign.run_multicore_overload_campaign(
+            params, modes=("part-ff",), burst=self.BURST,
+            run_policy=RunPolicy(max_retries=2),
+        )
+        [record] = result.records
+        assert (record.status, record.attempts) == ("ok", 3)
+        assert seeds == [params.seed, *self._bumped(params.seed)]
+        clean = real_build(replace(params, seed=seeds[-1]), 0)
+        burst = FaultPlan(injectors=(self.BURST,), seed=params.seed)
+        assert calls == [clean, burst.apply(clean)]
+        assert calls[1] != calls[0]
+        assert [run.arm for run in result.runs] == ["part-ff"]
+
+
 # -------------------------------------------------------------- timeout
 
 
 class TestTimeout:
     def test_hung_run_times_out(self, monkeypatch):
-        def hang(arm, system, overhead, enforcement):
+        def hang(arm, system, overhead, enforcement, verify):
             time.sleep(10)
 
         monkeypatch.setattr(campaign, "_run_arm", hang)
@@ -214,7 +328,7 @@ class TestCheckpoint:
         assert ckpt.exists()
         assert len(ckpt.read_text().splitlines()) == len(first.records)
 
-        def explode(arm, system, overhead, enforcement):
+        def explode(arm, system, overhead, enforcement, verify):
             raise AssertionError("must resume from the checkpoint")
 
         monkeypatch.setattr(campaign, "_run_arm", explode)
@@ -289,7 +403,7 @@ class TestCheckpoint:
         assert result.stdout.strip() == "[]"
 
     def test_failed_runs_are_checkpointed_too(self, tmp_path, monkeypatch):
-        def doomed(arm, system, overhead, enforcement):
+        def doomed(arm, system, overhead, enforcement, verify):
             raise RuntimeError("crash")
 
         monkeypatch.setattr(campaign, "_run_arm", doomed)

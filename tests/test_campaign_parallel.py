@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import partial
 
 import pytest
 
+from repro.experiments import campaign as campaign_mod
 from repro.experiments.campaign import (
     PAPER_SETS,
     RunPolicy,
@@ -75,24 +77,30 @@ class TestUniprocessorParallelism:
         assert _table_rows(resumed) == _table_rows(first)
 
 
+def _paper_runs(params, arms):
+    """The paper campaign's unguarded runs of one set, as pool tasks."""
+    execute = partial(campaign_mod._paper_run, None, None, False)
+    regenerate = partial(campaign_mod._paper_system, params, None)
+    key = (params.task_density, params.std_deviation)
+    return [
+        campaign_mod.CampaignRun(arm, key, system.system_id, params.seed,
+                                 system, execute, regenerate)
+        for system in RandomSystemGenerator(params).generate()
+        for arm in arms
+    ]
+
+
 class TestStartMethods:
     def test_parallel_map_spawn_matches_inline(self):
         """The pool works under an explicit ``spawn`` context: workers
         re-import everything from scratch (no inherited state), so every
         entry point and task payload must pickle by qualified name and
         produce bit-identical ordered results."""
-        from repro.experiments.campaign import _campaign_worker, _parallel_map
-
-        params = SMALL_SETS[0]
-        tasks = [
-            (False, arm, params, system, None, None, None, RunPolicy(),
-             False)
-            for system in RandomSystemGenerator(params).generate()
-            for arm in ("ps_sim", "ds_exec")
-        ]
-        inline = _parallel_map(_campaign_worker, tasks, 1)
-        spawned = _parallel_map(
-            _campaign_worker, tasks, 2, mp_context="spawn"
+        runs = _paper_runs(SMALL_SETS[0], ("ps_sim", "ds_exec"))
+        entry = partial(campaign_mod.guarded, policy=None)
+        inline = campaign_mod._parallel_map(entry, runs, 1)
+        spawned = campaign_mod._parallel_map(
+            entry, runs, 2, mp_context="spawn"
         )
         assert len(inline) == 4 and all(r.status == "ok" for r in inline)
         assert spawned == inline
@@ -100,17 +108,13 @@ class TestStartMethods:
     def test_parallel_map_explicit_context_object(self):
         import multiprocessing
 
-        from repro.experiments.campaign import _campaign_worker, _parallel_map
-
-        params = SMALL_SETS[1]
-        system = RandomSystemGenerator(params).generate()[0]
-        tasks = [(True, "ds_sim", params, system, None, None, None,
-                  RunPolicy(), False)]
+        runs = _paper_runs(SMALL_SETS[1], ("ds_sim",))[:1]
+        entry = partial(campaign_mod.guarded, policy=RunPolicy())
         # a single task runs inline regardless of context; two workers
         # with a context object exercise the ctx.Pool branch
-        inline = _parallel_map(_campaign_worker, tasks, 1)
-        pooled = _parallel_map(
-            _campaign_worker, tasks * 2, 2,
+        inline = campaign_mod._parallel_map(entry, runs, 1)
+        pooled = campaign_mod._parallel_map(
+            entry, runs * 2, 2,
             mp_context=multiprocessing.get_context("spawn"),
         )
         assert pooled == inline * 2

@@ -494,26 +494,6 @@ def test_overload_campaign_smoke():
     assert summary["baseline_aart"] > 0
 
 
-def test_overload_campaign_rejects_retries():
-    import repro.experiments.campaign as camp
-
-    with pytest.raises(ValueError, match="does not retry runs"):
-        camp.run_overload_campaign(run_policy=RunPolicy(max_retries=2))
-
-
-def test_multicore_overload_campaign_rejects_retries():
-    from repro.smp.campaign import (
-        MulticoreParameters,
-        run_multicore_overload_campaign,
-    )
-
-    with pytest.raises(ValueError, match="does not retry runs"):
-        run_multicore_overload_campaign(
-            MulticoreParameters(n_cores=2, n_tasks=4),
-            run_policy=RunPolicy(max_retries=1),
-        )
-
-
 def test_multicore_overload_campaign_smoke():
     from repro.smp.campaign import (
         MulticoreParameters,

@@ -94,11 +94,42 @@ class TestMulticoreTarget:
 
 
 class TestOverloadTarget:
-    def test_retries_rejected_with_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as caught:
-            main(["overload", "--retries", "2"])
-        assert caught.value.code == 2
-        assert "does not retry runs" in capsys.readouterr().err
+    @staticmethod
+    def _stand_in(monkeypatch, result):
+        """Replace the overload campaign; returns its keyword arguments."""
+        import repro.experiments.campaign as campaign_mod
+
+        seen = {}
+
+        def stand_in(**kwargs):
+            seen.update(kwargs)
+            return result
+
+        monkeypatch.setattr(campaign_mod, "run_overload_campaign", stand_in)
+        return seen
+
+    def test_retries_reach_the_campaign(self, monkeypatch):
+        from repro.experiments.campaign import OverloadCampaignResult
+
+        seen = self._stand_in(monkeypatch, OverloadCampaignResult())
+        assert main(["overload", "--retries", "1"]) == 0
+        assert seen["run_policy"].max_retries == 1
+
+    def test_failures_are_reported_with_their_attempts(self, monkeypatch,
+                                                       capsys):
+        from repro.experiments.campaign import (
+            OverloadCampaignResult,
+            RunRecord,
+        )
+
+        failed = RunRecord(arm="ps_sim", set_key=(1, 0.0), system_id=3,
+                           status="timeout", attempts=2)
+        self._stand_in(monkeypatch, OverloadCampaignResult(records=[failed]))
+        assert main(["overload", "--retries", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "WARNING: 1 run(s) failed:\n"
+            "  [timeout] ps_sim set=(1, 0.0) system=3 after 2 attempt(s)\n"
+        )
 
 
 class TestFabricTarget:

@@ -125,11 +125,11 @@ class TestCampaignIntegration:
             seen_seeds.append(p.seed)
             return real_generator(p)
 
-        def flaky(arm, system, overhead, enforcement):
+        def flaky(arm, system, overhead, enforcement, verify):
             if failures["left"]:
                 failures["left"] -= 1
                 raise RuntimeError("still warming up")
-            return real_run(arm, system, overhead, enforcement)
+            return real_run(arm, system, overhead, enforcement, verify)
 
         monkeypatch.setattr(campaign_mod, "_run_arm", flaky)
         monkeypatch.setattr(

@@ -545,7 +545,7 @@ class AdmissionGateway:
         self.trace.add_event(
             now, TraceEventKind.MODE_CHANGE, "gateway", detail="draining"
         )
-        await self._close_listener()
+        self._close_listener()
         assert self._pipeline is not None
         await self._pipeline.join()   # decide everything already accepted
         report: DrainReport | None = None
@@ -595,9 +595,7 @@ class AdmissionGateway:
         for connection in list(self._connections):
             connection.abort()
         self._connections.clear()
-        if self.server is not None:
-            self.server.close()
-            self.server = None
+        self._close_listener()
         if self.service is not None:
             self.service.kill(cancel_clock=False)
         else:
@@ -605,13 +603,12 @@ class AdmissionGateway:
                 if shard.alive:
                     self.fabric.kill_shard(shard.index)
 
-    async def _close_listener(self) -> None:
+    def _close_listener(self) -> None:
+        # no ``wait_closed()``: since CPython 3.12.1 it waits for every
+        # accepted connection to close, and ``_teardown`` closes them
+        # only once the pipeline and the backend have drained
         if self.server is not None:
             self.server.close()
-            try:
-                await self.server.wait_closed()
-            except Exception:
-                pass
             self.server = None
 
     def _teardown(self) -> None:
@@ -773,6 +770,10 @@ class _Connection(asyncio.Protocol):
         return True  # keep the write side open for tickets still owed
 
     def connection_lost(self, exc: Exception | None) -> None:
+        # a peer reset part-way through a frame; a close of our own (EOF
+        # on a torn frame included) has already set ``closed``
+        if exc is not None and not self.closed and self._ends_mid_frame():
+            self.gateway.torn_frames += 1
         self.closed = True
         self.gateway._connections.discard(self)
         if self.timer is not None:
@@ -787,6 +788,19 @@ class _Connection(asyncio.Protocol):
         self._take_frames()
 
     # -- frames --------------------------------------------------------
+
+    def _ends_mid_frame(self) -> bool:
+        """Whether the unread bytes stop part-way through a frame."""
+        buffer, start = self.buffer, 0
+        while start < len(buffer):
+            # any declared length: only the frame boundaries matter here
+            length = frame_length(
+                buffer[start:start + HEADER_BYTES], max_frame=1 << 32
+            )
+            if length is None:
+                return True
+            start += HEADER_BYTES + length
+        return start > len(buffer)
 
     def _take_frames(self) -> None:
         """Serve every complete frame in the buffer, in order, until a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 
 import pytest
@@ -474,6 +475,32 @@ class TestEdge:
 
         asyncio.run(scenario())
 
+    def test_tcp_reset_mid_frame_is_torn(self, tmp_path):
+        async def scenario():
+            gateway = await AdmissionGateway(
+                _config(tmp_path, unix_path=None),
+                default_gateway_service_config(),
+            ).start()
+            _reader, writer = await asyncio.open_connection(*gateway.address)
+            # a header announcing 100 bytes, then 13 of them
+            writer.write(struct.pack(">I", 100) + b"x" * 13)
+            await writer.drain()
+            await _eventually(lambda: any(
+                len(c.buffer) == 17 for c in gateway._connections
+            ))
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            writer.transport.abort()  # RST, no FIN
+            await _eventually(lambda: not gateway._connections)
+            assert gateway.torn_frames == 1
+            assert gateway.timeouts == 0
+            assert gateway.protocol_errors == 0
+            gateway.request_shutdown()
+            await asyncio.wait_for(gateway.terminated.wait(), 5.0)
+
+        asyncio.run(scenario())
+
 
 class TestDrain:
     def test_sigterm_drains_and_terminates(self, tmp_path):
@@ -485,7 +512,8 @@ class TestDrain:
             reader, writer = await _connect(gateway)
             await _submit(reader, writer, _request("r-1", cost=0.1))
             gateway.request_shutdown()
-            await gateway.terminated.wait()
+            # prompt although the client is still connected
+            await asyncio.wait_for(gateway.terminated.wait(), 5.0)
             # a post-drain client cannot connect (listener closed)
             with pytest.raises((ConnectionError, FileNotFoundError, OSError)):
                 await _connect(gateway)

@@ -201,13 +201,9 @@ class TestRetryInEveryCampaign:
 
         return flaky
 
-    @staticmethod
-    def _bumped(seed):
-        return [seed + DEFAULT_BACKOFF.seed_bump(seed, a) for a in (1, 2)]
-
-    def test_multicore_campaign(self, monkeypatch):
-        params = MulticoreParameters(n_cores=2, n_tasks=4,
-                                     total_utilization=0.8, nb_systems=1)
+    def _spy_multicore(self, monkeypatch):
+        """Log the seeds the multicore builder is called with, and fail
+        the first two multicore runs."""
         seeds, calls = [], []
         real_build = smp_campaign.build_multicore_system
 
@@ -221,6 +217,16 @@ class TestRetryInEveryCampaign:
             smp_campaign, "run_multicore_system",
             self._failing_twice(smp_campaign.run_multicore_system, calls),
         )
+        return seeds, calls, real_build
+
+    @staticmethod
+    def _bumped(seed):
+        return [seed + DEFAULT_BACKOFF.seed_bump(seed, a) for a in (1, 2)]
+
+    def test_multicore_campaign(self, monkeypatch):
+        params = MulticoreParameters(n_cores=2, n_tasks=4,
+                                     total_utilization=0.8, nb_systems=1)
+        seeds, calls, real_build = self._spy_multicore(monkeypatch)
         result = smp_campaign.run_multicore_campaign(
             params, modes=("part-ff",), run_policy=RunPolicy(max_retries=2)
         )
@@ -260,19 +266,7 @@ class TestRetryInEveryCampaign:
     def test_multicore_overload_campaign(self, monkeypatch):
         params = MulticoreParameters(n_cores=2, n_tasks=4,
                                      total_utilization=0.8, task_density=3.0)
-        seeds, calls = [], []
-        real_build = smp_campaign.build_multicore_system
-
-        def spying_build(p, system_id=0):
-            seeds.append(p.seed)
-            return real_build(p, system_id)
-
-        monkeypatch.setattr(smp_campaign, "build_multicore_system",
-                            spying_build)
-        monkeypatch.setattr(
-            smp_campaign, "run_multicore_system",
-            self._failing_twice(smp_campaign.run_multicore_system, calls),
-        )
+        seeds, calls, real_build = self._spy_multicore(monkeypatch)
         result = smp_campaign.run_multicore_overload_campaign(
             params, modes=("part-ff",), burst=self.BURST,
             run_policy=RunPolicy(max_retries=2),

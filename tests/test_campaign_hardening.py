@@ -202,7 +202,7 @@ class TestRetryInEveryCampaign:
         return flaky
 
     def _spy_multicore(self, monkeypatch):
-        """Log the seeds the multicore builder is called with, and fail
+        """Log the seeds `build_multicore_system` is called with, and fail
         the first two multicore runs."""
         seeds, calls = [], []
         real_build = smp_campaign.build_multicore_system

@@ -60,8 +60,7 @@ from ..sim import (
 )
 from ..overload.metrics import OverloadReport, measure_overload
 from ..sim.servers.base import AperiodicServer
-from ..sim.engine import TRACE_MODES
-from ..sim.trace import CheckOnlyTrace, CompactTrace, ExecutionTrace
+from ..sim.trace import CheckOnlyTrace, ExecutionTrace
 from ..workload import GeneratedSystem, GenerationParameters, PAPER_SETS, RandomSystemGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,13 +88,13 @@ __all__ = [
 
 ARMS = ("ps_sim", "ps_exec", "ds_sim", "ds_exec")
 
-#: ``trace_mode=`` values of the two arm runners: the kernels' modes plus
-#: ``"check"``, the record-free :class:`~repro.sim.trace.CheckOnlyTrace`
-_ARM_TRACE_MODES = (*TRACE_MODES, "check")
-
 
 class RunTimeout(Exception):
     """A single campaign run exceeded its wall-clock allowance."""
+
+
+class CheckpointMismatch(ValueError):
+    """A campaign checkpoint holds runs that another campaign wrote."""
 
 
 class RunExhausted(Exception):
@@ -312,14 +311,15 @@ class CampaignResult:
 
 
 def _check_trace_mode(trace_mode: str | None, verify: bool) -> None:
-    if trace_mode is not None and trace_mode not in _ARM_TRACE_MODES:
+    if trace_mode not in (None, "object", "check"):
         raise ValueError(
-            f"trace_mode must be one of {_ARM_TRACE_MODES}, got {trace_mode!r}"
+            "trace_mode must be one of ('object', 'check'), "
+            f"got {trace_mode!r}"
         )
     if verify and trace_mode == "check":
         raise ValueError(
             "trace_mode='check' stores no records for the monitors to "
-            "read; verify with 'object' or 'compact'"
+            "read; verify with the default object trace"
         )
 
 
@@ -342,9 +342,8 @@ def simulate_system(system: GeneratedSystem,
     :mod:`repro.overload`); ``verify`` attaches the standard
     :mod:`repro.verify` monitor battery and fills ``SystemResult.report``
     (off = the byte-identical golden path).  ``trace_mode`` selects the
-    trace (see docs/performance.md):
-    ``"object"`` (the default) or ``"compact"`` store the trace;
-    ``"check"`` stores no records and only checks non-overlap, so
+    trace (see docs/performance.md): ``"object"`` (the default) stores
+    it; ``"check"`` stores no records and only checks non-overlap, so
     ``SystemResult.trace`` reads empty and ``verify`` is refused.  The
     defaults are byte-identical to the historical behaviour.
     """
@@ -368,12 +367,10 @@ def simulate_system(system: GeneratedSystem,
             # service, so exact-demand accounting only holds without both
             check_demand=enforcement is None and overload is None,
         )
-    check_only = trace_mode == "check"
     sim = Simulation(
         FixedPriorityPolicy(),
-        trace=CheckOnlyTrace() if check_only else None,
+        trace=CheckOnlyTrace() if trace_mode == "check" else None,
         enforcement=enforcement, monitors=monitors,
-        trace_mode=None if check_only else trace_mode,
     )
     server.attach(sim, horizon=system.horizon)
     detector = None
@@ -444,18 +441,13 @@ def execute_system(
         # non-resumable, so only the scheduling-agnostic monitors apply
         from ..verify.invariants import (
             BreakerMonitor,
-            MonitoredCompactTrace,
             MonitoredTrace,
             MonotoneClockMonitor,
             NonOverlapMonitor,
             ReleaseAccountingMonitor,
         )
 
-        monitored_cls = (
-            MonitoredCompactTrace if trace_mode == "compact"
-            else MonitoredTrace
-        )
-        monitored = monitored_cls([
+        monitored = MonitoredTrace([
             NonOverlapMonitor(),
             MonotoneClockMonitor(),
             BreakerMonitor(),
@@ -466,7 +458,6 @@ def execute_system(
         timer_drift_ppm=timer_drift_ppm,
         trace=(
             monitored if monitored is not None
-            else CompactTrace() if trace_mode == "compact"
             else CheckOnlyTrace() if trace_mode == "check" else None
         ),
     )
@@ -563,6 +554,12 @@ def execute_system(
     )
 
 
+def _check_arms(arms: tuple[str, ...]) -> None:
+    for arm in arms:
+        if arm not in ARMS:
+            raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
+
+
 def _run_arm(
     arm: str,
     system: GeneratedSystem,
@@ -572,9 +569,9 @@ def _run_arm(
 ) -> RunMetrics:
     # a campaign run keeps only its metrics, so both arms check
     # non-overlap as segments arrive and store no records; monitors read
-    # the record stream, so a verified run keeps the compact trace
+    # the record stream, so a verified run keeps the object trace
     policy = "polling" if arm.startswith("ps") else "deferrable"
-    trace_mode = "compact" if verify else "check"
+    trace_mode = None if verify else "check"
     if arm.endswith("_sim"):
         result = simulate_system(
             system, policy, enforcement=enforcement, verify=verify,
@@ -593,16 +590,19 @@ def _run_arm(
 
 
 def _open_checkpoint(
-    path: Path | None,
+    path: Path | None, campaign: str,
 ) -> tuple["CheckpointLog | None", dict[tuple, RunRecord]]:
     """The run log at ``path`` and its completed records, keyed
     ``(arm, set_key, system_id)``; ``(None, {})`` without a path.
 
     The log is a :class:`~repro.service.checkpoint.CheckpointLog`: each
     line carries a CRC, so a torn or corrupted record is skipped with a
-    warning and that run simply re-executes.  Only the campaign *parent*
-    process appends to it (worker processes run with
-    ``checkpoint_path=None``).
+    warning and that run simply re-executes.  Each line also names the
+    ``campaign`` that wrote it, because the campaigns key their runs
+    alike: a line of another campaign raises :class:`CheckpointMismatch`.
+    A line without the name, written before lines carried it, loads as
+    this campaign's.  Only the campaign *parent* process appends to the
+    log (worker processes run with ``checkpoint_path=None``).
     """
     if path is None:
         return None, {}
@@ -611,6 +611,12 @@ def _open_checkpoint(
     log = CheckpointLog(path)
     done: dict[tuple, RunRecord] = {}
     for op in log.load():
+        writer = op.pop("campaign", campaign)
+        if writer != campaign:
+            raise CheckpointMismatch(
+                f"checkpoint {path} holds runs of the {writer} campaign, "
+                f"not of the {campaign} campaign"
+            )
         record = RunRecord.from_dict(op)
         done[(record.arm, record.set_key, record.system_id)] = record
     return log, done
@@ -731,7 +737,7 @@ def _execute(run: CampaignRun, system, attempts: int) -> RunRecord:
     )
 
 
-def sweep(runs: list[CampaignRun], policy: RunPolicy | None,
+def sweep(campaign: str, runs: list[CampaignRun], policy: RunPolicy | None,
           workers: int) -> list[RunRecord]:
     """Every run's record, in run order.
 
@@ -740,10 +746,12 @@ def sweep(runs: list[CampaignRun], policy: RunPolicy | None,
     ``workers > 1``.  Records come back in submission order, so a
     parallel sweep is bit-identical to a sequential one, and this parent
     process alone appends them to the checkpoint (workers run with
-    ``checkpoint_path=None``).
+    ``checkpoint_path=None``), each line tagged with ``campaign``, the
+    name of the campaign: ``paper``, ``overload``, ``multicore`` or
+    ``multicore-overload``.
     """
     log, done = _open_checkpoint(
-        policy.checkpoint_path if policy is not None else None
+        policy.checkpoint_path if policy is not None else None, campaign
     )
     worker_policy = (
         _replace(policy, checkpoint_path=None) if policy is not None
@@ -759,7 +767,7 @@ def sweep(runs: list[CampaignRun], policy: RunPolicy | None,
         if record is None:
             record = next(fresh)
             if log is not None:
-                log.append(record.to_dict())
+                log.append({**record.to_dict(), "campaign": campaign})
         records.append(record)
     return records
 
@@ -802,8 +810,10 @@ def run_campaign(
     results are folded back in sequential order, so tables and records
     are bit-identical to a one-worker sweep; checkpoint lines are
     written (flushed + fsynced) by this parent process only.  Everything
-    defaults to the paper-faithful golden path.
+    defaults to the paper-faithful golden path.  An arm not in
+    :data:`ARMS` raises ``ValueError``.
     """
+    _check_arms(arms)
     execute = partial(_paper_run, overhead, enforcement, verify)
     runs: list[CampaignRun] = []
     for params in sets:
@@ -817,7 +827,7 @@ def run_campaign(
                         execute, regenerate)
             for system in systems for arm in arms
         ]
-    records = sweep(runs, run_policy, workers)
+    records = sweep("paper", runs, run_policy, workers)
 
     result = CampaignResult(tables={arm: {} for arm in arms})
     if run_policy is not None:
@@ -988,10 +998,12 @@ def run_overload_campaign(
     ``fail_fast``); a retry regenerates the system and re-applies the
     burst.  Every run is recorded, with ``RunPolicy()`` when none is
     given.  ``workers > 1`` fans runs over a process pool with fold-back
-    in sequential order.
+    in sequential order.  An arm not in :data:`ARMS` raises
+    ``ValueError``.
     """
     from ..faults.injectors import EventBurst, FaultPlan
 
+    _check_arms(arms)
     if overload is None:
         overload = default_overload_config()
     if burst is None:
@@ -1011,4 +1023,6 @@ def run_overload_campaign(
                             systems, execute, regenerate)
                 for arm in arms
             ]
-    return _overload_result(sweep(runs, run_policy or RunPolicy(), workers))
+    return _overload_result(
+        sweep("overload", runs, run_policy or RunPolicy(), workers)
+    )

@@ -25,7 +25,12 @@ from pathlib import Path
 
 from ..overload import SHED_POLICIES as _SHED_POLICIES
 from ..rtsj import OverheadModel
-from .campaign import RunExhausted, RunPolicy, run_campaign
+from .campaign import (
+    CheckpointMismatch,
+    RunExhausted,
+    RunPolicy,
+    run_campaign,
+)
 from .figures import render_all_figures
 from .tables import TABLE_ARMS, format_comparison, format_table, shape_checks
 
@@ -120,12 +125,6 @@ def main(argv: list[str] | None = None) -> int:
         "--mutations", action="store_true",
         help="also run the mutation self-test proving every monitor "
              "family non-vacuous",
-    )
-    verify_group.add_argument(
-        "--trace-mode", choices=("object", "compact"), default=None,
-        dest="trace_mode",
-        help="trace representation for the chaos checkers "
-             "(default: object)",
     )
     overload_group = parser.add_argument_group("overload target")
     overload_group.add_argument(
@@ -345,6 +344,7 @@ def _dispatch(args: argparse.Namespace,
         except ValueError as exc:
             parser.error(str(exc))
 
+    campaign = None
     try:
         if args.target == "multicore":
             return _run_multicore(args, run_policy)
@@ -358,19 +358,19 @@ def _dispatch(args: argparse.Namespace,
             return _run_fabric(args)
         if args.target == "gateway":
             return _run_gateway(args)
-    except RunExhausted as exc:
-        print(f"fail-fast: {exc}", file=sys.stderr)
-        return 2
-
-    if wants_tables:
-        try:
+        if wants_tables:
             campaign = run_campaign(
                 overhead=overhead, run_policy=run_policy,
                 workers=args.workers, verify=args.verify,
             )
-        except RunExhausted as exc:
-            print(f"fail-fast: {exc}", file=sys.stderr)
-            return 2
+    except RunExhausted as exc:
+        print(f"fail-fast: {exc}", file=sys.stderr)
+        return 2
+    except CheckpointMismatch as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+    if campaign is not None:
         failures += _report_failures(campaign.failures)
         table_numbers = (
             (2, 3, 4, 5) if args.target in ("all", "checks")
@@ -485,7 +485,6 @@ def _run_verify(args: argparse.Namespace) -> int:
         seed=args.chaos_seed,
         multicore=not args.no_multicore,
         shrink=not args.no_shrink,
-        trace_mode=args.trace_mode,
     )
     print(result.summary())
     for run in result.failures:

@@ -7,7 +7,7 @@ server attached, and renders temporal diagrams of the runs.
 
 from .engine import EPS, Entity, EventQueue, PeriodicTaskEntity, SchedulingPolicy, Simulation
 from .task import AperiodicJob, Job, JobState, PeriodicJob, PeriodicTask
-from .trace import CompactTrace, ExecutionTrace, Segment, TraceEvent, TraceEventKind
+from .trace import ExecutionTrace, Segment, TraceEvent, TraceEventKind
 from .metrics import RunMetrics, SetMetrics, aggregate, measure_run
 from .gantt import ascii_capacity, ascii_gantt, svg_gantt, svg_gantt_cores
 from .trace_io import diff_traces, load_trace, save_trace, trace_from_dict, trace_to_dict
@@ -40,7 +40,6 @@ __all__ = [
     "JobState",
     "PeriodicJob",
     "PeriodicTask",
-    "CompactTrace",
     "ExecutionTrace",
     "Segment",
     "TraceEvent",

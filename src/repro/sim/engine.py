@@ -14,17 +14,12 @@ hooks, which keeps the kernel itself policy-agnostic and fully
 deterministic: ties are broken by an explicit ``order``, then ``suborder``,
 then by insertion sequence.
 
-Two orthogonal performance knobs (see docs/performance.md):
-
-* ``kernel=`` — ``"auto"`` (default) uses the incrementally-maintained
-  ready index for plain fixed-priority policies and lazy periodic-release
-  scheduling, both of which are byte-identical to the reference semantics
-  by construction; ``"reference"`` forces the historical O(n)
-  rebuild-everything path (the oracle the equivalence tests compare
-  against).
-* ``trace_mode=`` — ``"object"`` (default) records the historical
-  :class:`~repro.sim.trace.ExecutionTrace`; ``"compact"`` records a
-  columnar :class:`~repro.sim.trace.CompactTrace` with the same query API.
+One performance knob (see docs/performance.md): ``kernel=``.
+``"auto"`` (default) uses the incrementally-maintained ready index for
+plain fixed-priority policies and lazy periodic-release scheduling, both
+of which are byte-identical to the reference semantics by construction;
+``"reference"`` forces the historical O(n) rebuild-everything path (the
+oracle the equivalence tests compare against).
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from collections import deque
 from typing import Callable, TYPE_CHECKING
 
 from .task import Job, JobState, PeriodicJob, PeriodicTask
-from .trace import CompactTrace, ExecutionTrace, TraceEventKind
+from .trace import ExecutionTrace, TraceEventKind
 from ..workload.spec import PeriodicTaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EPS",
     "KERNEL_MODES",
-    "TRACE_MODES",
     "EventQueue",
     "Entity",
     "SchedulingPolicy",
@@ -58,8 +52,6 @@ EPS = 1e-9
 
 #: accepted values of the ``kernel=`` knob
 KERNEL_MODES = ("auto", "reference")
-#: accepted values of the ``trace_mode=`` knob
-TRACE_MODES = ("object", "compact")
 
 # members resolved once at import: the per-release entity hot paths
 # record thousands of these per run
@@ -383,8 +375,7 @@ class Simulation:
                  on_deadline_miss: str = "continue",
                  enforcement: "EnforcementConfig | None" = None,
                  monitors: "list | None" = None,
-                 kernel: str = "auto",
-                 trace_mode: str | None = None) -> None:
+                 kernel: str = "auto") -> None:
         if on_deadline_miss not in ("continue", "abort"):
             raise ValueError(
                 "on_deadline_miss must be 'continue' (soft: late jobs keep "
@@ -394,12 +385,6 @@ class Simulation:
             raise ValueError(
                 f"kernel must be one of {KERNEL_MODES}, got {kernel!r}"
             )
-        if trace_mode is not None and trace_mode not in TRACE_MODES:
-            raise ValueError(
-                f"trace_mode must be one of {TRACE_MODES}, got {trace_mode!r}"
-            )
-        if trace is not None and trace_mode is not None:
-            raise ValueError("pass either trace= or trace_mode=, not both")
         self.policy = policy
         self.on_deadline_miss = on_deadline_miss
         self.kernel = kernel
@@ -415,20 +400,11 @@ class Simulation:
                 raise ValueError(
                     "pass either trace= or monitors=, not both"
                 )
-            from ..verify.invariants import (
-                MonitoredCompactTrace,
-                MonitoredTrace,
-            )
+            from ..verify.invariants import MonitoredTrace
 
-            trace = (
-                MonitoredCompactTrace(list(monitors))
-                if trace_mode == "compact"
-                else MonitoredTrace(list(monitors))
-            )
+            trace = MonitoredTrace(list(monitors))
         elif trace is None:
-            trace = (
-                CompactTrace() if trace_mode == "compact" else ExecutionTrace()
-            )
+            trace = ExecutionTrace()
         self.trace = trace
         self.queue = EventQueue()
         self.entities: list[Entity] = []
@@ -750,14 +726,8 @@ class Simulation:
         cell = [instance]
         queue = self.queue
         heap = queue._heap
-        trace = self.trace
-        add_event = trace.add_event
+        add_event = self.trace.add_event
         notify = self._entity_queue_changed
-        columns = (
-            (trace._evt_time, trace._evt_kind,
-             trace._evt_subject, trace._evt_detail)
-            if type(trace) is CompactTrace else None
-        )
         entity_queue = entity._queue
         release_job = task.release_job
         horizon = limit - EPS
@@ -795,14 +765,7 @@ class Simulation:
             job.state = _PENDING
             entity_queue.append(job)
             notify(entity)
-            if columns is None:
-                add_event(now, _RELEASE, job.name)
-            else:
-                t_, k_, s_, d_ = columns
-                t_.append(now)
-                k_.append(_RELEASE)
-                s_.append(job.name)
-                d_.append("")
+            add_event(now, _RELEASE, job.name)
 
         queue.schedule(release, fire, order=4, suborder=index)
 

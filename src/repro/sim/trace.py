@@ -18,7 +18,6 @@ __all__ = [
     "TraceEvent",
     "Segment",
     "ExecutionTrace",
-    "CompactTrace",
     "CheckOnlyTrace",
 ]
 
@@ -201,181 +200,13 @@ class ExecutionTrace:
         )
 
 
-class CompactTrace(ExecutionTrace):
-    """Columnar :class:`ExecutionTrace` for high-volume campaign runs.
-
-    Records are stored as parallel arrays (one list per field) with
-    subject/entity/job strings interned per-trace, so the recording hot
-    path appends plain floats and shared string references instead of
-    constructing a frozen dataclass per record.  The full
-    :class:`ExecutionTrace` query API is preserved: ``.segments`` and
-    ``.events`` are materialised on demand (and cached until the next
-    mutation), so anything written against the object trace — renderers,
-    metrics, monitors replays — works unchanged.
-
-    Selected with ``trace_mode="compact"`` on the kernels and the
-    campaign entry points; the recorded *content* is identical to the
-    object trace (same merge rule, same validation), only the in-memory
-    representation differs.
-    """
-
-    def __init__(self) -> None:
-        # deliberately no super().__init__(): ``segments``/``events`` are
-        # class-level properties materialising from the columns below
-        self._seg_start: list[float] = []
-        self._seg_end: list[float] = []
-        self._seg_entity: list[str] = []
-        self._seg_job: list[str | None] = []
-        self._seg_core: list[int | None] = []
-        self._evt_time: list[float] = []
-        self._evt_kind: list[TraceEventKind] = []
-        self._evt_subject: list[str] = []
-        self._evt_detail: list[str] = []
-        self._intern: dict[str, str] = {}
-        self._seg_cache: list[Segment] | None = None
-        self._evt_cache: list[TraceEvent] | None = None
-
-    def _interned(self, text: str) -> str:
-        return self._intern.setdefault(text, text)
-
-    def add_segment(self, start: float, end: float, entity: str,
-                    job: str | None = None, core: int | None = None) -> None:
-        if end - start <= _EPS:
-            return
-        ends = self._seg_end
-        cores = self._seg_core
-        if core is None:
-            # uniprocessor: only the last segment can merge (the general
-            # scan below would break after one step anyway)
-            i = len(ends) - 1
-            if (
-                i >= 0
-                and cores[i] is None
-                and self._seg_entity[i] == entity
-                and self._seg_job[i] == job
-                and -_EPS <= ends[i] - start <= _EPS
-            ):
-                ends[i] = end
-                self._seg_cache = None
-                return
-        else:
-            # same backwards merge scan as the object trace, on the columns
-            for offset in range(len(ends), 0, -1):
-                i = offset - 1
-                if cores[i] != core:
-                    if ends[i] >= start - _EPS:
-                        continue
-                    break
-                if (
-                    self._seg_entity[i] == entity
-                    and self._seg_job[i] == job
-                    and abs(ends[i] - start) <= _EPS
-                ):
-                    ends[i] = end
-                    self._seg_cache = None
-                    return
-                break
-        table = self._intern
-        self._seg_start.append(start)
-        ends.append(end)
-        self._seg_entity.append(table.setdefault(entity, entity))
-        self._seg_job.append(
-            None if job is None else table.setdefault(job, job)
-        )
-        cores.append(core)
-
-    def add_event(self, time: float, kind: TraceEventKind, subject: str,
-                  detail: str = "") -> None:
-        if time < -_EPS:
-            # same contract the TraceEvent constructor enforces
-            raise ValueError(f"event time must be >= 0, got {time}")
-        table = self._intern
-        self._evt_time.append(time)
-        self._evt_kind.append(kind)
-        self._evt_subject.append(table.setdefault(subject, subject))
-        self._evt_detail.append(
-            detail if not detail else table.setdefault(detail, detail)
-        )
-
-    # -- materialised views -------------------------------------------------
-
-    @property
-    def segments(self) -> list[Segment]:  # type: ignore[override]
-        # appends are caught by the length check; in-place merges (which
-        # keep the length) explicitly clear the cache
-        cache = self._seg_cache
-        if cache is None or len(cache) != len(self._seg_start):
-            cache = [
-                Segment(
-                    self._seg_start[i], self._seg_end[i],
-                    self._seg_entity[i], self._seg_job[i], self._seg_core[i],
-                )
-                for i in range(len(self._seg_start))
-            ]
-            self._seg_cache = cache
-        return cache
-
-    @property
-    def events(self) -> list[TraceEvent]:  # type: ignore[override]
-        # events are append-only, so a same-length cache is always valid
-        cache = self._evt_cache
-        if cache is None or len(cache) != len(self._evt_time):
-            cache = [
-                TraceEvent(
-                    self._evt_time[i], self._evt_kind[i],
-                    self._evt_subject[i], self._evt_detail[i],
-                )
-                for i in range(len(self._evt_time))
-            ]
-            self._evt_cache = cache
-        return cache
-
-    # -- columnar fast paths for the common aggregations --------------------
-
-    def busy_time(self, entity: str | None = None) -> float:
-        starts, ends = self._seg_start, self._seg_end
-        if entity is None:
-            return sum(ends) - sum(starts)
-        names = self._seg_entity
-        return sum(
-            ends[i] - starts[i]
-            for i in range(len(starts)) if names[i] == entity
-        )
-
-    @property
-    def makespan(self) -> float:
-        seg_end = max(self._seg_end, default=0.0)
-        evt_end = max(self._evt_time, default=0.0)
-        return max(seg_end, evt_end)
-
-    def validate(self) -> None:
-        by_core: dict[int | None, list[int]] = {}
-        for i, core in enumerate(self._seg_core):
-            by_core.setdefault(core, []).append(i)
-        starts, ends = self._seg_start, self._seg_end
-        for indices in by_core.values():
-            indices.sort(key=lambda i: (starts[i], ends[i]))
-            for a, b in zip(indices, indices[1:]):
-                if starts[b] < ends[a] - _EPS:
-                    materialised = self.segments
-                    raise AssertionError(
-                        "overlapping segments: "
-                        f"{materialised[a]} / {materialised[b]}"
-                    )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<CompactTrace {len(self._seg_start)} segments, "
-            f"{len(self._evt_time)} events, makespan={self.makespan:.3f}>"
-        )
-
-
 class CheckOnlyTrace(ExecutionTrace):
     """A uniprocessor trace that stores nothing and checks as it goes.
 
     For runs that keep only their job records, such as the paper
-    campaign's.  Segments pass through :class:`CompactTrace`'s drop and
-    merge rules, but only the latest one is kept.  A segment that starts
+    campaign's.  Segments pass through :class:`ExecutionTrace`'s drop
+    and merge rules, which on one core only ever merge into the latest
+    segment, so only the latest one is kept.  A segment that starts
     before that one ends raises at once with the message
     :meth:`ExecutionTrace.validate` gives.  On a stream arriving in start
     order, the order both uniprocessor kernels emit, that is when

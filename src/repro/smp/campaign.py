@@ -245,7 +245,6 @@ def run_multicore_system(
     enforcement: "EnforcementConfig | None" = None,
     overload: "OverloadConfig | None" = None,
     verify: bool = False,
-    trace_mode: str | None = None,
     kernel: str = "auto",
 ) -> MulticoreSystemResult:
     """Run one generated system under one multicore arm.
@@ -260,9 +259,8 @@ def run_multicore_system(
     monitor battery (:mod:`repro.verify`) — per-core non-overlap,
     ordering legality scoped by the placement, server capacity
     conservation — and stores the outcome on the result's ``report``.
-    ``trace_mode``/``kernel`` select the columnar trace and the lazy
-    release-scheduling path (see docs/performance.md); defaults are
-    byte-identical to the historical behaviour.
+    ``kernel`` selects the lazy release-scheduling path or the eager
+    reference one (see docs/performance.md); both are byte-identical.
     """
     _check_modes((mode,))
     if server is not None and server not in _SERVER_CLASSES:
@@ -273,11 +271,10 @@ def run_multicore_system(
     if mode in _HEURISTIC_OF_MODE:
         return _run_partitioned(
             system, n_cores, _HEURISTIC_OF_MODE[mode], mode, server,
-            enforcement, overload, verify, trace_mode, kernel,
+            enforcement, overload, verify, kernel,
         )
     return _run_global(
-        system, n_cores, mode, server, enforcement, overload, verify,
-        trace_mode, kernel,
+        system, n_cores, mode, server, enforcement, overload, verify, kernel,
     )
 
 
@@ -317,7 +314,6 @@ def _run_partitioned(
     enforcement: "EnforcementConfig | None",
     overload: "OverloadConfig | None" = None,
     verify: bool = False,
-    trace_mode: str | None = None,
     kernel: str = "auto",
 ) -> MulticoreSystemResult:
     tasks = list(system.periodic_tasks)
@@ -357,7 +353,6 @@ def _run_partitioned(
         n_cores=n_cores,
         enforcement=enforcement,
         monitors=monitors,
-        trace_mode=trace_mode,
         kernel=kernel,
     )
     for instance in servers:
@@ -405,7 +400,6 @@ def _run_global(
     enforcement: "EnforcementConfig | None",
     overload: "OverloadConfig | None" = None,
     verify: bool = False,
-    trace_mode: str | None = None,
     kernel: str = "auto",
 ) -> MulticoreSystemResult:
     tasks = list(system.periodic_tasks)
@@ -441,7 +435,7 @@ def _run_global(
         )
     sim = MulticoreSimulation(policy, n_cores=n_cores,
                               enforcement=enforcement, monitors=monitors,
-                              trace_mode=trace_mode, kernel=kernel)
+                              kernel=kernel)
     if instance is not None:
         instance.attach(sim, horizon=system.horizon)
     for task_spec in tasks:
@@ -505,12 +499,12 @@ def _mc_overload_run(n_cores, server, overload, mode, systems):
     )
 
 
-def _mc_sweep(params: MulticoreParameters, modes: tuple[str, ...],
-              execute, regenerate, run_policy: "RunPolicy | None",
-              workers: int) -> list:
+def _mc_sweep(campaign: str, params: MulticoreParameters,
+              modes: tuple[str, ...], execute, regenerate,
+              run_policy: "RunPolicy | None", workers: int) -> list:
     """The records of every (system, mode) run of ``params``, in sweep
-    order.  Every run is recorded, with ``RunPolicy()`` when none is
-    given."""
+    order, checkpointed under the name ``campaign``.  Every run is
+    recorded, with ``RunPolicy()`` when none is given."""
     from ..experiments.campaign import CampaignRun, RunPolicy, sweep
 
     _check_modes(modes)
@@ -523,7 +517,7 @@ def _mc_sweep(params: MulticoreParameters, modes: tuple[str, ...],
                         regenerate)
             for mode in modes
         ]
-    return sweep(runs, run_policy or RunPolicy(), workers)
+    return sweep(campaign, runs, run_policy or RunPolicy(), workers)
 
 
 def run_multicore_overload_campaign(
@@ -564,7 +558,7 @@ def run_multicore_overload_campaign(
         FaultPlan(injectors=(burst,), seed=params.seed),
     )
     return _overload_result(_mc_sweep(
-        params, modes,
+        "multicore-overload", params, modes,
         partial(_mc_overload_run, params.n_cores, server, overload),
         regenerate, run_policy, workers,
     ))
@@ -590,7 +584,7 @@ def run_multicore_campaign(
     flushed and fsynced per record, and an existing checkpoint resumes.
     """
     records = _mc_sweep(
-        params, modes,
+        "multicore", params, modes,
         partial(_mc_run, params.n_cores, server, enforcement, verify),
         partial(_mc_system, params, fault_plan), run_policy, workers,
     )

@@ -36,13 +36,12 @@ from typing import Callable, TYPE_CHECKING
 from ..sim.engine import (
     EPS,
     KERNEL_MODES,
-    TRACE_MODES,
     Entity,
     EventQueue,
     PeriodicTaskEntity,
 )
 from ..sim.task import Job, JobState, PeriodicJob, PeriodicTask
-from ..sim.trace import CompactTrace, ExecutionTrace, TraceEventKind
+from ..sim.trace import ExecutionTrace, TraceEventKind
 from ..workload.spec import PeriodicTaskSpec
 from .policies import MulticorePolicy
 
@@ -75,7 +74,6 @@ class MulticoreSimulation:
         enforcement: "EnforcementConfig | None" = None,
         monitors: "list | None" = None,
         kernel: str = "auto",
-        trace_mode: str | None = None,
     ) -> None:
         if n_cores <= 0:
             raise ValueError(f"n_cores must be >= 1, got {n_cores}")
@@ -88,12 +86,6 @@ class MulticoreSimulation:
             raise ValueError(
                 f"kernel must be one of {KERNEL_MODES}, got {kernel!r}"
             )
-        if trace_mode is not None and trace_mode not in TRACE_MODES:
-            raise ValueError(
-                f"trace_mode must be one of {TRACE_MODES}, got {trace_mode!r}"
-            )
-        if trace is not None and trace_mode is not None:
-            raise ValueError("pass either trace= or trace_mode=, not both")
         self.policy = policy
         self.n_cores = n_cores
         self.on_deadline_miss = on_deadline_miss
@@ -111,20 +103,11 @@ class MulticoreSimulation:
                 raise ValueError(
                     "pass either trace= or monitors=, not both"
                 )
-            from ..verify.invariants import (
-                MonitoredCompactTrace,
-                MonitoredTrace,
-            )
+            from ..verify.invariants import MonitoredTrace
 
-            trace = (
-                MonitoredCompactTrace(list(monitors))
-                if trace_mode == "compact"
-                else MonitoredTrace(list(monitors))
-            )
+            trace = MonitoredTrace(list(monitors))
         elif trace is None:
-            trace = (
-                CompactTrace() if trace_mode == "compact" else ExecutionTrace()
-            )
+            trace = ExecutionTrace()
         self.trace = trace
         self.queue = EventQueue()
         self.entities: list[Entity] = []

@@ -38,7 +38,6 @@ from .invariants import (
     DOverLegalityMonitor,
     EDFOrderMonitor,
     FixedPriorityMonitor,
-    MonitoredCompactTrace,
     MonitoredTrace,
     MonotoneClockMonitor,
     NonOverlapMonitor,
@@ -60,7 +59,6 @@ __all__ = [
     "VerificationReport",
     "VerificationError",
     "TraceMonitor",
-    "MonitoredCompactTrace",
     "MonitoredTrace",
     "run_monitors",
     "NonOverlapMonitor",

@@ -12,7 +12,7 @@ flavor                    what runs
 ``uni-deferrable``        ideal Deferrable Server, monitors + the RTA oracle
 ``uni-faults``            WCET overruns / release jitter / event bursts
                           (random subset), with or without enforcement
-``uni-overload``          event-burst storm with the PR 3 overload stack
+``uni-overload``          event-burst storm with the overload stack
                           (bounded queues, breakers, degraded modes) armed
 ``mc-part``               partitioned multicore (ff/wf/bf rotation)
 ``mc-global``             global multicore (fp/edf alternation)
@@ -248,13 +248,10 @@ def _run_dover_check(specs) -> VerificationReport:
 
 
 def _check_uni(system: GeneratedSystem, policy: str,
-               oracles: bool,
-               trace_mode: str | None = None) -> VerificationReport:
+               oracles: bool) -> VerificationReport:
     from ..experiments.campaign import simulate_system
 
-    result = simulate_system(
-        system, policy, verify=True, trace_mode=trace_mode
-    )
+    result = simulate_system(system, policy, verify=True)
     report = result.report
     assert report is not None
     if oracles and policy == "polling":
@@ -266,41 +263,35 @@ def _check_uni(system: GeneratedSystem, policy: str,
 
 
 def _check_uni_faulted(system: GeneratedSystem, policy: str, plan,
-                       enforcement,
-                       trace_mode: str | None = None) -> VerificationReport:
+                       enforcement) -> VerificationReport:
     from ..experiments.campaign import simulate_system
 
     faulted = plan.apply(system)
     result = simulate_system(
-        faulted, policy, enforcement=enforcement, verify=True,
-        trace_mode=trace_mode,
+        faulted, policy, enforcement=enforcement, verify=True
     )
     assert result.report is not None
     return result.report
 
 
 def _check_uni_overload(system: GeneratedSystem, policy: str,
-                        plan,
-                        trace_mode: str | None = None) -> VerificationReport:
+                        plan) -> VerificationReport:
     from ..experiments.campaign import default_overload_config, simulate_system
 
     burst = plan.apply(system)
     result = simulate_system(
-        burst, policy, overload=default_overload_config(), verify=True,
-        trace_mode=trace_mode,
+        burst, policy, overload=default_overload_config(), verify=True
     )
     assert result.report is not None
     return result.report
 
 
 def _check_multicore(system: GeneratedSystem, n_cores: int, mode: str,
-                     server: str | None,
-                     trace_mode: str | None = None) -> VerificationReport:
+                     server: str | None) -> VerificationReport:
     from ..smp.campaign import run_multicore_system
 
     result = run_multicore_system(
-        system, n_cores, mode, server=server, verify=True,
-        trace_mode=trace_mode,
+        system, n_cores, mode, server=server, verify=True
     )
     assert result.report is not None
     return result.report
@@ -573,8 +564,7 @@ def _run_gateway_drill(index: int, flavor: str, seed: int,
 
 
 def _run_scenario(index: int, flavor: str, seed: int,
-                  shrink: bool, shrink_budget: int,
-                  trace_mode: str | None = None) -> ChaosRunResult:
+                  shrink: bool, shrink_budget: int) -> ChaosRunResult:
     rng = PortableRandom(seed)
 
     if flavor == "fabric":
@@ -604,12 +594,12 @@ def _run_scenario(index: int, flavor: str, seed: int,
     if flavor == "uni-polling":
         system = _uni_system(rng, seed)
         check = lambda s: _check_uni(  # noqa: E731
-            s, "polling", oracles=True, trace_mode=trace_mode
+            s, "polling", oracles=True
         )
     elif flavor == "uni-deferrable":
         system = _uni_system(rng, seed)
         check = lambda s: _check_uni(  # noqa: E731
-            s, "deferrable", oracles=True, trace_mode=trace_mode
+            s, "deferrable", oracles=True
         )
     elif flavor == "uni-faults":
         system = _uni_system(rng, seed)
@@ -620,10 +610,8 @@ def _run_scenario(index: int, flavor: str, seed: int,
 
             enforcement = EnforcementConfig()
         policy = "polling" if rng.random() < 0.5 else "deferrable"
-        check = (  # noqa: E731
-            lambda s: _check_uni_faulted(
-                s, policy, plan, enforcement, trace_mode=trace_mode
-            )
+        check = lambda s: _check_uni_faulted(  # noqa: E731
+            s, policy, plan, enforcement
         )
     elif flavor == "uni-overload":
         from ..faults.injectors import EventBurst, FaultPlan
@@ -639,27 +627,23 @@ def _run_scenario(index: int, flavor: str, seed: int,
         )
         policy = "polling" if rng.random() < 0.5 else "deferrable"
         check = lambda s: _check_uni_overload(  # noqa: E731
-            s, policy, plan, trace_mode=trace_mode
+            s, policy, plan
         )
     elif flavor == "mc-part":
         n_cores = rng.randint(2, 4)
         mode = ("part-ff", "part-wf", "part-bf")[index % 3]
         server = ("polling", "deferrable", None)[rng.randint(0, 2)]
         system = _mc_system(rng, seed, n_cores, partitioned=True)
-        check = (  # noqa: E731
-            lambda s: _check_multicore(
-                s, n_cores, mode, server, trace_mode=trace_mode
-            )
+        check = lambda s: _check_multicore(  # noqa: E731
+            s, n_cores, mode, server
         )
     elif flavor == "mc-global":
         n_cores = rng.randint(2, 4)
         mode = "global-fp" if index % 2 == 0 else "global-edf"
         server = ("polling", "deferrable", None)[rng.randint(0, 2)]
         system = _mc_system(rng, seed, n_cores, partitioned=False)
-        check = (  # noqa: E731
-            lambda s: _check_multicore(
-                s, n_cores, mode, server, trace_mode=trace_mode
-            )
+        check = lambda s: _check_multicore(  # noqa: E731
+            s, n_cores, mode, server
         )
     elif flavor == "differential":
         system = _uni_system(rng, seed)
@@ -702,7 +686,6 @@ def run_chaos_campaign(
     shrink: bool = True,
     shrink_budget: int = 40,
     progress: Callable[[ChaosRunResult], None] | None = None,
-    trace_mode: str | None = None,
 ) -> ChaosCampaignResult:
     """Run ``n_systems`` seeded chaos scenarios and report the failures.
 
@@ -711,11 +694,6 @@ def run_chaos_campaign(
     ``PortableRandom(scenario_seed(seed, i))``.  ``multicore=False``
     drops the ``mc-*`` flavors (e.g. for a quick smoke budget);
     ``progress`` is called after every run (CLI reporting hook).
-
-    ``trace_mode`` selects the columnar trace for the simulated arms
-    (the ``dover``, ``differential``, ``fabric`` and ``gateway`` flavors
-    always run with default knobs), so the whole monitor battery can be
-    pointed at the compact trace as its oracle.
     """
     for flavor in flavors:
         if flavor not in CHAOS_FLAVORS:
@@ -729,8 +707,7 @@ def run_chaos_campaign(
     for index in range(n_systems):
         flavor = active[index % len(active)]
         run = _run_scenario(
-            index, flavor, _scenario_seed(seed, index), shrink,
-            shrink_budget, trace_mode=trace_mode,
+            index, flavor, _scenario_seed(seed, index), shrink, shrink_budget
         )
         result.runs.append(run)
         if progress is not None:

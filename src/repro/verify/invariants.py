@@ -20,7 +20,6 @@ import math
 import re
 
 from ..sim.trace import (
-    CompactTrace,
     ExecutionTrace,
     Segment,
     TraceEvent,
@@ -31,7 +30,6 @@ from .violations import VerificationReport
 __all__ = [
     "TraceMonitor",
     "MonitoredTrace",
-    "MonitoredCompactTrace",
     "run_monitors",
     "NonOverlapMonitor",
     "MonotoneClockMonitor",
@@ -190,57 +188,6 @@ class MonitoredTrace(ExecutionTrace):
                 monitor.finish(horizon)
             for violation in self.report.violations:
                 ExecutionTrace.add_event(
-                    self, max(violation.time, 0.0),
-                    TraceEventKind.VIOLATION,
-                    violation.entities[0] if violation.entities
-                    else violation.kind,
-                    str(violation),
-                )
-        return self.report
-
-
-class MonitoredCompactTrace(CompactTrace):
-    """A :class:`~repro.sim.trace.CompactTrace` that feeds monitors.
-
-    Mirrors :class:`MonitoredTrace` for the columnar trace so the
-    ``monitors=`` hook still layers on top of ``trace_mode="compact"``.
-    Events handed to the monitors are materialised one at a time (not via
-    the ``.events`` view, which would rebuild the whole list per append).
-    """
-
-    def __init__(self, monitors: list[TraceMonitor],
-                 report: VerificationReport | None = None) -> None:
-        super().__init__()
-        self.report = report if report is not None else VerificationReport()
-        self.monitors = list(monitors)
-        for monitor in self.monitors:
-            monitor.bind(self.report, self)
-        self._finished = False
-
-    def add_event(self, time: float, kind: TraceEventKind, subject: str,
-                  detail: str = "") -> None:
-        super().add_event(time, kind, subject, detail)
-        index = len(self._evt_time) - 1
-        event = TraceEvent(time, kind, subject, detail)
-        for monitor in self.monitors:
-            monitor.on_event(index, event)
-
-    def add_segment(self, start: float, end: float, entity: str,
-                    job: str | None = None, core: int | None = None) -> None:
-        super().add_segment(start, end, entity, job, core)
-        if end - start <= _EPS:
-            return  # the base class dropped it; monitors skip it too
-        for monitor in self.monitors:
-            monitor.on_slice(start, end, entity, job, core)
-
-    def finish_monitors(self, horizon: float) -> VerificationReport:
-        """Run every monitor's end-of-run sweep (idempotent)."""
-        if not self._finished:
-            self._finished = True
-            for monitor in self.monitors:
-                monitor.finish(horizon)
-            for violation in self.report.violations:
-                CompactTrace.add_event(
                     self, max(violation.time, 0.0),
                     TraceEventKind.VIOLATION,
                     violation.entities[0] if violation.entities

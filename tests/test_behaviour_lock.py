@@ -32,7 +32,7 @@ from repro.experiments.figures import render_all_figures
 from repro.fabric import FabricStormConfig, ShardKill, run_fabric_storm
 from repro.service import StormConfig, run_service_storm
 from repro.sim import FixedPriorityPolicy, Simulation
-from repro.sim.engine import KERNEL_MODES, TRACE_MODES
+from repro.sim.engine import KERNEL_MODES
 from repro.smp.campaign import (
     MulticoreParameters,
     run_multicore_campaign,
@@ -115,48 +115,39 @@ def _update_with_trace(digest, trace) -> None:
 
 
 def _dyadic_trace_digests() -> set[str]:
-    """One digest per kernel x trace_mode combination (all must agree)."""
+    """One digest per kernel (all must agree)."""
     digests = set()
     for kernel in KERNEL_MODES:
-        for trace_mode in TRACE_MODES:
-            sim = Simulation(
-                FixedPriorityPolicy(), kernel=kernel, trace_mode=trace_mode
-            )
-            for i, (name, cost, period, offset) in enumerate(DYADIC_TASKS):
-                sim.add_periodic_task(PeriodicTaskSpec(
-                    name, cost=cost, period=period, offset=offset,
-                    priority=10 - i,
-                ))
-            digests.add(_trace_digest(sim.run(until=DYADIC_HORIZON)))
+        sim = Simulation(FixedPriorityPolicy(), kernel=kernel)
+        for i, (name, cost, period, offset) in enumerate(DYADIC_TASKS):
+            sim.add_periodic_task(PeriodicTaskSpec(
+                name, cost=cost, period=period, offset=offset,
+                priority=10 - i,
+            ))
+        digests.add(_trace_digest(sim.run(until=DYADIC_HORIZON)))
     return digests
 
 
-def _exec_trace_digests() -> set[str]:
+def _exec_trace_digest() -> str:
     """The VM trace and every job's fate for the first two systems of
-    each paper set (seed 1983) under PS and DS; one digest per trace
-    representation (both must agree)."""
-    digests = set()
-    for trace_mode in (None, "compact"):
-        digest = hashlib.sha256()
-        for params in PAPER_SETS:
-            for system in RandomSystemGenerator(params).generate()[:2]:
-                for policy in ("polling", "deferrable"):
-                    result = execute_system(
-                        system, policy, trace_mode=trace_mode
-                    )
+    each paper set (seed 1983) under PS and DS."""
+    digest = hashlib.sha256()
+    for params in PAPER_SETS:
+        for system in RandomSystemGenerator(params).generate()[:2]:
+            for policy in ("polling", "deferrable"):
+                result = execute_system(system, policy)
+                digest.update(
+                    f"# {params.task_density} {params.std_deviation} "
+                    f"{system.system_id} {policy}\n".encode()
+                )
+                _update_with_trace(digest, result.trace)
+                for job in result.jobs:
                     digest.update(
-                        f"# {params.task_density} {params.std_deviation} "
-                        f"{system.system_id} {policy}\n".encode()
+                        f"J {job.name} {job.start_time!r} "
+                        f"{job.finish_time!r} {job.state.value} "
+                        f"{job.interrupted}\n".encode()
                     )
-                    _update_with_trace(digest, result.trace)
-                    for job in result.jobs:
-                        digest.update(
-                            f"J {job.name} {job.start_time!r} "
-                            f"{job.finish_time!r} {job.state.value} "
-                            f"{job.interrupted}\n".encode()
-                        )
-        digests.add(digest.hexdigest())
-    return digests
+    return digest.hexdigest()
 
 
 def _multicore_campaign_digest() -> str:
@@ -235,9 +226,7 @@ def _fabric_kill_drill_digest(checkpoint_dir) -> str:
 
 def test_behaviour_lock_digests(tmp_path):
     dyadic = _dyadic_trace_digests()
-    assert len(dyadic) == 1, "kernel/trace modes disagree on the trace"
-    exec_trace = _exec_trace_digests()
-    assert len(exec_trace) == 1, "object and compact VM traces disagree"
+    assert len(dyadic) == 1, "kernels disagree on the trace"
     observed = {
         "paper_campaign": _paper_campaign_digest(),
         "dyadic_trace": dyadic.pop(),
@@ -245,7 +234,7 @@ def test_behaviour_lock_digests(tmp_path):
             render_all_figures().encode()
         ).hexdigest(),
         "multicore_campaign": _multicore_campaign_digest(),
-        "exec_trace": exec_trace.pop(),
+        "exec_trace": _exec_trace_digest(),
         "service_storm": _service_storm_digest(),
         "fabric_kill_drill": _fabric_kill_drill_digest(tmp_path),
         "campaign_records": _campaign_records_digest(),

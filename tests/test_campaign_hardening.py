@@ -396,6 +396,64 @@ class TestCheckpoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_another_campaigns_checkpoint_is_refused(self, tmp_path):
+        ckpt = tmp_path / "shared.jsonl"
+        policy = RunPolicy(checkpoint_path=ckpt)
+        run_campaign(sets=SMALL, arms=("ps_sim",), run_policy=policy)
+        written = ckpt.read_text()
+        assert [json.loads(line)["campaign"] for line in written.splitlines()
+                ] == ["paper"] * SMALL[0].nb_generation
+        # the two campaigns key their runs alike: untagged, these records
+        # would pass for the overload sweep's own, and it would run nothing
+        with pytest.raises(ValueError) as caught:
+            campaign.run_overload_campaign(
+                sets=SMALL, arms=("ps_sim",), run_policy=policy
+            )
+        assert str(caught.value) == (
+            f"checkpoint {ckpt} holds runs of the paper campaign, "
+            "not of the overload campaign"
+        )
+        assert ckpt.read_text() == written
+
+    def test_multicore_campaigns_refuse_each_others_checkpoint(self,
+                                                              tmp_path):
+        params = MulticoreParameters(n_cores=2, n_tasks=4,
+                                     total_utilization=0.8, nb_systems=1)
+        policy = RunPolicy(checkpoint_path=tmp_path / "mc.jsonl")
+        smp_campaign.run_multicore_campaign(
+            params, modes=("part-ff",), run_policy=policy
+        )
+        with pytest.raises(ValueError, match=(
+            "holds runs of the multicore campaign, "
+            "not of the multicore-overload campaign"
+        )):
+            smp_campaign.run_multicore_overload_campaign(
+                params, modes=("part-ff",), run_policy=policy
+            )
+
+    def test_lines_without_a_campaign_resume_as_before(self, tmp_path,
+                                                       monkeypatch):
+        from repro.service.checkpoint import CheckpointLog
+
+        first = run_campaign(sets=SMALL, arms=("ps_sim",),
+                             run_policy=RunPolicy())
+        # lines as written before they named their campaign
+        ckpt = tmp_path / "runs.jsonl"
+        for record in first.records:
+            CheckpointLog(ckpt).append(record.to_dict())
+
+        def explode(arm, system, overhead, enforcement, verify):
+            raise AssertionError("must resume from the checkpoint")
+
+        monkeypatch.setattr(campaign, "_run_arm", explode)
+        resumed = run_campaign(sets=SMALL, arms=("ps_sim",),
+                               run_policy=RunPolicy(checkpoint_path=ckpt))
+        assert (
+            [r.to_dict() for r in resumed.records]
+            == [r.to_dict() for r in first.records]
+        )
+        assert len(ckpt.read_text().splitlines()) == len(first.records)
+
     def test_failed_runs_are_checkpointed_too(self, tmp_path, monkeypatch):
         def doomed(arm, system, overhead, enforcement, verify):
             raise RuntimeError("crash")

@@ -25,7 +25,7 @@ from repro.workload import RandomSystemGenerator
 SMALL_SETS = tuple(
     dataclasses.replace(s, nb_generation=2) for s in PAPER_SETS[:2]
 )
-ARMS = ("polling", "deferrable")
+ARMS = ("ps_sim", "ds_exec")
 
 MC_PARAMS = MulticoreParameters(
     n_cores=2, n_tasks=6, total_utilization=1.2, nb_systems=3, seed=7,

@@ -1,5 +1,5 @@
 """The record-free trace campaign runs use: it stores nothing and raises
-on an overlapping segment when ``CompactTrace.validate()`` would on the
+on an overlapping segment when ``ExecutionTrace.validate()`` would on the
 same in-order stream, and also in one same-start rounding case that
 ``validate()`` misses."""
 
@@ -16,7 +16,7 @@ from repro.rtsj import NS_PER_UNIT, RTSJVirtualMachine
 from repro.sim import Simulation
 from repro.sim.trace import (
     CheckOnlyTrace,
-    CompactTrace,
+    ExecutionTrace,
     Segment,
     TraceEventKind,
 )
@@ -63,10 +63,10 @@ class TestCheckOnlyTrace:
         # 100.0 < (100.0 + EPS) - EPS, which rounds back to 100.0
         stream = [(100.0, 101.0, "a"), (100.0, 100.0 + EPS, "b")]
         assert stream[1][1] - stream[1][0] > EPS
-        compact = CompactTrace()
+        stored = ExecutionTrace()
         for segment in stream:
-            compact.add_segment(*segment)
-        compact.validate()
+            stored.add_segment(*segment)
+        stored.validate()
         trace = CheckOnlyTrace()
         trace.add_segment(*stream[0])
         with pytest.raises(AssertionError, match="overlapping segments"):
@@ -126,10 +126,10 @@ def _raises(trace, stream, at_end: bool) -> bool:
 
 @settings(max_examples=400, deadline=None)
 @given(steps=_STEPS)
-def test_check_only_raises_iff_compact_validate_raises(steps):
+def test_check_only_raises_iff_execution_trace_validate_raises(steps):
     stream = _in_order_stream(steps)
     assert _raises(CheckOnlyTrace(), stream, at_end=False) == _raises(
-        CompactTrace(), stream, at_end=True
+        ExecutionTrace(), stream, at_end=True
     )
 
 

@@ -1,9 +1,9 @@
 """The kernel fast path's equivalence contract.
 
 With default knobs (``kernel="auto"``: the fixed-priority ready index
-and the lazy periodic-release chain; object or compact trace) the
-emitted trace is *exactly* the reference kernel's: same segments, same
-events, same order, same tie-breaks, uniprocessor and multicore alike.
+and the lazy periodic-release chain) the emitted trace is *exactly* the
+reference kernel's: same segments, same events, same order, same
+tie-breaks, uniprocessor and multicore alike.
 A patched policy or release hook must be honoured, not inlined away.
 
 The reference kernel (``kernel="reference"``) is the pre-optimization
@@ -23,7 +23,7 @@ from repro.sim.engine import EventQueue, Simulation
 from repro.sim.schedulers.edf import EarliestDeadlineFirstPolicy
 from repro.sim.schedulers.fp import FixedPriorityPolicy
 from repro.sim.task import AperiodicJob, JobState
-from repro.sim.trace import CompactTrace, ExecutionTrace, TraceEventKind
+from repro.sim.trace import TraceEventKind
 from repro.workload.rng import PortableRandom
 from repro.workload.spec import PeriodicTaskSpec
 
@@ -61,11 +61,8 @@ def random_specs(rng, n_tasks, overload=False):
     return specs
 
 
-def run_uni(specs, policy, miss, kernel, trace_mode, until):
-    sim = Simulation(
-        policy(), on_deadline_miss=miss, kernel=kernel,
-        trace_mode=trace_mode,
-    )
+def run_uni(specs, policy, miss, kernel, until):
+    sim = Simulation(policy(), on_deadline_miss=miss, kernel=kernel)
     for spec in specs:
         sim.add_periodic_task(spec)
     return sim.run(until)
@@ -84,8 +81,7 @@ CASES = [
 
 class TestByteIdentityDefaultKnobs:
 
-    @pytest.mark.parametrize("trace_mode", [None, "object", "compact"])
-    def test_chaos_matrix(self, trace_mode):
+    def test_chaos_matrix(self):
         rng = PortableRandom(0xFA57)
         for case in range(60):
             policy, miss = CASES[case % len(CASES)]
@@ -93,10 +89,10 @@ class TestByteIdentityDefaultKnobs:
                 rng, rng.randint(1, 6), overload=case % 5 == 0
             )
             until = rng.uniform(40.0, 160.0)
-            ref = run_uni(specs, policy, miss, "reference", None, until)
-            fast = run_uni(specs, policy, miss, "auto", trace_mode, until)
+            ref = run_uni(specs, policy, miss, "reference", until)
+            fast = run_uni(specs, policy, miss, "auto", until)
             assert trace_key(fast) == trace_key(ref), (
-                f"case {case}: auto/{trace_mode} diverged from reference"
+                f"case {case}: auto diverged from reference"
             )
 
     @pytest.mark.parametrize("spec", SCENARIOS, ids=lambda s: s.name)
@@ -126,7 +122,7 @@ class TestByteIdentityDefaultKnobs:
             PeriodicTaskSpec(name="lo", cost=3, period=8, priority=1),
         ]
         trace = run_uni(
-            specs, FixedPriorityPolicy, "continue", "auto", None, 16.0
+            specs, FixedPriorityPolicy, "continue", "auto", 16.0
         )
         starts = [
             (s.start, s.end, s.entity) for s in trace.segments
@@ -173,9 +169,7 @@ class TestSemanticIdentityFastPath:
                 )
             except Exception:
                 continue  # unplaceable set: same failure on either kernel
-            auto = run_multicore_system(
-                system, n_cores, mode, server=server, trace_mode="compact",
-            )
+            auto = run_multicore_system(system, n_cores, mode, server=server)
             assert trace_key(auto.trace) == trace_key(ref.trace), (
                 f"case {case} ({mode}): auto diverged from reference"
             )
@@ -198,10 +192,10 @@ class TestSemanticIdentityFastPath:
             PeriodicTaskSpec(name="lo", cost=2, period=8, priority=1),
         ]
         ref = run_uni(
-            specs, FixedPriorityPolicy, "continue", "reference", None, 24.0
+            specs, FixedPriorityPolicy, "continue", "reference", 24.0
         )
         auto = run_uni(
-            specs, FixedPriorityPolicy, "continue", "auto", None, 24.0
+            specs, FixedPriorityPolicy, "continue", "auto", 24.0
         )
         assert trace_key(auto) == trace_key(ref)
         # and the inversion is visible (lo runs first despite priority)
@@ -224,14 +218,14 @@ class TestSemanticIdentityFastPath:
         monkeypatch.setattr(PeriodicTaskEntity, "release", lossy)
         specs = [PeriodicTaskSpec(name="t", cost=1, period=5, priority=5)]
         auto = run_uni(
-            specs, FixedPriorityPolicy, "continue", "auto", None, 20.0
+            specs, FixedPriorityPolicy, "continue", "auto", 20.0
         )
         assert dropped == ["t#1"]
         started = {e.subject for e in auto.events_of(TraceEventKind.START)}
         assert "t#1" not in started and "t#0" in started
         dropped.clear()
         ref = run_uni(
-            specs, FixedPriorityPolicy, "continue", "reference", None, 20.0
+            specs, FixedPriorityPolicy, "continue", "reference", 20.0
         )
         assert dropped == ["t#1"]
         assert trace_key(auto) == trace_key(ref)
@@ -320,61 +314,6 @@ class TestFirmDeadlineQueue:
             assert job._owner_entity.task is task
 
 
-class TestCompactTrace:
-
-    def _populated(self, cls):
-        trace = cls()
-        trace.add_segment(0.0, 1.0, "a", "a#0")
-        trace.add_segment(1.0, 2.0, "a", "a#0")   # merges
-        trace.add_segment(2.0, 3.0, "b", "b#0")
-        trace.add_segment(3.0, 3.0, "b", "b#0")   # zero-length: dropped
-        trace.add_event(0.0, TraceEventKind.RELEASE, "a#0")
-        trace.add_event(2.0, TraceEventKind.COMPLETION, "a#0")
-        return trace
-
-    def test_query_api_matches_object_trace(self):
-        obj = self._populated(ExecutionTrace)
-        col = self._populated(CompactTrace)
-        assert trace_key(col) == trace_key(obj)
-        assert col.busy_time() == obj.busy_time()
-        assert col.busy_time("a") == obj.busy_time("a")
-        assert col.makespan == obj.makespan
-        assert col.cores == obj.cores
-        assert [s.end for s in col.segments_of("a")] == [2.0]
-        assert [e.subject for e in col.events_of(TraceEventKind.RELEASE)] \
-            == ["a#0"]
-        col.validate()
-
-    def test_merge_invalidates_cached_view(self):
-        trace = CompactTrace()
-        trace.add_segment(0.0, 1.0, "a", "a#0")
-        assert trace.segments[0].end == 1.0
-        trace.add_segment(1.0, 2.0, "a", "a#0")
-        assert trace.segments[0].end == 2.0
-        assert len(trace.segments) == 1
-
-    def test_rejects_negative_event_time(self):
-        trace = CompactTrace()
-        with pytest.raises(ValueError, match="event time"):
-            trace.add_event(-1.0, TraceEventKind.RELEASE, "x")
-
-    def test_validate_catches_overlap(self):
-        trace = CompactTrace()
-        trace.add_segment(0.0, 2.0, "a", "a#0")
-        trace.add_segment(1.0, 3.0, "b", "b#0")
-        with pytest.raises(AssertionError, match="overlap"):
-            trace.validate()
-
-    def test_smp_core_merge(self):
-        trace = CompactTrace()
-        trace.add_segment(0.0, 1.0, "a", "a#0", core=0)
-        trace.add_segment(0.0, 1.0, "b", "b#0", core=1)
-        trace.add_segment(1.0, 2.0, "a", "a#0", core=0)  # merges past core 1
-        assert len(trace.segments) == 2
-        assert trace.segments[0].end == 2.0
-        trace.validate()
-
-
 class TestKnobValidation:
 
     def test_bad_kernel_rejected(self):
@@ -382,13 +321,3 @@ class TestKnobValidation:
             with pytest.raises(ValueError, match="kernel"):
                 Simulation(FixedPriorityPolicy(), kernel=kernel)
 
-    def test_bad_trace_mode_rejected(self):
-        with pytest.raises(ValueError, match="trace_mode"):
-            Simulation(FixedPriorityPolicy(), trace_mode="parquet")
-
-    def test_trace_and_trace_mode_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            Simulation(
-                FixedPriorityPolicy(), trace=ExecutionTrace(),
-                trace_mode="compact",
-            )

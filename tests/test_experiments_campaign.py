@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import run_campaign, shape_checks, simulate_system, execute_system
+from repro.experiments.campaign import run_overload_campaign
 from repro.experiments.tables import (
     PAPER_TABLES,
     TABLE_ARMS,
@@ -66,7 +67,7 @@ class TestArms:
     @pytest.mark.parametrize("run", [simulate_system, execute_system])
     def test_check_mode_keeps_the_metrics_and_no_records(self, run):
         for system in RandomSystemGenerator(SMALL).generate():
-            stored = run(system, "deferrable", trace_mode="compact")
+            stored = run(system, "deferrable")
             checked = run(system, "deferrable", trace_mode="check")
             assert checked.metrics == stored.metrics
             assert len(stored.trace.segments) > 0
@@ -105,6 +106,20 @@ class TestCampaignStructure:
     def test_unknown_arm_key(self, campaign):
         with pytest.raises(KeyError):
             campaign.table("edf_sim")
+
+    @pytest.mark.parametrize("run", [run_campaign, run_overload_campaign])
+    def test_unknown_arm_rejected_before_generating(self, run, monkeypatch):
+        # an unknown name must not fall through to the DS execution arm
+        def generate(self):
+            raise AssertionError("generated systems for an unknown arm")
+
+        monkeypatch.setattr(RandomSystemGenerator, "generate", generate)
+        with pytest.raises(ValueError) as caught:
+            run(arms=("ps_sim", "polling"))
+        assert str(caught.value) == (
+            "unknown arm 'polling'; choose from "
+            "('ps_sim', 'ps_exec', 'ds_sim', 'ds_exec')"
+        )
 
 
 class TestTableFormatting:

@@ -132,6 +132,32 @@ class TestOverloadTarget:
         )
 
 
+class TestSharedCheckpoint:
+    def test_overload_refuses_the_paper_campaigns_checkpoint(self, tmp_path,
+                                                             capsys):
+        from dataclasses import replace
+
+        from repro.experiments.campaign import (
+            PAPER_SETS,
+            RunPolicy,
+            run_campaign,
+        )
+
+        path = tmp_path / "shared.jsonl"
+        run_campaign(sets=(replace(PAPER_SETS[0], nb_generation=1),),
+                     arms=("ps_sim",),
+                     run_policy=RunPolicy(checkpoint_path=path))
+        written = path.read_text()
+        assert main(["overload", "--checkpoint", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"checkpoint {path} holds runs of the paper campaign, "
+            "not of the overload campaign\n"
+        )
+        assert path.read_text() == written
+
+
 class TestFabricTarget:
     ARGS = ["fabric", "--storm-rate", "0.4", "--storm-horizon", "50"]
 

@@ -43,6 +43,17 @@ class TestTrace:
         with pytest.raises(AssertionError):
             tr.validate()
 
+    def test_smp_core_merge(self):
+        tr = ExecutionTrace()
+        tr.add_segment(0.0, 1.0, "a", "a#0", core=0)
+        tr.add_segment(0.0, 1.0, "b", "b#0", core=1)
+        tr.add_segment(1.0, 2.0, "a", "a#0", core=0)  # merges past core 1
+        assert tr.segments == [
+            Segment(0.0, 2.0, "a", "a#0", core=0),
+            Segment(0.0, 1.0, "b", "b#0", core=1),
+        ]
+        tr.validate()
+
     def test_busy_time_and_makespan(self):
         tr = ExecutionTrace()
         tr.add_segment(0.0, 2.0, "a")

@@ -3,9 +3,10 @@
 Each digest covers the full-precision numbers (``repr`` of every float),
 not a rounded rendering, so a refactor that claims "same behaviour" has
 to reproduce the paper campaign, a long pure-periodic trace, the
-execution arm's VM traces, the Figures 2-4 text, a multicore campaign,
-every run record of the four campaigns and the Section 7 admission path
-(a skewed service storm and a fabric kill drill) bit for bit.  A
+execution arm's VM traces, the Figures 2-4 text, a multicore campaign
+and the multicore kernel's traces, every run record of the four
+campaigns and the Section 7 admission path (a skewed service storm and a
+fabric kill drill) bit for bit.  A
 deliberate behaviour change updates the pinned digest in its own commit,
 with the reason.
 
@@ -24,6 +25,7 @@ from dataclasses import replace
 from repro.experiments.campaign import (
     ARMS,
     RunPolicy,
+    default_overload_config,
     execute_system,
     run_campaign,
     run_overload_campaign,
@@ -34,9 +36,12 @@ from repro.service import StormConfig, run_service_storm
 from repro.sim import FixedPriorityPolicy, Simulation
 from repro.sim.engine import KERNEL_MODES
 from repro.smp.campaign import (
+    MULTICORE_MODES,
     MulticoreParameters,
+    build_multicore_system,
     run_multicore_campaign,
     run_multicore_overload_campaign,
+    run_multicore_system,
 )
 from repro.smp.metrics import multicore_metrics_to_dict
 from repro.workload import PAPER_SETS, RandomSystemGenerator
@@ -59,6 +64,8 @@ PINNED = {
         "28835b37fa7fd25e30b1a7c866ef114198011ffdddfd9dd9f0ba64304a85f322",
     "campaign_records":
         "6b5197dbbd48d2290b2066d9755255bb6d119aded8fcb4b661d04b2e96c808e5",
+    "multicore_trace":
+        "0b6181eaa3eb7aaffd9cee03d9aecd53f4b08c604984269ef1d6d726ef9de87b",
 }
 
 # dense dyadic set on the 0.25-tu grid: hyperperiod 16 tu, utilization
@@ -162,6 +169,35 @@ def _multicore_campaign_digest() -> str:
     return digest.hexdigest()
 
 
+def _multicore_trace_digests() -> set[str]:
+    """Every event and segment of systems 0-1 under each multicore mode,
+    with each server family and without one, plus one overloaded run per
+    mode; one digest per kernel (all must agree)."""
+    params = MulticoreParameters()
+    systems = [build_multicore_system(params, i) for i in range(2)]
+    overload = default_overload_config()
+    runs = [
+        (server, None) for server in ("polling", "deferrable", None)
+    ] + [("polling", overload)]
+    digests = set()
+    for kernel in KERNEL_MODES:
+        digest = hashlib.sha256()
+        for system in systems:
+            for mode in MULTICORE_MODES:
+                for server, overloaded in runs:
+                    result = run_multicore_system(
+                        system, params.n_cores, mode, server=server,
+                        overload=overloaded, kernel=kernel,
+                    )
+                    digest.update(
+                        f"# {system.system_id} {mode} {server} "
+                        f"{overloaded is not None}\n".encode()
+                    )
+                    _update_with_trace(digest, result.trace)
+        digests.add(digest.hexdigest())
+    return digests
+
+
 def _campaign_records_digest() -> str:
     """Every hardened run record (status, attempts, metrics, payload) of
     small runs of the paper, multicore and both overload campaigns."""
@@ -227,6 +263,8 @@ def _fabric_kill_drill_digest(checkpoint_dir) -> str:
 def test_behaviour_lock_digests(tmp_path):
     dyadic = _dyadic_trace_digests()
     assert len(dyadic) == 1, "kernels disagree on the trace"
+    multicore = _multicore_trace_digests()
+    assert len(multicore) == 1, "kernels disagree on the multicore trace"
     observed = {
         "paper_campaign": _paper_campaign_digest(),
         "dyadic_trace": dyadic.pop(),
@@ -238,5 +276,6 @@ def test_behaviour_lock_digests(tmp_path):
         "service_storm": _service_storm_digest(),
         "fabric_kill_drill": _fabric_kill_drill_digest(tmp_path),
         "campaign_records": _campaign_records_digest(),
+        "multicore_trace": multicore.pop(),
     }
     assert observed == PINNED

@@ -46,18 +46,26 @@ class TestParallelExecution:
         cores = {s.entity: s.core for s in trace.segments}
         assert sorted(cores.values()) == [0, 1]
 
-    def test_single_core_matches_uniprocessor_kernel(self):
+    @pytest.mark.parametrize("kernel", ["auto", "reference"])
+    @pytest.mark.parametrize("on_deadline_miss", ["continue", "abort"],
+                             ids=["soft", "firm"])
+    def test_single_core_matches_uniprocessor_kernel(self, on_deadline_miss,
+                                                     kernel):
+        # utilization 4/3: "lo" misses its deadlines at 6, 12 and 18
         specs = [
-            PeriodicTaskSpec("hi", cost=1, period=3, priority=9),
-            PeriodicTaskSpec("lo", cost=4, period=12, priority=1),
+            PeriodicTaskSpec("hi", cost=2, period=3, priority=9),
+            PeriodicTaskSpec("lo", cost=4, period=6, priority=1),
         ]
-        uni = Simulation(FixedPriorityPolicy())
-        smp = MulticoreSimulation(GlobalFixedPriorityPolicy(), n_cores=1)
+        uni = Simulation(FixedPriorityPolicy(),
+                         on_deadline_miss=on_deadline_miss, kernel=kernel)
+        smp = MulticoreSimulation(GlobalFixedPriorityPolicy(), n_cores=1,
+                                  on_deadline_miss=on_deadline_miss,
+                                  kernel=kernel)
         for spec in specs:
             uni.add_periodic_task(spec)
             smp.add_periodic_task(spec)
-        t_uni = uni.run(until=12)
-        t_smp = smp.run(until=12)
+        t_uni = uni.run(until=24)
+        t_smp = smp.run(until=24)
         assert [
             (round(s.start, 6), round(s.end, 6), s.entity, s.job)
             for s in t_uni.segments
@@ -65,6 +73,17 @@ class TestParallelExecution:
             (round(s.start, 6), round(s.end, 6), s.entity, s.job)
             for s in t_smp.segments
         ]
+        assert [
+            (round(e.time, 6), e.kind, e.subject, e.detail)
+            for e in t_uni.events
+        ] == [
+            (round(e.time, 6), e.kind, e.subject, e.detail)
+            for e in t_smp.events
+        ]
+        assert len(t_smp.events_of(TraceEventKind.DEADLINE_MISS)) == 3
+        assert len(t_smp.events_of(TraceEventKind.ABORT)) == (
+            3 if on_deadline_miss == "abort" else 0
+        )
         assert all(s.core == 0 for s in t_smp.segments)
         assert smp.migrations == 0
 

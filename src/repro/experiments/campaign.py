@@ -58,6 +58,7 @@ from ..sim import (
     aggregate,
     measure_run,
 )
+from ..overload import wire_sim_servers
 from ..overload.metrics import OverloadReport, measure_overload
 from ..sim.servers.base import AperiodicServer
 from ..sim.trace import CheckOnlyTrace, ExecutionTrace
@@ -189,7 +190,7 @@ class RunRecord:
             "error": self.error,
         }
         if self.metrics is not None:
-            out["metrics"] = _metrics_to_dict(self.metrics)
+            out["metrics"] = self.metrics.to_dict()
         if self.payload is not None:
             out["payload"] = self.payload
         return out
@@ -204,31 +205,11 @@ class RunRecord:
             attempts=data.get("attempts", 1),
             error=data.get("error", ""),
             metrics=(
-                _metrics_from_dict(data["metrics"])
+                RunMetrics.from_dict(data["metrics"])
                 if data.get("metrics") is not None else None
             ),
             payload=data.get("payload"),
         )
-
-
-def _metrics_to_dict(metrics: RunMetrics) -> dict:
-    return {
-        "released": metrics.released,
-        "served": metrics.served,
-        "interrupted": metrics.interrupted,
-        "average_response_time": metrics.average_response_time,
-        "response_times": list(metrics.response_times),
-    }
-
-
-def _metrics_from_dict(data: dict) -> RunMetrics:
-    return RunMetrics(
-        released=data["released"],
-        served=data["served"],
-        interrupted=data["interrupted"],
-        average_response_time=data["average_response_time"],
-        response_times=tuple(data["response_times"]),
-    )
 
 
 @contextmanager
@@ -373,17 +354,7 @@ def simulate_system(system: GeneratedSystem,
         enforcement=enforcement, monitors=monitors,
     )
     server.attach(sim, horizon=system.horizon)
-    detector = None
-    if overload is not None and overload.active:
-        from ..faults.watchdog import DeadlineMissWatchdog
-        from ..overload import wire_sim_servers
-
-        watchdog = sim.watchdog
-        if watchdog is None and overload.detector is not None:
-            watchdog = DeadlineMissWatchdog().attach_sim(sim)
-        detector = wire_sim_servers(
-            overload, sim.trace, [server], watchdog=watchdog
-        )
+    detector = wire_sim_servers(overload, sim, [server])
     for spec in system.periodic_tasks:
         sim.add_periodic_task(spec)
     jobs: list[AperiodicJob] = []
@@ -938,7 +909,7 @@ def _overload_payload(faulted, horizon: float, baseline: RunMetrics) -> dict:
         faulted.trace, faulted.jobs, horizon=horizon,
         pre_burst_aart=baseline.average_response_time or None,
     )
-    return {"overload": asdict(report), "baseline": _metrics_to_dict(baseline)}
+    return {"overload": asdict(report), "baseline": baseline.to_dict()}
 
 
 def _with_burst(regenerate, plan: "FaultPlan", seed: int,
@@ -959,7 +930,7 @@ def _overload_result(records: list[RunRecord]) -> OverloadCampaignResult:
                 arm=record.arm,
                 set_key=record.set_key,
                 system_id=record.system_id,
-                baseline=_metrics_from_dict(record.payload["baseline"]),
+                baseline=RunMetrics.from_dict(record.payload["baseline"]),
                 metrics=record.metrics,
                 report=OverloadReport(**record.payload["overload"]),
             ))

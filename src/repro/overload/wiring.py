@@ -63,24 +63,31 @@ def build_breaker(
 
 def wire_sim_servers(
     overload: OverloadConfig | None,
-    trace,
+    sim,
     servers,
-    watchdog=None,
-    name: str = "overload",
 ) -> OverloadDetector | None:
     """Full ideal-arm wiring: queue bound + per-server breaker + detector.
 
-    Ideal servers read ``server.overload`` lazily at submit time, so the
-    bound can be installed after construction — which lets golden-path
-    construction sites stay untouched.
+    Wires nothing and returns ``None`` on ``overload=None``, on an
+    inactive config or without servers.  The detector listens to the
+    simulation's deadline-miss watchdog, attached here when ``sim`` has
+    none and the config has a detector.  Ideal servers read
+    ``server.overload`` lazily at submit time, so the bound can be
+    installed after construction — which lets golden-path construction
+    sites stay untouched.
     """
-    if overload is None or not overload.active:
-        return None
     servers = list(servers)
-    detector = build_detector(overload, trace, servers, watchdog, name=name)
+    if overload is None or not overload.active or not servers:
+        return None
+    watchdog = sim.watchdog
+    if watchdog is None and overload.detector is not None:
+        from ..faults.watchdog import DeadlineMissWatchdog
+
+        watchdog = DeadlineMissWatchdog().attach_sim(sim)
+    detector = build_detector(overload, sim.trace, servers, watchdog)
     for server in servers:
         server.overload = overload
         server.breaker = build_breaker(
-            overload, trace, f"{server.name}-breaker", detector
+            overload, sim.trace, f"{server.name}-breaker", detector
         )
     return detector

@@ -41,6 +41,27 @@ class RunMetrics:
         """IR: interrupted / released (0.0 for an empty system)."""
         return self.interrupted / self.released if self.released else 0.0
 
+    def to_dict(self) -> dict:
+        """A JSON-serialisable form (campaign checkpoints round-trip it)."""
+        return {
+            "released": self.released,
+            "served": self.served,
+            "interrupted": self.interrupted,
+            "average_response_time": self.average_response_time,
+            "response_times": list(self.response_times),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunMetrics":
+        """Rebuild a :class:`RunMetrics` from :meth:`to_dict`'s form."""
+        return cls(
+            released=data["released"],
+            served=data["served"],
+            interrupted=data["interrupted"],
+            average_response_time=data["average_response_time"],
+            response_times=tuple(data["response_times"]),
+        )
+
 
 @dataclass(frozen=True)
 class SetMetrics:

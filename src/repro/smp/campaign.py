@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace as _replace
 from functools import partial
 from typing import TYPE_CHECKING
 
+from ..overload import wire_sim_servers
 from ..sim import (
     AperiodicJob,
     IdealDeferrableServer,
@@ -229,6 +230,12 @@ class _GlobalDeferrableServer(IdealDeferrableServer):
         return (math.floor(now / period + EPS) + 1) * period
 
 
+_GLOBAL_SERVER_CLASSES = {
+    "polling": _GlobalPollingServer,
+    "deferrable": _GlobalDeferrableServer,
+}
+
+
 def _check_modes(modes: tuple[str, ...]) -> None:
     for mode in modes:
         if mode not in MULTICORE_MODES:
@@ -268,13 +275,94 @@ def run_multicore_system(
             f"unknown server {server!r}; choose 'polling', 'deferrable' "
             "or None"
         )
+    tasks = list(system.periodic_tasks)
+    partition = core_of = None
     if mode in _HEURISTIC_OF_MODE:
-        return _run_partitioned(
-            system, n_cores, _HEURISTIC_OF_MODE[mode], mode, server,
-            enforcement, overload, verify, kernel,
+        reserve = (
+            system.server.capacity / system.server.period
+            if server is not None else 0.0
         )
-    return _run_global(
-        system, n_cores, mode, server, enforcement, overload, verify, kernel,
+        partition = partition_tasks(
+            tasks, n_cores, heuristic=_HEURISTIC_OF_MODE[mode],
+            capacity=1.0, reserve=reserve,
+        )
+        # one server per core
+        names = [f"{server or 'srv'}{k}".upper() for k in range(n_cores)]
+        core_of = dict(partition.core_of)
+        for k, name in enumerate(names):
+            core_of[name] = k
+        policy = PartitionedPolicy(core_of, n_cores)
+        server_classes, capacity = _SERVER_CLASSES, system.server.capacity
+    else:
+        policy = (
+            GlobalFixedPriorityPolicy() if mode == "global-fp"
+            else GlobalEDFPolicy()
+        )
+        # one migratable server; global modes pool the per-core bandwidth
+        names = [(server or "srv").upper()]
+        server_classes = _GLOBAL_SERVER_CLASSES
+        capacity = min(system.server.capacity * n_cores, system.server.period)
+    servers = []
+    if server is not None:
+        spec = ServerSpec(
+            capacity=capacity,
+            period=system.server.period,
+            # highest on its core, the paper's invariant
+            priority=max((t.priority for t in tasks), default=0) + 1,
+        )
+        servers = [
+            server_classes[server](spec, name=name, enforcement=enforcement)
+            for name in names
+        ]
+    monitors = None
+    if verify:
+        from ..verify import monitors_for_system
+
+        monitors = monitors_for_system(
+            system, servers=tuple(servers),
+            policy="edf" if mode == "global-edf" else "fp",
+            core_of=core_of,
+            check_demand=enforcement is None and overload is None,
+        )
+    sim = MulticoreSimulation(
+        policy, n_cores=n_cores, enforcement=enforcement,
+        monitors=monitors, kernel=kernel,
+    )
+    for instance in servers:
+        instance.attach(sim, horizon=system.horizon)
+    for task_spec in tasks:
+        sim.add_periodic_task(task_spec)
+    detector = wire_sim_servers(overload, sim, servers)
+    jobs = _make_jobs(system)
+    # each job goes to the global server, the overload-aware router or,
+    # round-robin, to the per-core servers
+    handlers = [instance.submit for instance in servers]
+    core_of_job = None
+    if partition is not None and servers:
+        if overload is not None and overload.active:
+            # overload-aware routing decides at release time, when the
+            # breaker and queue state it steers around actually exists
+            router = AperiodicRouter(servers, overload)
+            core_of_job, handlers = router.core_of_job, [router.route]
+        else:
+            core_of_job = {
+                job.name: i % n_cores for i, job in enumerate(jobs)
+            }
+    for i, job in enumerate(jobs if handlers else ()):
+        sim.submit_aperiodic(job, handlers[i % len(handlers)])
+    trace = sim.run(until=system.horizon)
+    if detector is not None:
+        detector.finish(system.horizon)
+    metrics = measure_multicore_run(
+        jobs, trace, n_cores, system.horizon, core_of_job=core_of_job,
+    )
+    report = (
+        trace.finish_monitors(system.horizon) if monitors is not None
+        else None
+    )
+    return MulticoreSystemResult(
+        mode=mode, metrics=metrics, trace=trace, partition=partition,
+        jobs=jobs, report=report,
     )
 
 
@@ -288,176 +376,6 @@ def _make_jobs(system: GeneratedSystem) -> list[AperiodicJob]:
         )
         for event in system.events
     ]
-
-
-def _wire_overload(sim, servers, overload):
-    """Attach the overload stack to one multicore run (or do nothing)."""
-    if overload is None or not overload.active or not servers:
-        return None
-    from ..faults.watchdog import DeadlineMissWatchdog
-    from ..overload import wire_sim_servers
-
-    watchdog = sim.watchdog
-    if watchdog is None and overload.detector is not None:
-        watchdog = DeadlineMissWatchdog().attach_sim(sim)
-    return wire_sim_servers(
-        overload, sim.trace, servers, watchdog=watchdog
-    )
-
-
-def _run_partitioned(
-    system: GeneratedSystem,
-    n_cores: int,
-    heuristic: str,
-    mode: str,
-    server: str | None,
-    enforcement: "EnforcementConfig | None",
-    overload: "OverloadConfig | None" = None,
-    verify: bool = False,
-    kernel: str = "auto",
-) -> MulticoreSystemResult:
-    tasks = list(system.periodic_tasks)
-    reserve = (
-        system.server.capacity / system.server.period
-        if server is not None else 0.0
-    )
-    partition = partition_tasks(
-        tasks, n_cores, heuristic=heuristic, capacity=1.0, reserve=reserve
-    )
-    top = max((t.priority for t in tasks), default=0)
-    server_names = [f"{server or 'srv'}{k}".upper() for k in range(n_cores)]
-    core_of = dict(partition.core_of)
-    for k, name in enumerate(server_names):
-        core_of[name] = k
-    servers = []
-    if server is not None:
-        spec = ServerSpec(
-            capacity=system.server.capacity,
-            period=system.server.period,
-            priority=top + 1,  # highest on its core, the paper's invariant
-        )
-        for name in server_names:
-            servers.append(_SERVER_CLASSES[server](
-                spec, name=name, enforcement=enforcement
-            ))
-    monitors = None
-    if verify:
-        from ..verify import monitors_for_system
-
-        monitors = monitors_for_system(
-            system, servers=tuple(servers), policy="fp", core_of=core_of,
-            check_demand=enforcement is None and overload is None,
-        )
-    sim = MulticoreSimulation(
-        PartitionedPolicy(core_of, n_cores),
-        n_cores=n_cores,
-        enforcement=enforcement,
-        monitors=monitors,
-        kernel=kernel,
-    )
-    for instance in servers:
-        instance.attach(sim, horizon=system.horizon)
-    for task_spec in tasks:
-        sim.add_periodic_task(task_spec)
-    detector = _wire_overload(sim, servers, overload)
-    jobs = _make_jobs(system)
-    core_of_job: dict[str, int] = {}
-    if server is not None:
-        if overload is not None and overload.active:
-            # overload-aware routing decides at release time, when the
-            # breaker and queue state it steers around actually exists
-            router = AperiodicRouter(servers, overload)
-            core_of_job = router.core_of_job
-            for job in jobs:
-                sim.submit_aperiodic(job, router.route)
-        else:
-            for i, job in enumerate(jobs):
-                core = i % n_cores  # deterministic round-robin routing
-                core_of_job[job.name] = core
-                sim.submit_aperiodic(job, servers[core].submit)
-    trace = sim.run(until=system.horizon)
-    if detector is not None:
-        detector.finish(system.horizon)
-    metrics = measure_multicore_run(
-        jobs, trace, n_cores, system.horizon,
-        core_of_job=core_of_job if server is not None else None,
-    )
-    report = (
-        trace.finish_monitors(system.horizon) if monitors is not None
-        else None
-    )
-    return MulticoreSystemResult(
-        mode=mode, metrics=metrics, trace=trace, partition=partition,
-        jobs=jobs, report=report,
-    )
-
-
-def _run_global(
-    system: GeneratedSystem,
-    n_cores: int,
-    mode: str,
-    server: str | None,
-    enforcement: "EnforcementConfig | None",
-    overload: "OverloadConfig | None" = None,
-    verify: bool = False,
-    kernel: str = "auto",
-) -> MulticoreSystemResult:
-    tasks = list(system.periodic_tasks)
-    top = max((t.priority for t in tasks), default=0)
-    policy = (
-        GlobalFixedPriorityPolicy() if mode == "global-fp"
-        else GlobalEDFPolicy()
-    )
-    instance = None
-    if server is not None:
-        # one migratable server; global modes pool the per-core bandwidth
-        spec = ServerSpec(
-            capacity=min(
-                system.server.capacity * n_cores, system.server.period
-            ),
-            period=system.server.period,
-            priority=top + 1,
-        )
-        cls = (
-            _GlobalPollingServer if server == "polling"
-            else _GlobalDeferrableServer
-        )
-        instance = cls(spec, name=server.upper(), enforcement=enforcement)
-    monitors = None
-    if verify:
-        from ..verify import monitors_for_system
-
-        monitors = monitors_for_system(
-            system,
-            servers=(instance,) if instance is not None else (),
-            policy="fp" if mode == "global-fp" else "edf",
-            check_demand=enforcement is None and overload is None,
-        )
-    sim = MulticoreSimulation(policy, n_cores=n_cores,
-                              enforcement=enforcement, monitors=monitors,
-                              kernel=kernel)
-    if instance is not None:
-        instance.attach(sim, horizon=system.horizon)
-    for task_spec in tasks:
-        sim.add_periodic_task(task_spec)
-    detector = _wire_overload(
-        sim, [instance] if instance is not None else [], overload
-    )
-    jobs = _make_jobs(system)
-    if instance is not None:
-        for job in jobs:
-            sim.submit_aperiodic(job, instance.submit)
-    trace = sim.run(until=system.horizon)
-    if detector is not None:
-        detector.finish(system.horizon)
-    metrics = measure_multicore_run(jobs, trace, n_cores, system.horizon)
-    report = (
-        trace.finish_monitors(system.horizon) if monitors is not None
-        else None
-    )
-    return MulticoreSystemResult(
-        mode=mode, metrics=metrics, trace=trace, jobs=jobs, report=report
-    )
 
 
 # -- the campaigns ----------------------------------------------------------

@@ -118,38 +118,18 @@ def measure_multicore_run(
     )
 
 
-def _run_metrics_to_dict(metrics: RunMetrics) -> dict:
-    return {
-        "released": metrics.released,
-        "served": metrics.served,
-        "interrupted": metrics.interrupted,
-        "average_response_time": metrics.average_response_time,
-        "response_times": list(metrics.response_times),
-    }
-
-
-def _run_metrics_from_dict(data: dict) -> RunMetrics:
-    return RunMetrics(
-        released=data["released"],
-        served=data["served"],
-        interrupted=data["interrupted"],
-        average_response_time=data["average_response_time"],
-        response_times=tuple(data["response_times"]),
-    )
-
-
 def multicore_metrics_to_dict(metrics: MulticoreRunMetrics) -> dict:
     """A JSON-serialisable form (checkpoint payloads round-trip this)."""
     return {
         "per_core": [
             {
                 "core": c.core,
-                "metrics": _run_metrics_to_dict(c.metrics),
+                "metrics": c.metrics.to_dict(),
                 "utilization": c.utilization,
             }
             for c in metrics.per_core
         ],
-        "aggregate": _run_metrics_to_dict(metrics.aggregate),
+        "aggregate": metrics.aggregate.to_dict(),
         "migrations": metrics.migrations,
         "unattributed": metrics.unattributed,
     }
@@ -161,12 +141,12 @@ def multicore_metrics_from_dict(data: dict) -> MulticoreRunMetrics:
         per_core=tuple(
             CoreMetrics(
                 core=c["core"],
-                metrics=_run_metrics_from_dict(c["metrics"]),
+                metrics=RunMetrics.from_dict(c["metrics"]),
                 utilization=c["utilization"],
             )
             for c in data["per_core"]
         ),
-        aggregate=_run_metrics_from_dict(data["aggregate"]),
+        aggregate=RunMetrics.from_dict(data["aggregate"]),
         migrations=data["migrations"],
         unattributed=data.get("unattributed", 0),
     )

@@ -7,7 +7,7 @@ per-core utilizations and the migration count.
 
 from __future__ import annotations
 
-from ..sim.metrics import RunMetrics
+from ..sim.metrics import aggregate
 from .metrics import MulticoreRunMetrics
 
 __all__ = ["format_multicore_table", "format_multicore_campaign"]
@@ -17,14 +17,6 @@ def _avg(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _aggregate_rows(runs: list[MulticoreRunMetrics]) -> dict[str, float]:
-    return {
-        "AART": _avg([r.aggregate.average_response_time for r in runs]),
-        "AIR": _avg([r.aggregate.interrupted_ratio for r in runs]),
-        "ASR": _avg([r.aggregate.served_ratio for r in runs]),
-    }
-
-
 def format_multicore_table(mode: str,
                            runs: list[MulticoreRunMetrics]) -> str:
     """One arm's table: aggregate row set plus a per-core breakdown."""
@@ -32,25 +24,18 @@ def format_multicore_table(mode: str,
         return f"{mode}: no completed runs"
     n_cores = runs[0].n_cores
     lines = [f"=== {mode} ({len(runs)} run(s), {n_cores} cores) ==="]
-    rows = _aggregate_rows(runs)
+    rows = aggregate([r.aggregate for r in runs]).as_row()
     lines.append(
         "aggregate   "
         + "  ".join(f"{k}={v:7.3f}" for k, v in rows.items())
         + f"  migrations={_avg([float(r.migrations) for r in runs]):.1f}"
     )
     for core in range(n_cores):
-        per: list[RunMetrics] = [r.per_core[core].metrics for r in runs]
+        rows = aggregate([r.per_core[core].metrics for r in runs]).as_row()
         util = _avg([r.per_core[core].utilization for r in runs])
         lines.append(
             f"core {core}      "
-            + "  ".join(
-                f"{k}={v:7.3f}"
-                for k, v in {
-                    "AART": _avg([m.average_response_time for m in per]),
-                    "AIR": _avg([m.interrupted_ratio for m in per]),
-                    "ASR": _avg([m.served_ratio for m in per]),
-                }.items()
-            )
+            + "  ".join(f"{k}={v:7.3f}" for k, v in rows.items())
             + f"  util={util:5.3f}"
         )
     return "\n".join(lines)

@@ -1,8 +1,7 @@
 """The wall-clock admission gateway: real network ingestion.
 
 :class:`AdmissionGateway` is an asyncio TCP/Unix-socket front end that
-runs an :class:`~repro.service.AdmissionService` (or a PR 8
-:class:`~repro.fabric.AdmissionFabric` behind its router) on a hardened
+runs one :class:`~repro.service.AdmissionService` on a hardened
 :class:`~repro.service.WallClock`.  Requests flow through three stages:
 
 * **the edge** — one :class:`asyncio.Protocol` per connection buffers
@@ -176,7 +175,6 @@ class AdmissionGateway:
         seed: int = 0,
         journal_path: Path | str | None = None,
         checkpoint_path: Path | str | None = None,
-        fabric=None,
         _service: AdmissionService | None = None,
     ) -> None:
         self.config = config
@@ -185,20 +183,12 @@ class AdmissionGateway:
         self.service_config = replace(service_config, monitored=False)
         self.clock = clock if clock is not None else WallClock()
         self.seed = seed
-        self.fabric = fabric
-        if fabric is not None:
-            if fabric.clock is not self.clock:
-                raise ValueError(
-                    "a fabric behind the gateway must share its clock"
-                )
-            self.service = None
-        elif _service is not None:
-            self.service = _service
-        else:
-            self.service = AdmissionService(
+        if _service is None:
+            _service = AdmissionService(
                 self.service_config, clock=self.clock, skew=skew,
                 seed=seed, checkpoint_path=checkpoint_path,
             )
+        self.service = _service
         self.journal: CheckpointLog | None = (
             CheckpointLog(journal_path) if journal_path is not None else None
         )
@@ -243,7 +233,7 @@ class AdmissionGateway:
         self.clock.anchor()
         self.terminated = asyncio.Event()
         self._pipeline = asyncio.Queue(maxsize=self.config.max_in_flight)
-        if self.service is not None and self._needs_service_start():
+        if self.service._housekeeper is None:
             await self.service.start()
         if self.journal is not None and not self.journal.exists():
             self.journal.append({
@@ -274,9 +264,6 @@ class AdmissionGateway:
             sock = self.server.sockets[0].getsockname()
             self.address = (sock[0], sock[1])
         return self
-
-    def _needs_service_start(self) -> bool:
-        return self.service is not None and self.service._housekeeper is None
 
     @classmethod
     async def restore(
@@ -328,9 +315,7 @@ class AdmissionGateway:
         gateway._replay_debt = undecided_entries(ops)
         if predecessor is not None:
             gateway.archived_services = [
-                *predecessor.archived_services,
-                *([] if predecessor.service is None
-                  else [predecessor.service]),
+                *predecessor.archived_services, predecessor.service,
             ]
             gateway.archived_traces = [
                 *predecessor.archived_traces, predecessor.trace,
@@ -397,12 +382,7 @@ class AdmissionGateway:
         self.settle_overruns += 1
 
     def _has_due(self, stamp: float) -> bool:
-        if self.service is not None:
-            return self.service.has_due(stamp)
-        return any(
-            shard.service.has_due(stamp)
-            for shard in self.fabric.shards if shard.alive
-        )
+        return self.service.has_due(stamp)
 
     async def _decide(self, request: EventRequest) -> AdmissionTicket:
         stamp = self.clock.now()
@@ -446,9 +426,7 @@ class AdmissionGateway:
     async def _submit(
         self, request: EventRequest, stamp: float
     ) -> AdmissionTicket:
-        if self.service is not None:
-            return await self.service.submit(request, at=stamp)
-        return await self.fabric.router.submit(request, at=stamp)
+        return await self.service.submit(request, at=stamp)
 
     # -- the socket edge ---------------------------------------------------
 
@@ -509,12 +487,7 @@ class AdmissionGateway:
                 "op": "clock_pause", "t": pause.at,
                 "expected": pause.expected, "observed": pause.observed,
             })
-        if self.service is not None:
-            self.service.note_clock_pause(pause.at, detail)
-        else:
-            for shard in self.fabric.shards:
-                if shard.alive:
-                    shard.service.note_clock_pause(pause.at, detail)
+        self.service.note_clock_pause(pause.at, detail)
 
     # -- shutdown ----------------------------------------------------------
 
@@ -537,7 +510,7 @@ class AdmissionGateway:
         else:
             self.force_exit()
 
-    async def _drain(self) -> DrainReport | None:
+    async def _drain(self) -> DrainReport:
         self.draining = True
         now = self.clock.now()
         if self.journal is not None:
@@ -548,13 +521,9 @@ class AdmissionGateway:
         self._close_listener()
         assert self._pipeline is not None
         await self._pipeline.join()   # decide everything already accepted
-        report: DrainReport | None = None
-        if self.service is not None:
-            report = await self.service.drain(
-                max_wait=self.config.drain_max_wait
-            )
-        else:
-            await self.fabric.drain()
+        report = await self.service.drain(
+            max_wait=self.config.drain_max_wait
+        )
         if self.journal is not None:
             self.journal.append(
                 {"op": "drained", "t": self.clock.now()}
@@ -596,12 +565,7 @@ class AdmissionGateway:
             connection.abort()
         self._connections.clear()
         self._close_listener()
-        if self.service is not None:
-            self.service.kill(cancel_clock=False)
-        else:
-            for shard in self.fabric.shards:
-                if shard.alive:
-                    self.fabric.kill_shard(shard.index)
+        self.service.kill(cancel_clock=False)
 
     def _close_listener(self) -> None:
         # no ``wait_closed()``: since CPython 3.12.1 it waits for every
@@ -630,14 +594,9 @@ class AdmissionGateway:
         merge discipline as the fabric's.
         """
         feed: list[tuple[float, int, int, int, TraceEvent]] = []
-        services: list[ExecutionTrace] = []
-        if self.fabric is not None:
-            services.append(self.fabric.merged_trace())
-        else:
-            services.extend(
-                s.trace for s in
-                (*self.archived_services, self.service)
-            )
+        services = [
+            s.trace for s in (*self.archived_services, self.service)
+        ]
         for incarnation, trace in enumerate(services):
             for seq, event in enumerate(trace.events):
                 feed.append((event.time, 0, incarnation, seq, event))
@@ -680,10 +639,7 @@ class AdmissionGateway:
     # -- reporting ---------------------------------------------------------
 
     def metrics(self) -> dict:
-        backend = (
-            self.fabric.metrics() if self.fabric is not None
-            else self.service.metrics()
-        )
+        backend = self.service.metrics()
         return {
             "ingested": self.ingested,
             "responded": self.responded,

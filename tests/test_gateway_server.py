@@ -704,20 +704,3 @@ class TestCrashRestore:
             assert not report.violations
 
         asyncio.run(scenario())
-
-    def test_fabric_must_share_the_gateway_clock(self, tmp_path):
-        from repro.fabric import AdmissionFabric, FabricConfig
-        from repro.service import VirtualClock
-
-        async def scenario():
-            service_config = default_gateway_service_config()
-            fabric = AdmissionFabric(
-                FabricConfig(shards=1, supervised=False),
-                service_config, clock=VirtualClock(),
-            )
-            with pytest.raises(ValueError):
-                AdmissionGateway(
-                    _config(tmp_path), service_config, fabric=fabric,
-                )
-
-        asyncio.run(scenario())

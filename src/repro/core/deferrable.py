@@ -84,6 +84,13 @@ class DeferrableTaskServer(TaskServer):
         self.record_capacity(vm.now_ns, self.capacity_ns)
         vm.schedule_timer_event(self.next_refill_ns, self._refill_tick)
 
+    def close(self) -> None:
+        super().close()
+        # the wakeUp handler's logic closes over this server
+        if self._aeh is not None:
+            self.wake_up.remove_handler(self._aeh)
+            self._aeh = None
+
     # -- capacity accounting -----------------------------------------------------------
 
     def _charge_to(self, now_ns: int) -> None:

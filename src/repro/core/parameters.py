@@ -63,20 +63,16 @@ class TaskServerParameters(ReleaseParameters):
         super().__init__(cost=capacity, deadline=period)
         self.capacity = capacity
         self.period = period
+        #: the capacity and period in nanoseconds, read on every release
+        #: (both time values are immutable)
+        self.capacity_ns = capacity.total_nanos
+        self.period_ns = period.total_nanos
         self.scheduling = PriorityParameters(priority)
         self.start = start if start is not None else AbsoluteTime(0, 0)
 
     @property
     def priority(self) -> int:
         return self.scheduling.priority
-
-    @property
-    def capacity_ns(self) -> int:
-        return self.capacity.total_nanos
-
-    @property
-    def period_ns(self) -> int:
-        return self.period.total_nanos
 
     @property
     def utilization(self) -> float:

@@ -201,7 +201,7 @@ class TaskServer(Schedulable, ABC):
                 f"handler {handler.name!r} is not associated with server "
                 f"{self.name!r}"
             )
-        vm = self._require_vm()
+        vm = self.vm or self._require_vm()
         vm.add_isr_time(vm.overhead.release_ns)
         release = HandlerRelease(handler, vm.now_ns)
         release.source = source
@@ -261,7 +261,7 @@ class TaskServer(Schedulable, ABC):
         ``chooseNextEvent`` and the ``Timed`` setup execute outside
         ``run()`` in the Java implementation.
         """
-        vm = self._require_vm()
+        vm = self.vm or self._require_vm()
         overhead = vm.overhead
         if overhead.dispatch_ns:
             yield Compute(overhead.dispatch_ns)
@@ -385,6 +385,21 @@ class TaskServer(Schedulable, ABC):
     def run_metrics(self) -> RunMetrics:
         """This server's run measured the paper's way (Section 6.1)."""
         return measure_run(self.jobs)
+
+    def close(self) -> None:
+        """Cut this server's links into its finished run.
+
+        Every handler points back at its server, and so, through their
+        handlers, do the releases and the events that fired them; the
+        policy's service thread or handler closes over the server too.
+        Each closes a reference cycle, so without this a run's whole
+        object graph waits for the cyclic collector.  Call it once the
+        VM has run and the results are read: the handlers drop their
+        server link and the server cannot serve again.  ``releases``,
+        ``jobs`` and ``capacity_history`` keep their values.
+        """
+        for handler in self.handlers:
+            handler.server = None  # type: ignore[assignment]
 
     def record_capacity(self, now_ns: int, capacity_ns: int) -> None:
         """Append a capacity breakpoint (times converted to tu)."""

@@ -358,6 +358,7 @@ def simulate_system(system: GeneratedSystem,
     for spec in system.periodic_tasks:
         sim.add_periodic_task(spec)
     jobs: list[AperiodicJob] = []
+    submit = server.submit
     for event in system.events:
         job = AperiodicJob(
             name=f"h{event.event_id}",
@@ -366,7 +367,7 @@ def simulate_system(system: GeneratedSystem,
             declared_cost=event.declared_cost,
         )
         jobs.append(job)
-        sim.submit_aperiodic(job, server.submit)
+        sim.submit_aperiodic(job, submit)
     trace = sim.run(until=system.horizon)
     if detector is not None:
         detector.finish(system.horizon)
@@ -519,9 +520,10 @@ def execute_system(
         monitored.finish_monitors(horizon_ns / NS_PER_UNIT)
         if monitored is not None else None
     )
+    jobs = server.jobs
+    server.close()
     return SystemResult(
-        metrics=server.run_metrics(), trace=trace, jobs=server.jobs,
-        report=report,
+        metrics=measure_run(jobs), trace=trace, jobs=jobs, report=report,
     )
 
 

@@ -41,17 +41,26 @@ class PriorityScheduler:
     def pick(self, eligible=None) -> RealtimeThread | None:
         """Highest priority, FIFO within a level; ``None`` when idle.
 
-        ``eligible`` optionally filters the ready set (the VM uses it to
-        exclude dispatchable-but-throttled processing-group members).
+        A thread :meth:`throttled` by its processing group stays ready
+        but is not picked.  ``eligible`` optionally filters the ready set
+        further.
         """
         best = None
         for thread in self._ready:
             if (
                 (best is None or thread.priority > best.priority)
+                and (thread.pgp is None or not self.throttled(thread))
                 and (eligible is None or eligible(thread))
             ):
                 best = thread
         return best
+
+    @staticmethod
+    def throttled(thread: RealtimeThread) -> bool:
+        """True while the thread's processing group is enforced and its
+        budget is exhausted: it may not run until the group replenishes."""
+        pgp = thread.pgp
+        return pgp is not None and pgp.enforced and pgp.exhausted
 
     def should_preempt(self, candidate: RealtimeThread,
                        running: RealtimeThread) -> bool:

@@ -116,6 +116,19 @@ class RealtimeThread(Schedulable):
         self.state = ThreadState.BLOCKED
         vm.schedule_thread_start(self, start_at)
 
+    def retire(self) -> None:
+        """Drop the logic and its suspended generator once the VM's run
+        is over (called by the VM).
+
+        The thread can never run again, and both close reference cycles
+        through whatever the logic captured (its server or handler holds
+        this thread).  Releasing the generator closes it, so its
+        ``finally`` blocks run, as they would when the cyclic collector
+        freed it.
+        """
+        self.logic = None  # type: ignore[assignment]
+        self._generator = None
+
     @property
     def instruction(self) -> Instruction | None:
         """The instruction currently being executed (a Compute when the

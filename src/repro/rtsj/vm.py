@@ -32,6 +32,8 @@ __all__ = ["RTSJVirtualMachine", "NS_PER_UNIT"]
 #: nanoseconds per trace/metric time unit (1 tu = 1 ms)
 NS_PER_UNIT = 1_000_000
 
+_READY = ThreadState.READY
+
 
 class RTSJVirtualMachine:
     """Deterministic virtual-time RTSJ runtime."""
@@ -181,7 +183,28 @@ class RTSJVirtualMachine:
 
         self.now_ns = min(self.now_ns, until_ns)
         self.trace.validate()
+        self._retire()
         return self.trace
+
+    def _retire(self) -> None:
+        """Drop what only the finished run needs.
+
+        A VM runs once, so its pending events can never fire and its
+        threads can never resume.  The events close over this VM and its
+        servers, each thread's logic and suspended generator hold the
+        thread's owner, and this VM's thread list and the scheduler's
+        ready set point at threads that point back at the VM: all of
+        them close reference cycles.  Dropping them lets reference
+        counting free the run instead of the cyclic collector.  Threads
+        keep their state and parameters; servers and the trace keep
+        their values.
+        """
+        self._events.clear()
+        for thread in self._threads:
+            thread.retire()
+            self.scheduler.remove(thread)
+        self._threads.clear()
+        self._running = None
 
     # -- internals ---------------------------------------------------------------------
 
@@ -207,7 +230,11 @@ class RTSJVirtualMachine:
         # at dispatch
 
     def _pick(self) -> RealtimeThread | None:
-        best = self.scheduler.pick(self._dispatchable)
+        # a ready thread is always parked on a Compute (see
+        # _make_dispatchable and _handle_instruction), so the scheduler's
+        # rule alone decides: no per-thread predicate is passed
+        scheduler = self.scheduler
+        best = scheduler.pick()
         if best is None:
             self._running = None
             return None
@@ -215,27 +242,15 @@ class RTSJVirtualMachine:
         if (
             current is not None
             and current is not best
-            and self._dispatchable(current)
-            and current.ready()
-            and not self.scheduler.should_preempt(best, current)
+            and current.state is _READY
+            and (current.pgp is None or not scheduler.throttled(current))
+            and not scheduler.should_preempt(best, current)
         ):
             best = current
         if best is not current and self.overhead.context_switch_ns:
             self.add_isr_time(self.overhead.context_switch_ns)
         self._running = best
         return best
-
-    def _dispatchable(self, thread: RealtimeThread) -> bool:
-        return (
-            isinstance(thread._instruction, Compute)
-            and self._eligible(thread)
-        )
-
-    def _eligible(self, thread: RealtimeThread) -> bool:
-        pgp = thread.pgp
-        if pgp is None or not pgp.enforced:
-            return True
-        return not pgp.exhausted
 
     def _execute_slice(self, thread: RealtimeThread, until_ns: int) -> None:
         instr = thread._instruction

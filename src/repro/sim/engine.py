@@ -102,28 +102,6 @@ class EventQueue:
             return heapq.heappop(self._heap)[4]
         return None
 
-    def pop_batch_due(
-        self, now: float
-    ) -> list[tuple[float, int, int, int, Callable[[float], None]]]:
-        """Drain every callback due at ``now`` in one heap pass.
-
-        Returns the full (time, order, suborder, seq, callback) entries in
-        execution order; entries a caller cannot run yet can be pushed
-        back verbatim with :meth:`push_entry`.
-        """
-        heap = self._heap
-        limit = now + EPS
-        due: list[tuple[float, int, int, int, Callable[[float], None]]] = []
-        while heap and heap[0][0] <= limit:
-            due.append(heapq.heappop(heap))
-        return due
-
-    def push_entry(
-        self, entry: tuple[float, int, int, int, Callable[[float], None]]
-    ) -> None:
-        """Return an entry obtained from :meth:`pop_batch_due` to the queue."""
-        heapq.heappush(self._heap, entry)
-
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -480,7 +458,23 @@ class Simulation:
         if finish_monitors is not None:
             finish_monitors(self.now)
         self.trace.validate()
+        self._retire()
         return self.trace
+
+    def _retire(self) -> None:
+        """Drop what only the finished run needs.
+
+        A simulation runs once, so its pending callbacks can never fire
+        and no entity will consult it again.  The callbacks (bound to
+        servers) and each entity's ``_sim`` link close reference cycles
+        with this kernel; cutting them lets reference counting free the
+        run instead of the cyclic collector.  Entities, jobs and the
+        trace keep their values.
+        """
+        self.queue._heap.clear()
+        for entity in self.entities:
+            if getattr(entity, "_sim", None) is self:
+                entity._sim = None  # type: ignore[attr-defined]
 
     def _run_main(self, until: float) -> None:
         """The decision loop (any policy, servers, enforcement).
@@ -535,26 +529,14 @@ class Simulation:
     # -- internals ----------------------------------------------------------
 
     def _drain_due_events(self) -> None:
-        queue = self.queue
-        heap = queue._heap
+        # one at a time: a callback may schedule a same-instant event
+        # that sorts before the other due entries, and it runs next
+        heap = self.queue._heap
         now = self.now
-        while True:
-            batch = queue.pop_batch_due(now)
-            if not batch:
-                return
-            i = 0
-            n = len(batch)
-            while i < n:
-                batch[i][4](now)
-                i += 1
-                # a callback may have scheduled a same-instant event that
-                # sorts before the remaining batch entries; push the rest
-                # back and re-drain so execution order stays identical to
-                # one-at-a-time popping
-                if i < n and heap and heap[0] < batch[i]:
-                    for entry in batch[i:]:
-                        queue.push_entry(entry)
-                    break
+        limit = now + EPS
+        heappop = heapq.heappop
+        while heap and heap[0][0] <= limit:
+            heappop(heap)[4](now)
 
     # -- ready index --------------------------------------------------------
 
@@ -566,7 +548,10 @@ class Simulation:
         reference scan: highest priority, first-registered on ties.  Any
         other policy — EDF, or a subclass or patched policy whose hooks
         the kernel cannot see through — keeps the reference
-        rebuild-and-select path.
+        rebuild-and-select path.  A system without indexable entities
+        (servers only, as every paper system) is indexed too: its index
+        stays empty and each decision polls the volatile entities, which
+        makes the reference scan's choice without building its list.
         """
         if self.kernel == "reference":
             return
@@ -580,8 +565,6 @@ class Simulation:
         ):
             return
         self._volatile = [e for e in self.entities if not e.kernel_indexable]
-        if all(not e.kernel_indexable for e in self.entities):
-            return
         self._indexed = True
         for entity in self.entities:
             if entity.kernel_indexable:
@@ -627,7 +610,7 @@ class Simulation:
                 return None
             candidate = self.policy.select(now, ready)
         else:
-            candidate = self._peek_indexed(now)
+            candidate = self._peek_indexed(now) if self._ready_heap else None
             for entity in self._volatile:
                 if entity.ready(now) and (
                     candidate is None

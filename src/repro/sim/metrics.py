@@ -118,18 +118,23 @@ def measure_run(jobs: list[AperiodicJob]) -> RunMetrics:
     order.  Interrupted jobs are those flagged by the execution arm's
     ``Timed`` budget enforcement; they count as released but not served.
     """
-    released = len(jobs)
-    served_jobs = [j for j in jobs if j.state is JobState.COMPLETED]
-    interrupted = sum(1 for j in jobs if j.interrupted)
+    completed = JobState.COMPLETED
+    interrupted = 0
     rts = []
-    for job in served_jobs:
-        rt = job.response_time
-        assert rt is not None, f"completed job {job.name} lacks finish time"
-        rts.append(rt)
+    for job in jobs:
+        if job.interrupted:
+            interrupted += 1
+        if job.state is completed:
+            finish = job.finish_time
+            assert finish is not None, (
+                f"completed job {job.name} lacks finish time"
+            )
+            # Job.response_time, read without the property call
+            rts.append(finish - job.release)
     avg = sum(rts) / len(rts) if rts else 0.0
     return RunMetrics(
-        released=released,
-        served=len(served_jobs),
+        released=len(jobs),
+        served=len(rts),
         interrupted=interrupted,
         average_response_time=avg,
         response_times=tuple(rts),

@@ -214,9 +214,10 @@ class AperiodicServer(Entity):
             return 0.0
         job = self.pending[0]
         base = min(job.remaining, self.capacity)
-        left = self._enforcement_left(job)
-        if left is not None:
-            base = min(base, max(left, 0.0))
+        if self.enforcement is not None:
+            left = self._enforcement_left(job)
+            if left is not None:
+                base = min(base, max(left, 0.0))
         return base
 
     def current_job_label(self) -> str | None:

@@ -19,7 +19,7 @@ from repro.experiments.scenarios import (
     TABLE1_SERVER,
     TABLE1_TASKS,
 )
-from repro.sim.engine import EventQueue, Simulation
+from repro.sim.engine import Simulation
 from repro.sim.schedulers.edf import EarliestDeadlineFirstPolicy
 from repro.sim.schedulers.fp import FixedPriorityPolicy
 from repro.sim.task import AperiodicJob, JobState
@@ -235,19 +235,6 @@ class TestSemanticIdentityFastPath:
 
 
 class TestEventQueueBatching:
-
-    def test_pop_batch_due_drains_in_heap_order(self):
-        queue = EventQueue()
-        fired = []
-        for order, tag in [(5, "c"), (0, "a"), (3, "b")]:
-            queue.schedule(1.0, lambda now, t=tag: fired.append(t), order)
-        queue.schedule(2.0, lambda now: fired.append("later"))
-        batch = queue.pop_batch_due(1.0)
-        assert [entry[1] for entry in batch] == [0, 3, 5]
-        for entry in batch:
-            entry[4](1.0)
-        assert fired == ["a", "b", "c"]
-        assert len(queue) == 1
 
     def test_same_instant_insertion_keeps_reference_order(self):
         """A due callback that schedules an *earlier-sorting* same-instant

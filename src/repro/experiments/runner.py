@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from ..overload import SHED_POLICIES as _SHED_POLICIES
@@ -291,22 +292,56 @@ def main(argv: list[str] | None = None) -> int:
     return _dispatch(args, parser)
 
 
+class _CollectorTally:
+    """What the cyclic collector did during a profiled run, per
+    generation: collections, objects collected and seconds spent inside
+    collections.  Installed in ``gc.callbacks``; it only observes."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.collected = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.collected[generation] += info["collected"]
+        self.seconds[generation] += time.perf_counter() - self._started
+
+    def line(self) -> str:
+        return "gc: " + "; ".join(
+            f"gen{g} {self.collections[g]} collections "
+            f"{self.collected[g]} collected {self.seconds[g] * 1e3:.2f} ms"
+            for g in range(3)
+        )
+
+
 def _run_profiled(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> int:
     """Run the selected target under cProfile and dump a pstats summary
-    of the hottest ``repro`` frames (sorted by total time)."""
+    of the hottest ``repro`` frames (sorted by total time), then one
+    line on the cyclic collector (see :class:`_CollectorTally`)."""
     import cProfile
+    import gc
     import pstats
 
     profiler = cProfile.Profile()
+    tally = _CollectorTally()
     status = 1
+    gc.callbacks.append(tally)
     try:
         status = profiler.runcall(_dispatch, args, parser)
     finally:
         profiler.disable()
+        gc.callbacks.remove(tally)
         print("\nprofile: hottest kernel frames (by total time)")
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.sort_stats("tottime").print_stats(r"repro[/\\]", 25)
+        print(tally.line())
     return status
 
 

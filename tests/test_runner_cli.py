@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import re
+
 import pytest
 
 from repro.experiments.runner import main
@@ -54,6 +57,22 @@ class TestRunnerTargets:
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["table9"])
+
+
+class TestProfileFlag:
+    def test_profile_reports_the_cyclic_collector(self, capsys):
+        callbacks = list(gc.callbacks)
+        assert main(["--profile", "table2"]) == 0
+        assert gc.callbacks == callbacks, "the collector tally stayed installed"
+        out = capsys.readouterr().out
+        assert "profile: hottest kernel frames" in out
+        lines = [line for line in out.splitlines() if line.startswith("gc: ")]
+        assert len(lines) == 1, out
+        generation = r"gen{} \d+ collections \d+ collected \d+\.\d\d ms"
+        assert re.fullmatch(
+            "gc: " + "; ".join(generation.format(g) for g in range(3)),
+            lines[0],
+        ), lines[0]
 
 
 class TestMulticoreTarget:

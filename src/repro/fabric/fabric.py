@@ -33,7 +33,12 @@ from pathlib import Path
 from ..faults.injectors import ExecutionSkew
 from ..overload.config import BreakerConfig
 from ..service.service import AdmissionService, DrainReport, ServiceConfig
-from ..sim.trace import ExecutionTrace, TraceEvent
+from ..sim.trace import (
+    ExecutionTrace,
+    TraceEvent,
+    in_time_order,
+    merge_in_time_order,
+)
 from .placement import SourcePlacement, place_sources
 from .router import ShardRouter
 from .supervisor import Supervisor, SupervisorConfig
@@ -70,6 +75,15 @@ class FabricConfig:
             raise ValueError(
                 f"reserve must be in [0, 1), got {self.reserve}"
             )
+
+
+def _tagged(events: list[TraceEvent], tag: str):
+    """One shard incarnation's plane in time order, each event copied
+    with ``tag`` appended to its detail."""
+    for at, index, event in in_time_order(events):
+        yield at, index, TraceEvent(
+            event.time, event.kind, event.subject, event.detail + tag
+        )
 
 
 @dataclass
@@ -221,26 +235,14 @@ class AdmissionFabric:
         with control-plane events last at equal instants — fully
         deterministic, so two runs of the same seed merge identically.
         """
-        feed: list[tuple[float, int, int, int, TraceEvent]] = []
-        for shard in self.shards:
-            for incarnation, service in enumerate(shard.incarnations):
-                tag = f" [shard-{shard.index}]"
-                for seq, event in enumerate(service.trace.events):
-                    feed.append((
-                        event.time, shard.index, incarnation, seq,
-                        TraceEvent(
-                            event.time, event.kind, event.subject,
-                            event.detail + tag,
-                        ),
-                    ))
-        fabric_rank = len(self.shards)
-        for seq, event in enumerate(self.trace.events):
-            feed.append((event.time, fabric_rank, 0, seq, event))
+        planes = [
+            _tagged(service.trace.events, f" [shard-{shard.index}]")
+            for shard in self.shards for service in shard.incarnations
+        ]
+        planes.append(in_time_order(self.trace.events))
         merged = ExecutionTrace()
         merged.events = [
-            event for _t, _s, _i, _q, event in sorted(
-                feed, key=lambda entry: entry[:4]
-            )
+            event for _t, _i, event in merge_in_time_order(planes)
         ]
         return merged
 

@@ -66,7 +66,12 @@ from repro.service import (
     WallClock,
 )
 from repro.service.clock import ClockPause
-from repro.sim.trace import ExecutionTrace, TraceEvent, TraceEventKind
+from repro.sim.trace import (
+    ExecutionTrace,
+    TraceEventKind,
+    in_time_order,
+    merge_in_time_order,
+)
 
 from .protocol import (
     HEADER_BYTES,
@@ -591,23 +596,19 @@ class AdmissionGateway:
 
         Ordering is (time, plane, incarnation, append order) with the
         gateway plane last at equal instants — the same deterministic
-        merge discipline as the fabric's.
+        merge discipline as the fabric's.  Each plane is sorted on its
+        own, since a service records a release at its dispatch stamp
+        after completions it recorded later, and the planes are merged
+        without copying their records.
         """
-        feed: list[tuple[float, int, int, int, TraceEvent]] = []
-        services = [
-            s.trace for s in (*self.archived_services, self.service)
+        planes = [
+            s.trace.events for s in (*self.archived_services, self.service)
         ]
-        for incarnation, trace in enumerate(services):
-            for seq, event in enumerate(trace.events):
-                feed.append((event.time, 0, incarnation, seq, event))
-        gateway_planes = [*self.archived_traces, self.trace]
-        for incarnation, trace in enumerate(gateway_planes):
-            for seq, event in enumerate(trace.events):
-                feed.append((event.time, 1, incarnation, seq, event))
+        planes += [t.events for t in (*self.archived_traces, self.trace)]
         merged = ExecutionTrace()
         merged.events = [
-            event for _t, _p, _i, _q, event in sorted(
-                feed, key=lambda entry: entry[:4]
+            event for _t, _i, event in merge_in_time_order(
+                map(in_time_order, planes)
             )
         ]
         return merged

@@ -10,8 +10,13 @@ module work identically on either.
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 import math
+import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 __all__ = [
     "TraceEventKind",
@@ -19,9 +24,12 @@ __all__ = [
     "Segment",
     "ExecutionTrace",
     "CheckOnlyTrace",
+    "in_time_order",
+    "merge_in_time_order",
 ]
 
 _EPS = 1e-9
+_T = TypeVar("_T")
 
 
 class TraceEventKind(enum.Enum):
@@ -61,7 +69,7 @@ class TraceEventKind(enum.Enum):
     GATEWAY_RESTORED = "gateway_restored"  # gateway replayed its journal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One point event: (time, kind, subject, free-form detail)."""
 
@@ -75,7 +83,7 @@ class TraceEvent:
             raise ValueError(f"event time must be >= 0, got {self.time}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A half-open processor interval [start, end) executed by ``entity``.
 
@@ -100,6 +108,39 @@ class Segment:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+_event_time = operator.attrgetter("time")
+_first = operator.itemgetter(0)
+
+
+def in_time_order(
+    items: Sequence[_T], key: Callable[[_T], float] = _event_time,
+) -> Iterator[tuple[float, int, _T]]:
+    """``(key(item), index, item)`` for each of ``items``, in key order.
+
+    Equal keys keep their index order.  A sequence already in order is
+    walked in place; any other is visited through a sorted list of its
+    indices.  Neither copies a record.
+    """
+    ahead, behind = itertools.tee(map(key, items))
+    next(ahead, None)
+    if not any(map(operator.lt, ahead, behind)):
+        return zip(map(key, items), itertools.count(), items)
+    order = sorted(range(len(items)), key=lambda index: key(items[index]))
+    return ((key(items[index]), index, items[index]) for index in order)
+
+
+def merge_in_time_order(
+    planes: Iterable[Iterable[tuple[float, int, _T]]],
+) -> Iterator[tuple[float, int, _T]]:
+    """Merge :func:`in_time_order` streams into one, lazily, by key.
+
+    At equal keys the earlier plane comes first, then index order, so
+    the result is the order of sorting every record by ``(key, plane,
+    index)``, without building that list.
+    """
+    return heapq.merge(*planes, key=_first)
 
 
 class ExecutionTrace:

@@ -52,9 +52,14 @@ class FabricProtocolMonitor(TraceMonitor):
     def __init__(self, replan_window: float = 50.0) -> None:
         super().__init__()
         self.replan_window = replan_window
-        #: request id -> (release time, hard, shard)
-        self._released: dict[str, tuple[float, bool, int | None]] = {}
-        self._terminals: dict[str, list[tuple[str, float, int]]] = {}
+        #: request id -> the RELEASE that admitted it (its time, its
+        #: ``hard`` detail and its shard tag are read off the event)
+        self._released: dict[str, TraceEvent] = {}
+        #: request id -> its terminal as (kind, time, index), or a list
+        #: of them once a second one arrives
+        self._terminals: dict[
+            str, tuple[str, float, int] | list[tuple[str, float, int]]
+        ] = {}
         #: per-shard last divergence/mode-change instant
         self._last_divergence: dict[int | None, float] = {}
         self._down: set[str] = set()
@@ -72,12 +77,17 @@ class FabricProtocolMonitor(TraceMonitor):
                     "shard",
                     witness=(index,),
                 )
-            self._terminals.setdefault(event.subject, []).append(
-                (kind.value, event.time, index)
-            )
+            terminal = (kind.value, event.time, index)
+            seen = self._terminals.get(event.subject)
+            if seen is None:
+                self._terminals[event.subject] = terminal
+            elif isinstance(seen, list):
+                seen.append(terminal)
+            else:
+                self._terminals[event.subject] = [seen, terminal]
         elif kind is TraceEventKind.DEADLINE_MISS:
             released = self._released.get(event.subject)
-            if released is not None and released[1]:
+            if released is not None and "hard" in released.detail:
                 self.report.record(
                     "hard-deadline-miss", event.time, (event.subject,),
                     "a hard request missed its deadline instead of being "
@@ -126,13 +136,11 @@ class FabricProtocolMonitor(TraceMonitor):
                     "restore resumed a request no shard ever admitted",
                     witness=(index,),
                 )
-                self._released[rid] = (
-                    event.time, "hard" in event.detail, _shard_of(event)
-                )
+                self._released[rid] = event
             return
         if rid in self._released:
             shard = _shard_of(event)
-            origin = self._released[rid][2]
+            origin = _shard_of(self._released[rid])
             where = (
                 f"shard-{origin} and shard-{shard}"
                 if origin != shard else f"shard-{shard} twice"
@@ -144,9 +152,7 @@ class FabricProtocolMonitor(TraceMonitor):
                 witness=(index,),
             )
             return
-        self._released[rid] = (
-            event.time, "hard" in event.detail, _shard_of(event)
-        )
+        self._released[rid] = event
 
     def _on_replan(self, index: int, event: TraceEvent) -> None:
         level = event.detail.split()[0] if event.detail else ""
@@ -163,7 +169,7 @@ class FabricProtocolMonitor(TraceMonitor):
 
     def finish(self, horizon: float) -> None:
         for subject, terminals in self._terminals.items():
-            if len(terminals) > 1:
+            if isinstance(terminals, list):
                 kinds = "+".join(kind for kind, _t, _i in terminals)
                 self.report.record(
                     "duplicate-terminal", terminals[1][1], (subject,),
@@ -171,10 +177,11 @@ class FabricProtocolMonitor(TraceMonitor):
                     "fabric",
                     witness=tuple(i for _k, _t, i in terminals),
                 )
-        for subject, (released_at, _hard, shard) in self._released.items():
+        for subject, release in self._released.items():
             if subject not in self._terminals:
                 self.report.record(
                     "silently-dropped", horizon, (subject,),
-                    f"admitted at {released_at:g} on shard-{shard} but "
+                    f"admitted at {release.time:g} on "
+                    f"shard-{_shard_of(release)} but "
                     "neither completed nor shed by the horizon",
                 )

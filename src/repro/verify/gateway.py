@@ -46,7 +46,8 @@ class GatewayProtocolMonitor(TraceMonitor):
         super().__init__()
         self._ingests: dict[str, int] = {}
         self._responses: dict[str, int] = {}
-        self._first_decision: dict[str, str] = {}
+        #: ids whose first answer was ``admit``, in answer order
+        self._answered_admit: list[str] = []
         self._released: set[str] = set()
         self._last_stamp: float | None = None
         self._drained_at: float | None = None
@@ -124,9 +125,11 @@ class GatewayProtocolMonitor(TraceMonitor):
                         witness=(index,),
                     )
             return
-        self._responses[rid] = self._responses.get(rid, 0) + 1
-        self._first_decision.setdefault(rid, decision)
-        if self._responses[rid] > self._ingests.get(rid, 0):
+        answered = self._responses.get(rid, 0) + 1
+        self._responses[rid] = answered
+        if answered == 1 and decision == "admit":
+            self._answered_admit.append(rid)
+        if answered > self._ingests.get(rid, 0):
             self.report.record(
                 "response-without-ingest", event.time, (rid,),
                 "more responses than ingested frames for this id",
@@ -142,8 +145,8 @@ class GatewayProtocolMonitor(TraceMonitor):
                     f"{count} frame(s) ingested but {answered} answered "
                     "— a frame was dropped without a decision",
                 )
-        for rid, decision in self._first_decision.items():
-            if decision == "admit" and rid not in self._released:
+        for rid in self._answered_admit:
+            if rid not in self._released:
                 self.report.record(
                     "admit-without-release", horizon, (rid,),
                     "the gateway answered admit but the backend never "

@@ -17,6 +17,7 @@ introspection required.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from ..sim.trace import (
@@ -24,6 +25,8 @@ from ..sim.trace import (
     Segment,
     TraceEvent,
     TraceEventKind,
+    in_time_order,
+    merge_in_time_order,
 )
 from .violations import VerificationReport
 
@@ -51,6 +54,8 @@ _TERMINAL_KINDS = (
     TraceEventKind.ABORT,
     TraceEventKind.SHED,
 )
+
+_segment_end = operator.attrgetter("end")
 
 _CAPACITY_RE = re.compile(r"capacity=([-+0-9.eE]+)")
 _BREAKER_SHED_RE = re.compile(r"breaker open \((.+)\)")
@@ -205,17 +210,17 @@ def run_monitors(trace: ExecutionTrace, monitors: list[TraceMonitor],
     it *ends* and events are drained before the slice starting at the
     same instant begins, so at equal timestamps segments (keyed by their
     end) come before events (keyed by their time) — the order a live
-    :class:`MonitoredTrace` would have seen.
+    :class:`MonitoredTrace` would have seen.  Both sequences are merged
+    in place, without a copy of either.
     """
     report = VerificationReport()
     for monitor in monitors:
         monitor.bind(report, trace)
-    feed: list[tuple[float, int, int, object]] = []
-    for i, segment in enumerate(trace.segments):
-        feed.append((segment.end, 0, i, segment))
-    for i, event in enumerate(trace.events):
-        feed.append((event.time, 1, i, event))
-    for _, _, index, item in sorted(feed, key=lambda entry: entry[:3]):
+    feed = merge_in_time_order((
+        in_time_order(trace.segments, _segment_end),
+        in_time_order(trace.events),
+    ))
+    for _, index, item in feed:
         if isinstance(item, Segment):
             for monitor in monitors:
                 monitor.on_slice(item.start, item.end, item.entity,

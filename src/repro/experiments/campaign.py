@@ -371,6 +371,7 @@ def simulate_system(system: GeneratedSystem,
     trace = sim.run(until=system.horizon)
     if detector is not None:
         detector.finish(system.horizon)
+        detector.close()
     report = (
         trace.finish_monitors(system.horizon) if monitors is not None
         else None
@@ -516,6 +517,7 @@ def execute_system(
     trace = vm.run(horizon_ns)
     if detector is not None:
         detector.finish(horizon_ns / NS_PER_UNIT)
+        detector.close()
     report = (
         monitored.finish_monitors(horizon_ns / NS_PER_UNIT)
         if monitored is not None else None

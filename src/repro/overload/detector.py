@@ -151,6 +151,12 @@ class OverloadDetector:
             self.time_in_degraded += max(0.0, now - self._degraded_since)
             self._degraded_since = now
 
+    def close(self) -> None:
+        """Drop the actions once :meth:`finish` has run.  They reach the
+        servers or the service that hold this detector, so a finished
+        run then frees by reference counting."""
+        self.actions.clear()
+
     # -- internals ---------------------------------------------------------
 
     def _signal(self, now: float) -> None:

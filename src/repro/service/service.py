@@ -779,6 +779,7 @@ class AdmissionService:
         at = horizon if horizon is not None else self.clock.now()
         if self.detector is not None:
             self.detector.finish(at)
+            self.detector.close()
         if hasattr(self.trace, "finish_monitors"):
             return self.trace.finish_monitors(at)
         return None

@@ -353,6 +353,7 @@ def run_multicore_system(
     trace = sim.run(until=system.horizon)
     if detector is not None:
         detector.finish(system.horizon)
+        detector.close()
     metrics = measure_multicore_run(
         jobs, trace, n_cores, system.horizon, core_of_job=core_of_job,
     )

@@ -186,11 +186,15 @@ class MonitoredTrace(ExecutionTrace):
 
         Each violation is additionally stamped onto the trace as a
         VIOLATION point event, so the failing window shows up on the
-        Gantt renderings."""
+        Gantt renderings.  A finished monitor drops its link to the
+        trace, which lists it, so a verified run frees by reference
+        counting."""
         if not self._finished:
             self._finished = True
             for monitor in self.monitors:
                 monitor.finish(horizon)
+            for monitor in self.monitors:
+                monitor.trace = None
             for violation in self.report.violations:
                 ExecutionTrace.add_event(
                     self, max(violation.time, 0.0),

@@ -3,17 +3,30 @@
 When a run ends, each kernel drops what only the run needed (its event
 heap and, on the VM, its threads' suspended generators) and
 ``execute_system`` closes its server once it has read the jobs.  So a
-campaign leaves the cyclic collector nothing to find.  Each case runs
-with the collector off and counts what ``gc.collect()`` finds after it.
+campaign leaves the cyclic collector nothing to find.  Verified runs,
+overload runs and service storms free theirs too: finished monitors
+drop their trace, and a finished overload detector drops its actions,
+which link back to the servers or the service that own it.  Each case
+runs with the collector off and counts what ``gc.collect()`` finds
+after it.
 """
 
 from __future__ import annotations
 
 import gc
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.campaign import ARMS, _run_arm, run_campaign
+from repro.experiments.campaign import (
+    ARMS,
+    _run_arm,
+    execute_system,
+    run_campaign,
+    run_overload_campaign,
+    simulate_system,
+)
+from repro.service import StormConfig, run_service_storm
 from repro.workload import PAPER_SETS, RandomSystemGenerator
 
 
@@ -47,3 +60,38 @@ def test_runs_of_one_arm_leave_no_cycles(arm):
 def test_campaign_of_one_set_leaves_no_cycles(set_index):
     sets = (PAPER_SETS[set_index],)
     assert _cyclic_garbage_of(lambda: run_campaign(sets=sets)) == 0
+
+
+def test_verified_simulations_leave_no_cycles():
+    systems = RandomSystemGenerator(PAPER_SETS[5]).generate()
+
+    def runs():
+        for system in systems:
+            assert simulate_system(system, "polling", verify=True).report.ok
+
+    assert _cyclic_garbage_of(runs) == 0
+
+
+def test_verified_executions_leave_no_cycles():
+    systems = RandomSystemGenerator(PAPER_SETS[5]).generate()
+
+    def runs():
+        for system in systems:
+            result = execute_system(system, "deferrable", verify=True)
+            assert result.report.ok
+
+    assert _cyclic_garbage_of(runs) == 0
+
+
+def test_overload_campaign_leaves_no_cycles():
+    sets = tuple(replace(params, nb_generation=2) for params in PAPER_SETS[:2])
+    assert _cyclic_garbage_of(lambda: run_overload_campaign(sets=sets)) == 0
+
+
+def test_skewed_service_storm_leaves_no_cycles():
+    # the skew of the benchmark's admission_storm workload
+    config = StormConfig(seed=1983, drift_ppm=40000.0, overrun_factor=1.6,
+                         overrun_probability=0.5)
+    assert _cyclic_garbage_of(
+        lambda: run_service_storm(config).clean
+    ) == 0

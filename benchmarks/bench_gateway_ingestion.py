@@ -14,7 +14,13 @@ Not a paper table — these pin the PR 9 wall-clock ingestion path:
   service rejects outright (no executor, no journal) through an
   in-process gateway, and ``extra_info["loop_turns_per_request"]``
   records the event-loop turns per round trip, client and server
-  together, counted by a selector that tallies its polls.
+  together, counted by a selector that tallies its polls;
+* ``bench_gateway_finish_sweep`` — the shutdown verification sweep
+  (``AdmissionGateway.finish``: merge the planes, replay them through
+  the protocol monitors) over a fixed synthetic timeline of
+  ``SWEEP_REQUESTS`` served requests, 44,000 events, and
+  ``extra_info["finish_peak_bytes_per_event"]``: tracemalloc's traced
+  peak inside one ``finish()``, per merged event.
 
 The ratio guard in ``BENCH_engine.json``, checked by the
 ``gateway-soak`` CI job, holds the socket/direct median ratio: the
@@ -25,7 +31,9 @@ portable across machines; the absolute milliseconds are not.  The
 edge's turn count is a count of work, not a time: no wall-clock timer
 fires during the run (the clock watchdog and the service heartbeat
 are set far beyond it), so it repeats exactly on any host, and a count
-guard holds it.
+guard holds it.  So does the sweep's peak, a count of bytes the
+program asks for, which repeats exactly on any host and on CPython
+3.11, 3.12 and 3.13.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro.gateway import (
@@ -50,6 +59,7 @@ from repro.service import (
     TwinConfig,
     WallClock,
 )
+from repro.sim.trace import TraceEventKind
 
 from loop_turns import count_loop_turns
 
@@ -181,4 +191,57 @@ def bench_gateway_edge_turns(benchmark):
     assert rejected == SUBMITS
     benchmark.extra_info["loop_turns_per_request"] = round(
         turns / SUBMITS, 3
+    )
+
+
+SWEEP_REQUESTS = 10_000
+
+
+def _served_gateway(directory: str) -> AdmissionGateway:
+    """An unstarted gateway whose planes hold SWEEP_REQUESTS served
+    requests, one every 0.25 tu: an INGEST and a RESPONSE each on the
+    gateway plane; four in five admitted, each with a RELEASE at its
+    stamp and a COMPLETION and a RECONCILE 0.4 tu later on the service
+    plane.  So, as on a serving gateway, each release lands after the
+    previous request's completion, out of time order."""
+    gateway = AdmissionGateway(
+        GatewayConfig(unix_path=str(Path(directory) / "gw.sock")), CONFIG,
+    )
+    edge, service = gateway.trace, gateway.service.trace
+    for i in range(SWEEP_REQUESTS):
+        rid, stamp = f"req-{i:05d}", i * 0.25
+        admitted = i % 5 != 4
+        edge.add_event(stamp, TraceEventKind.INGEST, rid, f"stamp={stamp:g}")
+        edge.add_event(stamp, TraceEventKind.RESPONSE, rid,
+                       "admit" if admitted else "reject_deadline")
+        if admitted:
+            done = stamp + 0.4
+            service.add_event(stamp, TraceEventKind.RELEASE, rid,
+                              f"cost=0.4 deadline={stamp + 5:g} hard")
+            service.add_event(done, TraceEventKind.COMPLETION, rid,
+                              f"actual=0.4 promised={done:g}")
+            service.add_event(done, TraceEventKind.RECONCILE, rid,
+                              "served=0.4 declared=0.4 drift~0.000")
+    return gateway
+
+
+def bench_gateway_finish_sweep(benchmark):
+    """The shutdown sweep over SWEEP_REQUESTS served requests, with
+    its traced memory peak per merged event taken after the timed
+    rounds."""
+    horizon = SWEEP_REQUESTS * 0.25 + 1.0
+    with tempfile.TemporaryDirectory() as tmp:
+        gateway = _served_gateway(tmp)
+        report, merged = benchmark(gateway.finish, horizon=horizon)
+        assert report.ok and len(merged.events) == 44_000
+        del report, merged
+        tracemalloc.start()
+        try:
+            report, merged = gateway.finish(horizon=horizon)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert report.ok
+    benchmark.extra_info["finish_peak_bytes_per_event"] = round(
+        peak / len(merged.events), 2
     )

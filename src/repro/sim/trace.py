@@ -123,9 +123,9 @@ def in_time_order(
     walked in place; any other is visited through a sorted list of its
     indices.  Neither copies a record.
     """
-    ahead, behind = itertools.tee(map(key, items))
-    next(ahead, None)
-    if not any(map(operator.lt, ahead, behind)):
+    later, earlier = itertools.tee(map(key, items))
+    next(later, None)
+    if not any(map(operator.lt, later, earlier)):
         return zip(map(key, items), itertools.count(), items)
     order = sorted(range(len(items)), key=lambda index: key(items[index]))
     return ((key(items[index]), index, items[index]) for index in order)

@@ -246,7 +246,10 @@ RECORDS = (
 )
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=repr)
+@pytest.mark.parametrize(
+    "record", RECORDS,
+    ids=["event", "event-no-detail", "segment-on-core", "segment"],
+)
 def test_records_survive_pickle_copy_replace_and_hash(record):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         clone = pickle.loads(pickle.dumps(record, protocol))

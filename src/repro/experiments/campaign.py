@@ -408,7 +408,7 @@ def execute_system(
     ``ValueError``.
     """
     _check_trace_mode(trace_mode, verify)
-    monitored = None
+    verified_trace = None
     if verify:
         # the VM charges ISR/dispatch overheads and its servers are
         # non-resumable, so only the scheduling-agnostic monitors apply
@@ -420,7 +420,7 @@ def execute_system(
             ReleaseAccountingMonitor,
         )
 
-        monitored = MonitoredTrace([
+        verified_trace = MonitoredTrace([
             NonOverlapMonitor(),
             MonotoneClockMonitor(),
             BreakerMonitor(),
@@ -430,7 +430,7 @@ def execute_system(
         overhead=overhead if overhead is not None else OverheadModel(),
         timer_drift_ppm=timer_drift_ppm,
         trace=(
-            monitored if monitored is not None
+            verified_trace if verified_trace is not None
             else CheckOnlyTrace() if trace_mode == "check" else None
         ),
     )
@@ -519,8 +519,8 @@ def execute_system(
         detector.finish(horizon_ns / NS_PER_UNIT)
         detector.close()
     report = (
-        monitored.finish_monitors(horizon_ns / NS_PER_UNIT)
-        if monitored is not None else None
+        verified_trace.finish_monitors(horizon_ns / NS_PER_UNIT)
+        if verified_trace is not None else None
     )
     jobs = server.jobs
     server.close()

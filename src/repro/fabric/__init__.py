@@ -13,7 +13,7 @@ horizontally:
   restore;
 * :mod:`repro.fabric.fabric` — :class:`AdmissionFabric` composing the
   shards, router, and supervisor on one shared clock, with merged-trace
-  verification via :class:`~repro.verify.fabric.FabricProtocolMonitor`;
+  verification via :class:`~repro.verify.admission.AdmissionProtocolMonitor`;
 * :mod:`repro.fabric.storm` — the kill-the-shard chaos storm.
 """
 

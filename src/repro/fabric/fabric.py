@@ -15,11 +15,11 @@ shard-per-core admission plane:
   plane (heartbeats → ``SHARD_DOWN`` → failover → checkpoint restore →
   ``SHARD_RESTORED``).
 
-Shards run **unmonitored**; verification happens at the fabric level:
+Verification happens at the fabric level, after the run:
 :meth:`merged_trace` interleaves every incarnation's events (shard
 attribution as a ``[shard-k]`` detail suffix) with the fabric's own
-control-plane events, and :meth:`finish` replays the merge through the
-:class:`~repro.verify.fabric.FabricProtocolMonitor` — exactly one
+control-plane events, and :meth:`finish` sweeps the merge with the
+:class:`~repro.verify.admission.AdmissionProtocolMonitor` — exactly one
 terminal per admitted request *across shard boundaries*, no double
 admission through failover, hard deadlines met or explicitly SHED.
 """
@@ -27,7 +27,7 @@ admission through failover, hard deadlines met or explicitly SHED.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..faults.injectors import ExecutionSkew
@@ -117,9 +117,7 @@ class AdmissionFabric:
     ) -> None:
         from ..service.clock import VirtualClock
         self.config = config
-        # shards run unmonitored: the fabric verifies the *merged* feed
-        # post-hoc (a per-shard live monitor would mis-read failover)
-        self.shard_config = replace(shard_config, monitored=False)
+        self.shard_config = shard_config
         self.clock = (
             clock if clock is not None else VirtualClock(shard_config.start)
         )
@@ -250,7 +248,7 @@ class AdmissionFabric:
         """Close the books: per-shard detector accounting plus the
         fabric-level monitor sweep over the merged timeline.  Returns
         ``(report, merged_trace)``."""
-        from ..verify.fabric import FabricProtocolMonitor
+        from ..verify.admission import AdmissionProtocolMonitor
         from ..verify.invariants import run_monitors
         at = horizon if horizon is not None else self.clock.now()
         for shard in self.shards:
@@ -259,7 +257,7 @@ class AdmissionFabric:
         merged = self.merged_trace()
         report = run_monitors(
             merged,
-            [FabricProtocolMonitor(
+            [AdmissionProtocolMonitor(
                 replan_window=self.shard_config.replan_window,
             )],
             horizon=at,

@@ -11,7 +11,7 @@ capacity, and restores it from the write-ahead checkpoint after the
 restart delay.
 
 The report's pass criteria mirror the acceptance bar: zero
-:class:`~repro.verify.fabric.FabricProtocolMonitor` violations on the
+:class:`~repro.verify.admission.AdmissionProtocolMonitor` violations on the
 merged cross-shard timeline, zero double-admitted request ids, and
 every hard-deadline request either met or explicitly SHED.  A
 single-shard unsupervised fabric replays the plain service storm

@@ -183,9 +183,7 @@ class AdmissionGateway:
         _service: AdmissionService | None = None,
     ) -> None:
         self.config = config
-        # the backend runs unmonitored: the gateway verifies the merged
-        # feed post-hoc, exactly like the fabric does with its shards
-        self.service_config = replace(service_config, monitored=False)
+        self.service_config = service_config
         self.clock = clock if clock is not None else WallClock()
         self.seed = seed
         if _service is None:
@@ -305,8 +303,7 @@ class AdmissionGateway:
         resume_at = max(last_stamp, last_checkpoint) + _RESUME_SLACK
         clock = WallClock(scale=scale, start=resume_at).anchor()
         service = await AdmissionService.restore(
-            checkpoint_path, config=replace(service_config, monitored=False),
-            clock=clock, skew=skew,
+            checkpoint_path, config=service_config, clock=clock, skew=skew,
         )
         gateway = cls(
             config, service_config, clock=clock, seed=seed,
@@ -619,18 +616,17 @@ class AdmissionGateway:
         Returns ``(report, merged_trace)``; the report carries every
         protocol-monitor violation (empty = clean).
         """
-        from repro.verify.fabric import FabricProtocolMonitor
+        from repro.verify.admission import AdmissionProtocolMonitor
         from repro.verify.gateway import GatewayProtocolMonitor
         from repro.verify.invariants import run_monitors
 
         at = horizon if horizon is not None else self.clock.now()
         merged = self.merged_trace()
-        # the fabric monitor (not the per-service one) understands
-        # resumed RELEASEs across incarnations — a restore drill's
-        # re-announcements are legal, not duplicate admissions
+        # the merge holds every incarnation, so a restore drill's
+        # resumed RELEASEs follow their original admissions
         monitors = [
             GatewayProtocolMonitor(),
-            FabricProtocolMonitor(
+            AdmissionProtocolMonitor(
                 replan_window=self.service_config.replan_window
             ),
         ]

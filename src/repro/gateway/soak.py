@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.service import (
@@ -76,7 +76,6 @@ def default_gateway_service_config(
         capacity=capacity, period=period,
         breaker=None, detector=None, queue_bound=256,
         twin=TwinConfig(heartbeat=1e9),
-        monitored=False,
     )
 
 
@@ -230,9 +229,7 @@ async def _control_replay_async(
     journal_ops: list[dict], service_config: ServiceConfig, seed: int,
 ) -> tuple[dict[str, tuple[str, str | None]], AdmissionService]:
     clock = VirtualClock(start=service_config.start)
-    service = AdmissionService(
-        replace(service_config, monitored=False), clock=clock, seed=seed,
-    )
+    service = AdmissionService(service_config, clock=clock, seed=seed)
     await service.start()
     first: dict[str, AdmissionTicket] = {}
     for op in journal_ops:

@@ -15,21 +15,15 @@ long-running asyncio server:
   against actual execution, with the divergence taxonomy;
 * :mod:`repro.service.checkpoint` — write-ahead JSONL op log and its
   replay (restart-identical twin state);
-* :mod:`repro.service.monitors` — the service-protocol runtime monitor
-  on the PR 4 machinery;
 * :mod:`repro.service.service` — the :class:`AdmissionService` itself
-  plus the well-behaved :class:`ServiceClient`;
+  plus the well-behaved :class:`ServiceClient`; its ``finish()`` sweeps
+  the trace with :class:`~repro.verify.admission.AdmissionProtocolMonitor`;
 * :mod:`repro.service.storm` — the seeded Poisson-storm harness.
 """
 
 from .backoff import DEFAULT_BACKOFF, BackoffPolicy
 from .checkpoint import CheckpointError, CheckpointLog, replay_ops
 from .clock import ClockPause, VirtualClock, WallClock
-from .monitors import (
-    ServiceProtocolMonitor,
-    monitored_service_trace,
-    monitors_for_service,
-)
 from .planner import IncrementalPlanner, PlannedJob, RepairResult
 from .requests import (
     RETRYABLE,
@@ -82,15 +76,12 @@ __all__ = [
     "RepairResult",
     "ServiceClient",
     "ServiceConfig",
-    "ServiceProtocolMonitor",
     "StormConfig",
     "StormReport",
     "TwinConfig",
     "VirtualClock",
     "WallClock",
     "default_storm_service_config",
-    "monitored_service_trace",
-    "monitors_for_service",
     "replay_ops",
     "run_service_storm",
 ]

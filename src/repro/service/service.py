@@ -38,7 +38,6 @@ from ..overload.detector import OverloadDetector
 from ..sim.trace import ExecutionTrace, TraceEventKind
 from .checkpoint import CheckpointError, CheckpointLog, replay_ops
 from .clock import VirtualClock
-from .monitors import monitored_service_trace
 from .planner import IncrementalPlanner
 from .requests import AdmissionTicket, Decision, EventRequest, IdempotencyCache
 from .twin import BUDGET_DRIFT, DigitalTwin, Divergence, TwinConfig
@@ -75,7 +74,6 @@ class ServiceConfig:
     replan_window: float = 50.0
     max_replans_per_window: int = 16
     idempotency_entries: int = 4096
-    monitored: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -137,10 +135,7 @@ class AdmissionService:
         self.clock = clock if clock is not None else VirtualClock(config.start)
         self.skew = skew
         self.seed = seed
-        self.trace: ExecutionTrace = (
-            monitored_service_trace(replan_window=config.replan_window)
-            if config.monitored else ExecutionTrace()
-        )
+        self.trace = ExecutionTrace()
         self.log: CheckpointLog | None = (
             CheckpointLog(checkpoint_path) if checkpoint_path else None
         )
@@ -181,6 +176,8 @@ class AdmissionService:
         self._self_degraded = False     # entered by replan-budget escalation
         self._replan_times: list[float] = []
         self._last_divergence_at: float | None = None
+        #: ids re-announced from a replayed checkpoint by :meth:`start`
+        self._resumed: list[str] = []
         #: wall-clock seconds per repair (benchmark signal)
         self.replan_latencies: list[float] = []
         self.replans_suppressed = 0
@@ -201,8 +198,9 @@ class AdmissionService:
         for rid, job in sorted(self.planner.jobs.items()):
             if rid not in self._requests:
                 # a job resumed from the checkpoint: re-announce it so
-                # the fresh trace's monitors see its admission
+                # the fresh trace records its admission
                 self._requests[rid] = job.request
+                self._resumed.append(rid)
                 self.trace.add_event(
                     now, TraceEventKind.RELEASE, rid,
                     detail=f"resumed cost={job.request.cost:g} "
@@ -773,16 +771,33 @@ class AdmissionService:
             self.log.append(op)
 
     def finish(self, horizon: float | None = None):
-        """Close the books: detector accounting plus the monitor sweep.
-        Returns the :class:`~repro.verify.violations.VerificationReport`
-        (``None`` when running unmonitored)."""
+        """Close the books: detector accounting, then the verification
+        sweep over the trace.  Returns the
+        :class:`~repro.verify.violations.VerificationReport`."""
+        from ..verify.admission import AdmissionProtocolMonitor
+        from ..verify.invariants import (
+            BreakerMonitor,
+            MonotoneClockMonitor,
+            run_monitors,
+        )
         at = horizon if horizon is not None else self.clock.now()
         if self.detector is not None:
             self.detector.finish(at)
             self.detector.close()
-        if hasattr(self.trace, "finish_monitors"):
-            return self.trace.finish_monitors(at)
-        return None
+        report = run_monitors(self.trace, [
+            BreakerMonitor(),
+            AdmissionProtocolMonitor(
+                replan_window=self.config.replan_window,
+                admitted_before=self._resumed,
+            ),
+        ], horizon=at)
+        # run_monitors visits the trace in time order, so the clock
+        # check reads it as recorded
+        clock = MonotoneClockMonitor()
+        clock.bind(report, self.trace)
+        for index, event in enumerate(self.trace.events):
+            clock.on_event(index, event)
+        return report
 
     def metrics(self) -> dict:
         """JSON-ready operational counters."""

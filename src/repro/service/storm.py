@@ -308,6 +308,5 @@ def run_service_storm(
         report.mode_at_end = service.detector.mode
     if not report.killed:
         verification = service.finish(report.horizon)
-        if verification is not None:
-            report.violations = [str(v) for v in verification.violations]
+        report.violations = [str(v) for v in verification.violations]
     return report

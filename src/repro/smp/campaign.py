@@ -142,7 +142,7 @@ class MulticoreSystemResult:
     partition: Partition | None = None
     #: the run's aperiodic job records (overload reports read these)
     jobs: list[AperiodicJob] = field(default_factory=list)
-    #: verification outcome when the run was monitored (``verify=True``)
+    #: verification outcome when the run was verified (``verify=True``)
     report: "VerificationReport | None" = None
 
 

@@ -7,6 +7,9 @@ Turns every simulation or emulated execution into a self-checking run:
   server capacity conservation, release accounting, circuit-breaker
   state legality), attached through the kernels' opt-in ``monitors=``
   hook or replayed post-hoc with :func:`run_monitors`;
+* :mod:`~repro.verify.admission` — the Section 7 admission protocol,
+  swept post-hoc over every service, fabric and gateway timeline;
+  :mod:`~repro.verify.gateway` adds the gateway's ingestion protocol;
 * :mod:`~repro.verify.oracle` — post-run comparison against the paper's
   closed forms (equations (1)-(5), the server-aware RTA, the ideal-PS
   admission test);
@@ -30,8 +33,8 @@ from ..sim.servers import (
     SporadicServer,
 )
 from ..workload.spec import GeneratedSystem, PeriodicTaskSpec
+from .admission import AdmissionProtocolMonitor
 from .differential import DifferentialTolerance, differential_check
-from .fabric import FabricProtocolMonitor
 from .gateway import GatewayProtocolMonitor
 from .invariants import (
     BreakerMonitor,
@@ -74,7 +77,7 @@ __all__ = [
     "rta_oracle",
     "predicted_polling_finishes",
     "DifferentialTolerance",
-    "FabricProtocolMonitor",
+    "AdmissionProtocolMonitor",
     "GatewayProtocolMonitor",
     "differential_check",
     "monitors_for_system",

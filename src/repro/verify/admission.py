@@ -1,25 +1,30 @@
-"""Fabric-level runtime verification: the cross-shard protocol oracle.
+"""The Section 7 admission protocol as one post-hoc oracle.
 
-The sharded fabric runs its shards unmonitored and verifies the
-*merged* timeline instead — per-shard oracles cannot see a request
-whose life spans a crash (admitted on the shard that died, resumed by
-its restored incarnation) or a failover (retried into a sibling).
-:class:`FabricProtocolMonitor` replays the merge produced by
-:meth:`~repro.fabric.fabric.AdmissionFabric.merged_trace`, where every
-service event carries a ``[shard-k]`` detail suffix and the fabric's
-own control-plane events (``SHARD_DOWN`` / ``FAILOVER`` /
-``SHARD_RESTORED``) interleave unsuffixed, and enforces:
+:class:`AdmissionProtocolMonitor` checks every admission timeline the
+same way: after the run, through :func:`~repro.verify.invariants.
+run_monitors`.  That timeline is a plain service's trace
+(:meth:`~repro.service.service.AdmissionService.finish`), the merge of
+a gateway's service incarnations and its own plane
+(:meth:`~repro.gateway.gateway.AdmissionGateway.finish`), or the merge
+of a sharded fabric's incarnations (:meth:`~repro.fabric.fabric.
+AdmissionFabric.finish`).  In the fabric's merge every service event
+carries a ``[shard-k]`` detail suffix and the control-plane events
+(``SHARD_DOWN`` / ``FAILOVER`` / ``SHARD_RESTORED``) interleave
+untagged; an untagged service event is the shard-``None`` case of the
+same rules.  The monitor enforces:
 
-* **exactly one terminal per admitted request, fabric-wide** — a
-  request admitted anywhere reaches exactly one COMPLETION or SHED by
-  the horizon, across crashes, restores, and failovers; a second
-  non-resumed RELEASE for the same id is a double admission (the
-  idempotency breach failover must not introduce);
-* restored incarnations may re-announce in-flight jobs (RELEASE with a
-  ``resumed`` detail) — legal only for an id that *was* admitted;
+* **exactly one terminal per admitted request** — a request admitted
+  anywhere reaches exactly one COMPLETION or SHED by the horizon,
+  across crashes, restores and failovers; a second non-resumed RELEASE
+  for the same id is a double admission (the idempotency breach a
+  failover or a retry must not introduce);
+* a restored incarnation may re-announce its in-flight jobs (RELEASE
+  with a ``resumed`` detail) — legal only for an id admitted earlier in
+  the timeline or listed in ``admitted_before``;
 * hard requests never log a DEADLINE_MISS (cut-and-SHED is the only
-  legal miss path), and corrective re-plans stay in the causal shadow
-  of a divergence *on the same shard*;
+  legal miss path), and a corrective re-plan (local / renegotiate /
+  degrade) stays in the causal shadow of a divergence or a mode change
+  *on the same shard* (restore and drain re-plans are exempt);
 * the control plane is coherent: no double declaration, no restore of
   a shard never declared down, no failover naming a shard that is up.
 """
@@ -27,11 +32,12 @@ own control-plane events (``SHARD_DOWN`` / ``FAILOVER`` /
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 from ..sim.trace import TraceEvent, TraceEventKind
 from .invariants import TraceMonitor
 
-__all__ = ["FabricProtocolMonitor"]
+__all__ = ["AdmissionProtocolMonitor"]
 
 _CORRECTIVE_LEVELS = ("local", "renegotiate", "degrade")
 _SHARD_TAG = re.compile(r" \[shard-(\d+)\]$")
@@ -39,19 +45,34 @@ _FAILOVER_FROM = re.compile(r"^shard-(\d+) -> ")
 
 
 def _shard_of(event: TraceEvent) -> int | None:
-    """The shard a merged service event came from (None = control plane)."""
+    """The shard a merged service event came from (None = untagged)."""
     match = _SHARD_TAG.search(event.detail)
     return int(match.group(1)) if match else None
 
 
-class FabricProtocolMonitor(TraceMonitor):
-    """Exactly-one-terminal-per-request, across shard boundaries."""
+def _on(shard: int | None) -> str:
+    """`` on shard-k`` for a tagged event, nothing for an untagged one."""
+    return "" if shard is None else f" on shard-{shard}"
 
-    name = "fabric-protocol"
 
-    def __init__(self, replan_window: float = 50.0) -> None:
+class AdmissionProtocolMonitor(TraceMonitor):
+    """Exactly one terminal per admitted request, across shards,
+    crashes and restores.
+
+    ``admitted_before`` names the requests admitted before the timeline
+    begins: a restored standalone service's trace starts with the
+    ``resumed`` RELEASEs of the jobs its checkpoint replayed, and that
+    re-announcement is their admission.  A merged fabric or gateway
+    timeline holds every incarnation, so it passes none.
+    """
+
+    name = "admission-protocol"
+
+    def __init__(self, replan_window: float = 50.0,
+                 admitted_before: Iterable[str] = ()) -> None:
         super().__init__()
         self.replan_window = replan_window
+        self.admitted_before = frozenset(admitted_before)
         #: request id -> the RELEASE that admitted it (its time, its
         #: ``hard`` detail and its shard tag are read off the event)
         self._released: dict[str, TraceEvent] = {}
@@ -73,8 +94,7 @@ class FabricProtocolMonitor(TraceMonitor):
                 self.report.record(
                     "terminal-without-admission", event.time,
                     (event.subject,),
-                    f"{kind.value} for a request never admitted on any "
-                    "shard",
+                    f"{kind.value} for a request never admitted",
                     witness=(index,),
                 )
             terminal = (kind.value, event.time, index)
@@ -95,6 +115,8 @@ class FabricProtocolMonitor(TraceMonitor):
                     witness=(index,),
                 )
         elif kind in (TraceEventKind.DIVERGENCE, TraceEventKind.MODE_CHANGE):
+            # a detected divergence or an overload mode switch both
+            # legitimise corrective re-planning
             self._last_divergence[_shard_of(event)] = event.time
         elif kind is TraceEventKind.REPLAN:
             self._on_replan(index, event)
@@ -131,24 +153,25 @@ class FabricProtocolMonitor(TraceMonitor):
             # a restored incarnation re-announcing checkpointed
             # in-flight work — legal iff the id was really admitted
             if rid not in self._released:
-                self.report.record(
-                    "resumed-without-admission", event.time, (rid,),
-                    "restore resumed a request no shard ever admitted",
-                    witness=(index,),
-                )
+                if rid not in self.admitted_before:
+                    self.report.record(
+                        "resumed-without-admission", event.time, (rid,),
+                        "restore resumed a request that was never "
+                        "admitted",
+                        witness=(index,),
+                    )
                 self._released[rid] = event
             return
         if rid in self._released:
             shard = _shard_of(event)
             origin = _shard_of(self._released[rid])
             where = (
-                f"shard-{origin} and shard-{shard}"
-                if origin != shard else f"shard-{shard} twice"
+                f"{_on(shard)} twice" if origin == shard
+                else f"{_on(origin)} and again{_on(shard)}"
             )
             self.report.record(
                 "duplicate-admission", event.time, (rid,),
-                f"request admitted on {where} (cross-shard idempotency "
-                "breach)",
+                f"request admitted{where} (idempotency breach)",
                 witness=(index,),
             )
             return
@@ -158,12 +181,13 @@ class FabricProtocolMonitor(TraceMonitor):
         level = event.detail.split()[0] if event.detail else ""
         if level not in _CORRECTIVE_LEVELS:
             return
-        last = self._last_divergence.get(_shard_of(event))
+        shard = _shard_of(event)
+        last = self._last_divergence.get(shard)
         if last is None or event.time - last > self.replan_window:
             self.report.record(
                 "replan-without-divergence", event.time, (event.subject,),
                 f"{level} re-plan with no divergence inside "
-                f"{self.replan_window:g}tu on the same shard",
+                f"{self.replan_window:g}tu{_on(shard)}",
                 witness=(index,),
             )
 
@@ -173,15 +197,14 @@ class FabricProtocolMonitor(TraceMonitor):
                 kinds = "+".join(kind for kind, _t, _i in terminals)
                 self.report.record(
                     "duplicate-terminal", terminals[1][1], (subject,),
-                    f"{len(terminals)} terminals ({kinds}) across the "
-                    "fabric",
+                    f"{len(terminals)} terminals ({kinds})",
                     witness=tuple(i for _k, _t, i in terminals),
                 )
         for subject, release in self._released.items():
             if subject not in self._terminals:
                 self.report.record(
                     "silently-dropped", horizon, (subject,),
-                    f"admitted at {release.time:g} on "
-                    f"shard-{_shard_of(release)} but "
-                    "neither completed nor shed by the horizon",
+                    f"admitted at {release.time:g}"
+                    f"{_on(_shard_of(release))} but neither completed "
+                    "nor shed by the horizon",
                 )

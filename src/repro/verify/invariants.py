@@ -210,12 +210,20 @@ def run_monitors(trace: ExecutionTrace, monitors: list[TraceMonitor],
                  horizon: float | None = None) -> VerificationReport:
     """Replay a finished trace through monitors, post-hoc.
 
-    The feed is reconstructed in kernel order: a slice is observed when
-    it *ends* and events are drained before the slice starting at the
-    same instant begins, so at equal timestamps segments (keyed by their
-    end) come before events (keyed by their time) — the order a live
-    :class:`MonitoredTrace` would have seen.  Both sequences are merged
-    in place, without a copy of either.
+    Segments and events are fed in time order: a segment is observed
+    when it *ends*, and at equal timestamps segments (keyed by their
+    end) come before events (keyed by their time).  Both sequences are
+    merged in place, without a copy of either.  Each is visited in time
+    order, not in recording order, so :class:`MonotoneClockMonitor`
+    cannot fire here.
+
+    The feed is what a live :class:`MonitoredTrace` sees only for a
+    trace without segments.  The live trace hands every executed slice
+    to ``on_slice`` before :meth:`ExecutionTrace.add_segment` merges it
+    into its contiguous predecessor; this replay sees the stored, merged
+    segment once, at its end, so a segment that spans a server's
+    replenishment is charged to the new period.  The admission
+    timelines record no segments; the kernels keep the live feed.
     """
     report = VerificationReport()
     for monitor in monitors:
@@ -295,7 +303,7 @@ class MonotoneClockMonitor(TraceMonitor):
 class _PendingTracker(TraceMonitor):
     """Shared bookkeeping: job pending windows and executed intervals.
 
-    ``owner_of(job_name)`` maps a job label to its monitored entity (or
+    ``owner_of(job_name)`` maps a job label to its checked entity (or
     ``None`` to ignore the job).  Pending windows run from the RELEASE
     event to the first terminal (COMPLETION / ABORT / SHED / a FAULT
     that sheds the release), or to the horizon.
@@ -355,7 +363,7 @@ class _PendingTracker(TraceMonitor):
 class FixedPriorityMonitor(_PendingTracker):
     """No runnable higher-priority task while a lower-priority one runs.
 
-    ``priorities`` maps monitored entity names to fixed priorities
+    ``priorities`` maps checked entity names to fixed priorities
     (larger = more urgent); job labels of the form ``"<entity>#<k>"``
     attach to their entity.  ``core_of`` scopes the check per core
     (partitioned scheduling); without it, on an *m*-core global-FP trace
@@ -428,10 +436,10 @@ class FixedPriorityMonitor(_PendingTracker):
 class EDFOrderMonitor(_PendingTracker):
     """No job executes while an earlier-deadline job waits unserved.
 
-    ``relative_deadlines`` maps monitored entities to their relative
+    ``relative_deadlines`` maps checked entities to their relative
     deadlines; a job ``"<entity>#<k>"`` released at *r* carries absolute
     deadline *r + D*.  The check is job-granular: during a slice
-    attributed to job *x*, any monitored job *y* in scope with
+    attributed to job *x*, any checked job *y* in scope with
     ``deadline(y) < deadline(x) - tol`` that is pending and not
     executing anywhere is a violation (on global EDF, top-*m* selection
     makes this core-independent, like the FP case).

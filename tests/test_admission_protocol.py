@@ -126,6 +126,7 @@ def test_injected_defect_gives_its_violations(monkeypatch, case):
 
 K = TraceEventKind
 HARD = "cost=1 deadline=5 hard"
+SOFT = "cost=1 deadline=5 soft"
 #: untagged: a service or a gateway timeline; tagged: a fabric shard's
 TAGS = {"untagged": "", "tagged": " [shard-1]"}
 
@@ -155,6 +156,13 @@ TIMELINES = {
         (6.0, K.DEADLINE_MISS, "r1", "deadline 6 missed"),
         (6.0, K.COMPLETION, "r1", "actual=7"),
     ], {"hard-deadline-miss": 1}),
+    # legal; tagged, the details end in "[shard-1]", which holds the
+    # letters of "hard"
+    "soft-deadline-miss": ([
+        (1.0, K.RELEASE, "r1", SOFT),
+        (9.0, K.DEADLINE_MISS, "r1", "soft deadline 6 missed"),
+        (9.0, K.COMPLETION, "r1", "actual=9"),
+    ], {}),
     "replan-without-divergence": ([
         (10.0, K.REPLAN, "service", "local kept=0"),
         (20.0, K.MODE_CHANGE, "service", "degraded"),

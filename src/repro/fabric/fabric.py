@@ -247,13 +247,20 @@ class AdmissionFabric:
     def finish(self, horizon: float | None = None):
         """Close the books: per-shard detector accounting plus the
         fabric-level monitor sweep over the merged timeline.  Returns
-        ``(report, merged_trace)``."""
+        ``(report, merged_trace)``.
+
+        Every incarnation's detector is closed and the router and the
+        supervisor drop their link back to the fabric, so a finished
+        fabric frees by reference counting."""
         from ..verify.admission import AdmissionProtocolMonitor
         from ..verify.invariants import run_monitors
         at = horizon if horizon is not None else self.clock.now()
         for shard in self.shards:
             if shard.alive and shard.service.detector is not None:
                 shard.service.detector.finish(at)
+            for service in shard.incarnations:
+                if service.detector is not None:
+                    service.detector.close()
         merged = self.merged_trace()
         report = run_monitors(
             merged,
@@ -262,6 +269,9 @@ class AdmissionFabric:
             )],
             horizon=at,
         )
+        self.router.fabric = None
+        if self.supervisor is not None:
+            self.supervisor.fabric = None
         return report, merged
 
     # -- reporting ---------------------------------------------------------

@@ -4,9 +4,11 @@ When a run ends, each kernel drops what only the run needed (its event
 heap and, on the VM, its threads' suspended generators) and
 ``execute_system`` closes its server once it has read the jobs.  So a
 campaign leaves the cyclic collector nothing to find.  Verified runs,
-overload runs and service storms free theirs too: finished monitors
-drop their trace, and a finished overload detector drops its actions,
-which link back to the servers or the service that own it.  Each case
+overload runs, service storms and fabric storms free theirs too:
+finished monitors drop their trace, a finished overload detector drops
+its actions, which link back to the servers or the service that own
+it, and a finished fabric's router and supervisor drop their link back
+to the fabric.  Each case
 runs with the collector off and counts what ``gc.collect()`` finds
 after it.
 """
@@ -14,6 +16,7 @@ after it.
 from __future__ import annotations
 
 import gc
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -26,6 +29,7 @@ from repro.experiments.campaign import (
     run_overload_campaign,
     simulate_system,
 )
+from repro.fabric import FabricStormConfig, ShardKill, run_fabric_storm
 from repro.service import StormConfig, run_service_storm
 from repro.workload import PAPER_SETS, RandomSystemGenerator
 
@@ -95,3 +99,27 @@ def test_skewed_service_storm_leaves_no_cycles():
     assert _cyclic_garbage_of(
         lambda: run_service_storm(config).clean
     ) == 0
+
+
+def test_fabric_storm_leaves_no_cycles():
+    assert _cyclic_garbage_of(
+        lambda: run_fabric_storm(FabricStormConfig(seed=3)).clean
+    ) == 0
+
+
+def test_fabric_kill_drill_leaves_no_cycles(tmp_path):
+    # the behaviour lock's drill: a torn checkpoint tail, two restores
+    config = FabricStormConfig(
+        shards=3, seed=2,
+        kills=(ShardKill(at=30.0, shard=0, corrupt_tail=True),
+               ShardKill(at=55.0, shard=2)),
+        rate=0.8, horizon=90.0, settle=40.0, sources=4,
+        burst=(25.0, 40.0, 3.0),
+    )
+
+    def drill():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the torn tail is the drill
+            assert run_fabric_storm(config, checkpoint_dir=tmp_path).clean
+
+    assert _cyclic_garbage_of(drill) == 0

@@ -66,7 +66,6 @@ class FabricConfig:
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     #: router-side per-shard breaker policy (``None`` disables)
     breaker: BreakerConfig | None = field(default_factory=BreakerConfig)
-    router_idempotency_entries: int = 65536
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -146,9 +145,7 @@ class AdmissionFabric:
             self.shards.append(_Shard(
                 index=index, service=service, checkpoint=path,
             ))
-        self.router = ShardRouter(
-            self, idempotency_entries=config.router_idempotency_entries,
-        )
+        self.router = ShardRouter(self)
         self.supervisor: Supervisor | None = (
             Supervisor(self, config.supervisor) if config.supervised
             else None

@@ -42,14 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ShardRouter", "FabricClient"]
 
+#: tickets the fabric-level idempotency cache remembers
+_IDEMPOTENCY_ENTRIES = 65536
+
 
 class ShardRouter:
     """Routes one request to one shard — or refuses it, retryably."""
 
-    def __init__(self, fabric: "AdmissionFabric",
-                 idempotency_entries: int = 65536) -> None:
+    def __init__(self, fabric: "AdmissionFabric") -> None:
         self.fabric = fabric
-        self.cache = IdempotencyCache(max_entries=idempotency_entries)
+        self.cache = IdempotencyCache(max_entries=_IDEMPOTENCY_ENTRIES)
         self._breakers: dict[int, CircuitBreaker] = {}
         if fabric.config.breaker is not None:
             self._breakers = {

@@ -96,6 +96,9 @@ _EPS = 1e-9
 #: how far past the last journal/checkpoint stamp a restored gateway's
 #: logical timeline resumes
 _RESUME_SLACK = 1e-6
+#: ready-queue yields granted for due completions to commit before a
+#: new arrival is stamped (the wall-clock settle discipline)
+_SETTLE_ROUNDS = 256
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ class GatewayConfig:
 
     TCP by default (``host``/``port``, port 0 = ephemeral); set
     ``unix_path`` to listen on a Unix socket instead.  All ``*_s``
-    knobs are wall seconds; ``watchdog_interval``/``pause_threshold``
-    and ``drain_max_wait`` are logical tu.
+    knobs are wall seconds; ``watchdog_interval`` and
+    ``drain_max_wait`` are logical tu.
     """
 
     host: str = "127.0.0.1"
@@ -119,16 +122,11 @@ class GatewayConfig:
     max_connections: int = 64
     #: bounded dispatcher pipeline; overflow answers REJECT_BUSY
     max_in_flight: int = 128
-    #: ready-queue yields granted for due completions to commit before
-    #: a new arrival is stamped (the wall-clock settle discipline)
-    settle_rounds: int = 256
-    #: clock watchdog sampling interval (tu); gaps beyond
-    #: ``pause_threshold`` (default 3x interval) record a ClockPause.
-    #: At the 1 tu = 1 ms default scale, 100 tu sampling puts the
-    #: detection bound at 300 ms — far above ordinary scheduler jitter,
-    #: well below a suspended process
+    #: clock watchdog sampling interval (tu); gaps beyond 3x interval
+    #: record a ClockPause.  At the 1 tu = 1 ms default scale, 100 tu
+    #: sampling puts the detection bound at 300 ms — far above ordinary
+    #: scheduler jitter, well below a suspended process
     watchdog_interval: float = 100.0
-    pause_threshold: float | None = None
     #: drain cutoff (tu): in-flight work settling later is shed with an
     #: explicit drain-cutoff fate; None settles everything
     drain_max_wait: float | None = None
@@ -246,9 +244,7 @@ class AdmissionGateway:
         if self._replay_debt:
             await self._replay_journal_debt()
         self.clock.on_pause(self._on_clock_pause)
-        self.clock.start_watchdog(
-            self.config.watchdog_interval, self.config.pause_threshold
-        )
+        self.clock.start_watchdog(self.config.watchdog_interval)
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="gateway-dispatcher"
         )
@@ -372,8 +368,8 @@ class AdmissionGateway:
         ``stamp`` — the wall-clock mirror of ``VirtualClock.advance``'s
         wake-then-settle ordering, so retire-before-admit interleavings
         match the control replay."""
-        for spin in range(self.config.settle_rounds):
-            if not self._has_due(stamp):
+        for spin in range(_SETTLE_ROUNDS):
+            if not self.service.has_due(stamp):
                 return
             if spin and spin % 16 == 0:
                 # a due executor may still be on a timer a few hundred
@@ -382,9 +378,6 @@ class AdmissionGateway:
             else:
                 await asyncio.sleep(0)
         self.settle_overruns += 1
-
-    def _has_due(self, stamp: float) -> bool:
-        return self.service.has_due(stamp)
 
     async def _decide(self, request: EventRequest) -> AdmissionTicket:
         stamp = self.clock.now()
@@ -409,7 +402,7 @@ class AdmissionGateway:
         if cached is not None:
             ticket = replace(cached, duplicate=True)
         else:
-            ticket = await self._submit(request, stamp)
+            ticket = await self.service.submit(request, at=stamp)
             self.cache.put(ticket)
         if self.journal is not None:
             self.journal.append({
@@ -424,11 +417,6 @@ class AdmissionGateway:
         )
         self.responded += 1
         return ticket
-
-    async def _submit(
-        self, request: EventRequest, stamp: float
-    ) -> AdmissionTicket:
-        return await self.service.submit(request, at=stamp)
 
     # -- the socket edge ---------------------------------------------------
 

@@ -46,6 +46,9 @@ __all__ = ["ServiceConfig", "DrainReport", "AdmissionService",
            "ServiceClient"]
 
 _EPS = 1e-9
+#: re-plans allowed inside one ``replan_window`` before the service
+#: escalates straight to degraded mode instead of thrashing
+_MAX_REPLANS_PER_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,9 @@ class ServiceConfig:
     bucket arithmetic admits against.  ``queue_bound`` caps the number
     of concurrently admitted (in-flight) events; ``None`` disables it.
     ``breaker``/``detector`` wire the PR 3 overload stack (``None``
-    disables the respective guard).  ``replan_window``/
-    ``max_replans_per_window`` bound the re-planning rate — exhausting
-    the budget escalates straight to degraded mode instead of
-    thrashing.
+    disables the respective guard).  ``replan_window`` bounds the
+    re-planning rate — a re-plan beyond the 16th inside one window
+    escalates straight to degraded mode instead of thrashing.
     """
 
     capacity: float
@@ -72,7 +74,6 @@ class ServiceConfig:
     )
     twin: TwinConfig = field(default_factory=TwinConfig)
     replan_window: float = 50.0
-    max_replans_per_window: int = 16
     idempotency_entries: int = 4096
 
     def __post_init__(self) -> None:
@@ -87,11 +88,6 @@ class ServiceConfig:
         if self.replan_window <= 0:
             raise ValueError(
                 f"replan_window must be > 0, got {self.replan_window}"
-            )
-        if self.max_replans_per_window < 1:
-            raise ValueError(
-                "max_replans_per_window must be >= 1, got "
-                f"{self.max_replans_per_window}"
             )
 
 
@@ -498,7 +494,7 @@ class AdmissionService:
         self._replan_times = [
             t for t in self._replan_times if t > window_start
         ]
-        if len(self._replan_times) >= self.config.max_replans_per_window:
+        if len(self._replan_times) >= _MAX_REPLANS_PER_WINDOW:
             # re-plan budget exhausted: stop thrashing, escalate
             self.replans_suppressed += 1
             if not self._degraded:

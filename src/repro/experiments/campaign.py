@@ -320,13 +320,14 @@ def simulate_system(system: GeneratedSystem,
     server and the periodic entities (see :mod:`repro.faults`);
     ``overload`` (optional) bounds the server's pending queue, gates
     arrivals through a circuit breaker and drives degraded modes (see
-    :mod:`repro.overload`); ``verify`` attaches the standard
-    :mod:`repro.verify` monitor battery and fills ``SystemResult.report``
-    (off = the byte-identical golden path).  ``trace_mode`` selects the
-    trace (see docs/performance.md): ``"object"`` (the default) stores
-    it; ``"check"`` stores no records and only checks non-overlap, so
-    ``SystemResult.trace`` reads empty and ``verify`` is refused.  The
-    defaults are byte-identical to the historical behaviour.
+    :mod:`repro.overload`); ``verify`` sweeps the finished trace with
+    the standard :mod:`repro.verify` monitor battery and fills
+    ``SystemResult.report`` (off = the byte-identical golden path).
+    ``trace_mode`` selects the trace (see docs/performance.md):
+    ``"object"`` (the default) stores it; ``"check"`` stores no records
+    and only checks non-overlap, so ``SystemResult.trace`` reads empty
+    and ``verify`` is refused.  The defaults are byte-identical to the
+    historical behaviour.
     """
     _check_trace_mode(trace_mode, verify)
     server_cls = _SIM_SERVERS[policy]
@@ -338,20 +339,10 @@ def simulate_system(system: GeneratedSystem,
     server: AperiodicServer = server_cls(
         spec, name=policy.upper(), enforcement=enforcement
     )
-    monitors = None
-    if verify:
-        from ..verify import monitors_for_system
-
-        monitors = monitors_for_system(
-            system, servers=(server,), policy="fp",
-            # enforcement cuts execution short and degraded modes rescale
-            # service, so exact-demand accounting only holds without both
-            check_demand=enforcement is None and overload is None,
-        )
     sim = Simulation(
         FixedPriorityPolicy(),
         trace=CheckOnlyTrace() if trace_mode == "check" else None,
-        enforcement=enforcement, monitors=monitors,
+        enforcement=enforcement,
     )
     server.attach(sim, horizon=system.horizon)
     detector = wire_sim_servers(overload, sim, [server])
@@ -372,10 +363,21 @@ def simulate_system(system: GeneratedSystem,
     if detector is not None:
         detector.finish(system.horizon)
         detector.close()
-    report = (
-        trace.finish_monitors(system.horizon) if monitors is not None
-        else None
-    )
+    report = None
+    if verify:
+        from ..verify import (
+            monitors_for_system,
+            run_monitors,
+            stamp_violations,
+        )
+
+        report = run_monitors(trace, monitors_for_system(
+            system, servers=(server,), policy="fp",
+            # enforcement cuts execution short and degraded modes rescale
+            # service, so exact-demand accounting only holds without both
+            check_demand=enforcement is None and overload is None,
+        ), system.horizon)
+        stamp_violations(trace, report)
     return SystemResult(
         metrics=measure_run(jobs), trace=trace, jobs=jobs, report=report
     )
@@ -408,31 +410,10 @@ def execute_system(
     ``ValueError``.
     """
     _check_trace_mode(trace_mode, verify)
-    verified_trace = None
-    if verify:
-        # the VM charges ISR/dispatch overheads and its servers are
-        # non-resumable, so only the scheduling-agnostic monitors apply
-        from ..verify.invariants import (
-            BreakerMonitor,
-            MonitoredTrace,
-            MonotoneClockMonitor,
-            NonOverlapMonitor,
-            ReleaseAccountingMonitor,
-        )
-
-        verified_trace = MonitoredTrace([
-            NonOverlapMonitor(),
-            MonotoneClockMonitor(),
-            BreakerMonitor(),
-            ReleaseAccountingMonitor(check_demand=False),
-        ])
     vm = RTSJVirtualMachine(
         overhead=overhead if overhead is not None else OverheadModel(),
         timer_drift_ppm=timer_drift_ppm,
-        trace=(
-            verified_trace if verified_trace is not None
-            else CheckOnlyTrace() if trace_mode == "check" else None
-        ),
+        trace=CheckOnlyTrace() if trace_mode == "check" else None,
     )
     params = TaskServerParameters.from_spec(
         system.server, priority=server_priority
@@ -518,10 +499,26 @@ def execute_system(
     if detector is not None:
         detector.finish(horizon_ns / NS_PER_UNIT)
         detector.close()
-    report = (
-        verified_trace.finish_monitors(horizon_ns / NS_PER_UNIT)
-        if verified_trace is not None else None
-    )
+    report = None
+    if verify:
+        # the VM charges ISR/dispatch overheads and its servers are
+        # non-resumable, so only the scheduling-agnostic monitors apply
+        from ..verify.invariants import (
+            BreakerMonitor,
+            MonotoneClockMonitor,
+            NonOverlapMonitor,
+            ReleaseAccountingMonitor,
+            run_monitors,
+            stamp_violations,
+        )
+
+        report = run_monitors(trace, [
+            NonOverlapMonitor(),
+            MonotoneClockMonitor(),
+            BreakerMonitor(),
+            ReleaseAccountingMonitor(check_demand=False),
+        ], horizon_ns / NS_PER_UNIT)
+        stamp_violations(trace, report)
     jobs = server.jobs
     server.close()
     return SystemResult(
@@ -543,8 +540,8 @@ def _run_arm(
     verify: bool = False,
 ) -> RunMetrics:
     # a campaign run keeps only its metrics, so both arms check
-    # non-overlap as segments arrive and store no records; monitors read
-    # the record stream, so a verified run keeps the object trace
+    # non-overlap as segments arrive and store no records; the monitors
+    # sweep the stored records, so a verified run keeps the object trace
     policy = "polling" if arm.startswith("ps") else "deferrable"
     trace_mode = None if verify else "check"
     if arm.endswith("_sim"):

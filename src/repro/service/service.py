@@ -780,20 +780,14 @@ class AdmissionService:
         if self.detector is not None:
             self.detector.finish(at)
             self.detector.close()
-        report = run_monitors(self.trace, [
+        return run_monitors(self.trace, [
             BreakerMonitor(),
             AdmissionProtocolMonitor(
                 replan_window=self.config.replan_window,
                 admitted_before=self._resumed,
             ),
+            MonotoneClockMonitor(),
         ], horizon=at)
-        # run_monitors visits the trace in time order, so the clock
-        # check reads it as recorded
-        clock = MonotoneClockMonitor()
-        clock.bind(report, self.trace)
-        for index, event in enumerate(self.trace.events):
-            clock.on_event(index, event)
-        return report
 
     def metrics(self) -> dict:
         """JSON-ready operational counters."""

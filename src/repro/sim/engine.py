@@ -352,7 +352,6 @@ class Simulation:
                  trace: ExecutionTrace | None = None,
                  on_deadline_miss: str = "continue",
                  enforcement: "EnforcementConfig | None" = None,
-                 monitors: "list | None" = None,
                  kernel: str = "auto") -> None:
         if on_deadline_miss not in ("continue", "abort"):
             raise ValueError(
@@ -371,19 +370,7 @@ class Simulation:
         self.enforcement = enforcement
         #: optional repro.faults.watchdog.DeadlineMissWatchdog
         self.watchdog = None
-        if monitors:
-            # opt-in runtime verification: the trace itself becomes the
-            # streaming feed (see repro.verify); off = byte-identical
-            if trace is not None:
-                raise ValueError(
-                    "pass either trace= or monitors=, not both"
-                )
-            from ..verify.invariants import MonitoredTrace
-
-            trace = MonitoredTrace(list(monitors))
-        elif trace is None:
-            trace = ExecutionTrace()
-        self.trace = trace
+        self.trace = trace if trace is not None else ExecutionTrace()
         self.queue = EventQueue()
         self.entities: list[Entity] = []
         self.now = 0.0
@@ -454,9 +441,6 @@ class Simulation:
         self._run_main(until)
         # clip the clock to the horizon for reporting purposes
         self.now = min(max(self.now, until), until)
-        finish_monitors = getattr(self.trace, "finish_monitors", None)
-        if finish_monitors is not None:
-            finish_monitors(self.now)
         self.trace.validate()
         self._retire()
         return self.trace

@@ -262,10 +262,11 @@ def run_multicore_system(
     ``overload`` wires the full overload stack (queue bounds, per-server
     circuit breakers, the degraded-mode detector and, in partitioned
     modes, overload-aware routing); ``None`` keeps the golden path
-    byte-identical.  ``verify=True`` attaches the runtime-verification
-    monitor battery (:mod:`repro.verify`) — per-core non-overlap,
-    ordering legality scoped by the placement, server capacity
-    conservation — and stores the outcome on the result's ``report``.
+    byte-identical.  ``verify=True`` sweeps the finished trace with the
+    runtime-verification monitor battery (:mod:`repro.verify`) — per-core
+    non-overlap, ordering legality scoped by the placement, server
+    capacity conservation — and stores the outcome on the result's
+    ``report``.
     ``kernel`` selects the lazy release-scheduling path or the eager
     reference one (see docs/performance.md); both are byte-identical.
     """
@@ -314,19 +315,8 @@ def run_multicore_system(
             server_classes[server](spec, name=name, enforcement=enforcement)
             for name in names
         ]
-    monitors = None
-    if verify:
-        from ..verify import monitors_for_system
-
-        monitors = monitors_for_system(
-            system, servers=tuple(servers),
-            policy="edf" if mode == "global-edf" else "fp",
-            core_of=core_of,
-            check_demand=enforcement is None and overload is None,
-        )
     sim = MulticoreSimulation(
-        policy, n_cores=n_cores, enforcement=enforcement,
-        monitors=monitors, kernel=kernel,
+        policy, n_cores=n_cores, enforcement=enforcement, kernel=kernel,
     )
     for instance in servers:
         instance.attach(sim, horizon=system.horizon)
@@ -354,12 +344,23 @@ def run_multicore_system(
     if detector is not None:
         detector.finish(system.horizon)
         detector.close()
+    report = None
+    if verify:
+        from ..verify import (
+            monitors_for_system,
+            run_monitors,
+            stamp_violations,
+        )
+
+        report = run_monitors(trace, monitors_for_system(
+            system, servers=tuple(servers),
+            policy="edf" if mode == "global-edf" else "fp",
+            core_of=core_of,
+            check_demand=enforcement is None and overload is None,
+        ), system.horizon)
+        stamp_violations(trace, report)
     metrics = measure_multicore_run(
         jobs, trace, n_cores, system.horizon, core_of_job=core_of_job,
-    )
-    report = (
-        trace.finish_monitors(system.horizon) if monitors is not None
-        else None
     )
     return MulticoreSystemResult(
         mode=mode, metrics=metrics, trace=trace, partition=partition,

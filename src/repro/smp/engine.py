@@ -71,14 +71,13 @@ class MulticoreSimulation(Simulation):
         trace: ExecutionTrace | None = None,
         on_deadline_miss: str = "continue",
         enforcement: "EnforcementConfig | None" = None,
-        monitors: "list | None" = None,
         kernel: str = "auto",
     ) -> None:
         if n_cores <= 0:
             raise ValueError(f"n_cores must be >= 1, got {n_cores}")
         super().__init__(
             policy, trace=trace, on_deadline_miss=on_deadline_miss,
-            enforcement=enforcement, monitors=monitors, kernel=kernel,
+            enforcement=enforcement, kernel=kernel,
         )
         self.n_cores = n_cores
         self._running: list[Entity | None] = [None] * n_cores

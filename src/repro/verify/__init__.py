@@ -2,11 +2,11 @@
 
 Turns every simulation or emulated execution into a self-checking run:
 
-* :mod:`~repro.verify.invariants` — streaming monitors over the trace
-  feed (non-overlap, monotone clocks, FP/EDF/D-OVER ordering legality,
-  server capacity conservation, release accounting, circuit-breaker
-  state legality), attached through the kernels' opt-in ``monitors=``
-  hook or replayed post-hoc with :func:`run_monitors`;
+* :mod:`~repro.verify.invariants` — monitors swept over a finished
+  trace with :func:`run_monitors` (non-overlap, monotone clocks,
+  FP/EDF/D-OVER ordering legality, server capacity conservation,
+  release accounting, circuit-breaker state legality);
+  :func:`stamp_violations` marks the verdicts on the trace;
 * :mod:`~repro.verify.admission` — the Section 7 admission protocol,
   swept post-hoc over every service, fabric and gateway timeline;
   :mod:`~repro.verify.gateway` adds the gateway's ingestion protocol;
@@ -21,8 +21,9 @@ Turns every simulation or emulated execution into a self-checking run:
 * :mod:`~repro.verify.mutations` — deliberate scheduler bugs proving
   each monitor family non-vacuous (test infrastructure only).
 
-Everything is opt-in: with no monitors attached, traces, metrics and
-campaign outputs are byte-identical to the unverified code path.
+Everything is opt-in and runs after the run: the kernels never call
+into this package, so a verified run executes exactly as an unverified
+one, and only its trace gains a VIOLATION event per violation.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from .invariants import (
     DOverLegalityMonitor,
     EDFOrderMonitor,
     FixedPriorityMonitor,
-    MonitoredTrace,
     MonotoneClockMonitor,
     NonOverlapMonitor,
     ReleaseAccountingMonitor,
     ServerCapacityMonitor,
     TraceMonitor,
     run_monitors,
+    stamp_violations,
 )
 from .oracle import (
     admission_oracle,
@@ -62,8 +63,8 @@ __all__ = [
     "VerificationReport",
     "VerificationError",
     "TraceMonitor",
-    "MonitoredTrace",
     "run_monitors",
+    "stamp_violations",
     "NonOverlapMonitor",
     "MonotoneClockMonitor",
     "FixedPriorityMonitor",

@@ -1,21 +1,23 @@
-"""Streaming invariant monitors over the execution-trace feed.
+"""Invariant monitors swept over a finished execution trace.
 
-A :class:`TraceMonitor` watches one run — live, through a
-:class:`MonitoredTrace` attached to the kernel, or post-hoc through
-:func:`run_monitors` replaying a finished trace — and records structured
+A :class:`TraceMonitor` watches one run through :func:`run_monitors`,
+which replays the stored trace after the run, and records structured
 :class:`~repro.verify.violations.Violation` records instead of raising.
 
 The monitors exploit a kernel guarantee: executed slices never span an
 event instant (the engines bound every slice at the next timed
 callback), so the pending set derived from RELEASE/terminal events is
-constant inside any recorded slice.  That turns scheduling-legality
-checks (fixed-priority, EDF, D-OVER) into interval arithmetic over the
-release/terminal windows and the executed segments, no kernel
+constant inside any slice.  The trace merges contiguous slices into one
+segment, and :func:`run_monitors` cuts each segment back at the event
+instants inside it.  That turns scheduling-legality checks
+(fixed-priority, EDF, D-OVER) into interval arithmetic over the
+release/terminal windows and the executed slices, no kernel
 introspection required.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import re
@@ -32,8 +34,8 @@ from .violations import VerificationReport
 
 __all__ = [
     "TraceMonitor",
-    "MonitoredTrace",
     "run_monitors",
+    "stamp_violations",
     "NonOverlapMonitor",
     "MonotoneClockMonitor",
     "FixedPriorityMonitor",
@@ -118,13 +120,15 @@ def _total(intervals: list[tuple[float, float]]) -> float:
 
 
 class TraceMonitor:
-    """Base class: bind to a report/trace, then observe the feed.
+    """Base class: bind to a report/trace, then observe the sweep.
 
-    ``on_event`` sees every point event as it is recorded (``index`` is
-    its position in ``trace.events``, the witness coordinate system);
-    ``on_slice`` sees every executed processor slice *before* the trace
-    merges it into a contiguous segment; ``finish`` runs once when the
-    run ends, with the horizon actually reached.
+    :func:`run_monitors` feeds the finished trace in time order.
+    ``on_event`` sees every point event (``index`` is its position in
+    ``trace.events``, the witness coordinate system); ``on_slice`` sees
+    every executed processor slice, a stored segment cut at the event
+    instants inside it; ``finish`` runs once at the end, with the
+    horizon.  A check of the recorded order reads ``self.trace`` in
+    ``finish``.
     """
 
     name = "monitor"
@@ -148,88 +152,54 @@ class TraceMonitor:
         """The run ended; emit any accumulated verdicts."""
 
 
-class MonitoredTrace(ExecutionTrace):
-    """An :class:`ExecutionTrace` that feeds every record to monitors.
+def _slices(trace: ExecutionTrace) -> list[Segment]:
+    """The stored segments, each cut at every distinct event time
+    strictly inside it (within ``_EPS``).
 
-    Drop-in for the kernels' ``trace=`` parameter: with no monitors the
-    behaviour (and the stored trace) is identical to the base class, so
-    the golden path stays byte-identical when verification is off.
+    :meth:`ExecutionTrace.add_segment` merges a slice into its
+    contiguous predecessor, so one segment can span an event instant,
+    such as a Deferrable Server that runs straight through its
+    replenishment.  The kernels bound every slice at the next event, so
+    no piece spans an event instant, as no executed slice does.  A trace
+    without segments (an admission timeline) is returned as it is,
+    without collecting its event times.
     """
-
-    def __init__(self, monitors: list[TraceMonitor],
-                 report: VerificationReport | None = None) -> None:
-        super().__init__()
-        self.report = report if report is not None else VerificationReport()
-        self.monitors = list(monitors)
-        for monitor in self.monitors:
-            monitor.bind(self.report, self)
-        self._finished = False
-
-    def add_event(self, time: float, kind: TraceEventKind, subject: str,
-                  detail: str = "") -> None:
-        super().add_event(time, kind, subject, detail)
-        index = len(self.events) - 1
-        event = self.events[index]
-        for monitor in self.monitors:
-            monitor.on_event(index, event)
-
-    def add_segment(self, start: float, end: float, entity: str,
-                    job: str | None = None, core: int | None = None) -> None:
-        super().add_segment(start, end, entity, job, core)
-        if end - start <= _EPS:
-            return  # the base class dropped it; monitors skip it too
-        for monitor in self.monitors:
-            monitor.on_slice(start, end, entity, job, core)
-
-    def finish_monitors(self, horizon: float) -> VerificationReport:
-        """Run every monitor's end-of-run sweep (idempotent).
-
-        Each violation is additionally stamped onto the trace as a
-        VIOLATION point event, so the failing window shows up on the
-        Gantt renderings.  A finished monitor drops its link to the
-        trace, which lists it, so a verified run frees by reference
-        counting."""
-        if not self._finished:
-            self._finished = True
-            for monitor in self.monitors:
-                monitor.finish(horizon)
-            for monitor in self.monitors:
-                monitor.trace = None
-            for violation in self.report.violations:
-                ExecutionTrace.add_event(
-                    self, max(violation.time, 0.0),
-                    TraceEventKind.VIOLATION,
-                    violation.entities[0] if violation.entities
-                    else violation.kind,
-                    str(violation),
-                )
-        return self.report
+    if not trace.segments:
+        return trace.segments
+    instants = sorted({event.time for event in trace.events})
+    slices: list[Segment] = []
+    for segment in trace.segments:
+        start, end = segment.start, segment.end
+        first = bisect.bisect_right(instants, start + _EPS)
+        last = bisect.bisect_left(instants, end - _EPS, first)
+        if first == last:
+            slices.append(segment)
+            continue
+        for cut in instants[first:last]:
+            if cut - start > _EPS:
+                slices.append(Segment(start, cut, segment.entity,
+                                      segment.job, segment.core))
+                start = cut
+        slices.append(Segment(start, end, segment.entity, segment.job,
+                              segment.core))
+    return slices
 
 
 def run_monitors(trace: ExecutionTrace, monitors: list[TraceMonitor],
                  horizon: float | None = None) -> VerificationReport:
-    """Replay a finished trace through monitors, post-hoc.
+    """Sweep a finished trace through monitors.
 
-    Segments and events are fed in time order: a segment is observed
-    when it *ends*, and at equal timestamps segments (keyed by their
-    end) come before events (keyed by their time).  Both sequences are
-    merged in place, without a copy of either.  Each is visited in time
-    order, not in recording order, so :class:`MonotoneClockMonitor`
-    cannot fire here.
-
-    The feed is what a live :class:`MonitoredTrace` sees only for a
-    trace without segments.  The live trace hands every executed slice
-    to ``on_slice`` before :meth:`ExecutionTrace.add_segment` merges it
-    into its contiguous predecessor; this replay sees the stored, merged
-    segment once, at its end, so a segment that spans a server's
-    replenishment is charged to the new period.  The admission
-    timelines record no segments; the kernels keep the live feed.
+    Slices and events are fed in time order: a slice is observed when
+    it *ends*, and at equal timestamps slices (keyed by their end) come
+    before events (keyed by their time).  The slices are the stored
+    segments cut at the event instants inside them (see
+    :func:`_slices`); the events are merged in place, without a copy.
     """
     report = VerificationReport()
     for monitor in monitors:
         monitor.bind(report, trace)
     feed = merge_in_time_order((
-        in_time_order(trace.segments, _segment_end),
+        in_time_order(_slices(trace), _segment_end),
         in_time_order(trace.events),
     ))
     for _, index, item in feed:
@@ -246,14 +216,26 @@ def run_monitors(trace: ExecutionTrace, monitors: list[TraceMonitor],
     return report
 
 
+def stamp_violations(trace: ExecutionTrace,
+                     report: VerificationReport) -> None:
+    """Record each violation on the trace as a VIOLATION point event, so
+    the failing window shows up on the Gantt renderings."""
+    for violation in report.violations:
+        trace.add_event(
+            max(violation.time, 0.0), TraceEventKind.VIOLATION,
+            violation.entities[0] if violation.entities else violation.kind,
+            str(violation),
+        )
+
+
 # -- sanitizer family --------------------------------------------------------
 
 
 class NonOverlapMonitor(TraceMonitor):
     """Per-core execution exclusivity, as a report instead of an assert.
 
-    Works off the *stored* segments at :meth:`finish`, so it also catches
-    corruption introduced below the feed (a skewed ``add_segment``).
+    Works off the stored segments at :meth:`finish`, ordered per core by
+    their start.
     """
 
     name = "non-overlap"
@@ -275,26 +257,34 @@ class NonOverlapMonitor(TraceMonitor):
 
 
 class MonotoneClockMonitor(TraceMonitor):
-    """Point events must be recorded in non-decreasing time order."""
+    """Point events must be recorded in non-decreasing time order.
+
+    The sweep visits events in time order, so :meth:`finish` walks the
+    stored events in recorded order, the way :class:`NonOverlapMonitor`
+    reads the stored segments.  VIOLATION events are skipped: an earlier
+    sweep stamped them after the run, at their violations' times.
+    """
 
     name = "monotone-clock"
 
     def __init__(self, tol: float = _TOL) -> None:
         super().__init__()
         self.tol = tol
-        self._last = -math.inf
-        self._last_subject = ""
 
-    def on_event(self, index: int, event: TraceEvent) -> None:
-        if event.time < self._last - self.tol:
-            self.report.record(
-                "clock-skew", event.time,
-                (self._last_subject, event.subject),
-                f"{event.kind.value} at {event.time:g} after an event "
-                f"at {self._last:g}", witness=(index,),
-            )
-        self._last = max(self._last, event.time)
-        self._last_subject = event.subject
+    def finish(self, horizon: float) -> None:
+        assert self.trace is not None
+        last, last_subject = -math.inf, ""
+        for index, event in enumerate(self.trace.events):
+            if event.kind is TraceEventKind.VIOLATION:
+                continue
+            if event.time < last - self.tol:
+                self.report.record(
+                    "clock-skew", event.time, (last_subject, event.subject),
+                    f"{event.kind.value} at {event.time:g} after an event "
+                    f"at {last:g}", witness=(index,),
+                )
+            last = max(last, event.time)
+            last_subject = event.subject
 
 
 # -- scheduling-order family -------------------------------------------------

@@ -306,26 +306,22 @@ def _check_sim(policy: str, oracles: bool = False,
 
 
 def _check_edf():
-    """Scenario closure: an EDF run with the ordering monitor attached."""
+    """Scenario closure: an EDF run swept by the ordering monitor."""
     from ..sim.engine import Simulation
     from ..workload.spec import PeriodicTaskSpec
-    from .invariants import EDFOrderMonitor, NonOverlapMonitor
+    from .invariants import EDFOrderMonitor, NonOverlapMonitor, run_monitors
 
     specs = (
         PeriodicTaskSpec("long", cost=2.0, period=10.0, priority=1),
         PeriodicTaskSpec("short", cost=2.0, period=5.0, priority=1),
     )
-    sim = Simulation(
-        EarliestDeadlineFirstPolicy(),
-        monitors=[
-            NonOverlapMonitor(),
-            EDFOrderMonitor({s.name: s.period for s in specs}),
-        ],
-    )
+    sim = Simulation(EarliestDeadlineFirstPolicy())
     for spec in specs:
         sim.add_periodic_task(spec)
-    sim.run(until=40.0)
-    return sim.trace.finish_monitors(40.0)
+    return run_monitors(sim.run(until=40.0), [
+        NonOverlapMonitor(),
+        EDFOrderMonitor({s.name: s.period for s in specs}),
+    ], horizon=40.0)
 
 
 #: mutation name -> scenario whose verified run the mutation must break

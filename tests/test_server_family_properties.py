@@ -28,6 +28,7 @@ from repro.verify.invariants import (
     MonotoneClockMonitor,
     NonOverlapMonitor,
     ServerCapacityMonitor,
+    run_monitors,
 )
 from repro.workload.rng import PortableRandom
 from repro.workload.spec import PeriodicTaskSpec, ServerSpec
@@ -60,16 +61,17 @@ def random_tasks(rng: PortableRandom, n: int, target_util: float):
     return tasks
 
 
+def schedule_monitors():
+    """The schedule-legality battery for families without an account."""
+    return [NonOverlapMonitor(), MonotoneClockMonitor()]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sporadic_server_conserves_capacity(seed):
     rng = PortableRandom(seed)
     capacity = rng.uniform(1.0, 2.5)
     period = rng.uniform(5.0, 9.0)
-    sim = Simulation(FixedPriorityPolicy(), monitors=[
-        NonOverlapMonitor(),
-        MonotoneClockMonitor(),
-        ServerCapacityMonitor("SS", capacity, period, family="sporadic"),
-    ])
+    sim = Simulation(FixedPriorityPolicy())
     server = SporadicServer(
         ServerSpec(capacity, period, priority=10), name="SS"
     )
@@ -78,8 +80,11 @@ def test_sporadic_server_conserves_capacity(seed):
         sim.add_periodic_task(task)
     for job in random_jobs(rng, HORIZON):
         sim.submit_aperiodic(job, server.submit)
-    sim.run(until=HORIZON)
-    report = sim.trace.finish_monitors(HORIZON)
+    report = run_monitors(sim.run(until=HORIZON), [
+        NonOverlapMonitor(),
+        MonotoneClockMonitor(),
+        ServerCapacityMonitor("SS", capacity, period, family="sporadic"),
+    ], horizon=HORIZON)
     assert report.ok, report.summary()
     assert server.capacity <= capacity + 1e-9
 
@@ -95,9 +100,7 @@ def test_priority_exchange_ledger_conserved(seed):
     rng = PortableRandom(seed)
     capacity = rng.uniform(1.0, 2.5)
     period = rng.uniform(5.0, 9.0)
-    sim = Simulation(FixedPriorityPolicy(), monitors=[
-        NonOverlapMonitor(), MonotoneClockMonitor(),
-    ])
+    sim = Simulation(FixedPriorityPolicy())
     server = PriorityExchangeServer(
         ServerSpec(capacity, period, priority=10), name="PE"
     )
@@ -107,8 +110,8 @@ def test_priority_exchange_ledger_conserved(seed):
         sim.add_periodic_task(task)
     for job in random_jobs(rng, HORIZON):
         sim.submit_aperiodic(job, server.submit)
-    sim.run(until=HORIZON)
-    report = sim.trace.finish_monitors(HORIZON)
+    report = run_monitors(sim.run(until=HORIZON), schedule_monitors(),
+                          horizon=HORIZON)
     assert report.ok, report.summary()
     assert all(v >= -1e-9 for v in server.ledger.values())
     assert server.ledger.get(server.priority, 0.0) <= capacity + 1e-9
@@ -125,9 +128,7 @@ def test_slack_stealer_never_breaks_schedulable_sets(seed):
     rng = PortableRandom(seed)
     tasks = random_tasks(rng, n=3, target_util=0.55)
     assert response_time_analysis(tasks).schedulable
-    sim = Simulation(FixedPriorityPolicy(), monitors=[
-        NonOverlapMonitor(), MonotoneClockMonitor(),
-    ])
+    sim = Simulation(FixedPriorityPolicy())
     server = SlackStealingServer(
         ServerSpec(1.0, 1000.0, priority=10), name="SL"
     )
@@ -137,7 +138,7 @@ def test_slack_stealer_never_breaks_schedulable_sets(seed):
     for job in random_jobs(rng, HORIZON, mean_gap=4.0):
         sim.submit_aperiodic(job, server.submit)
     trace = sim.run(until=HORIZON)
-    report = trace.finish_monitors(HORIZON)
+    report = run_monitors(trace, schedule_monitors(), horizon=HORIZON)
     assert report.ok, report.summary()
     assert trace.events_of(TraceEventKind.DEADLINE_MISS) == []
 
@@ -148,9 +149,7 @@ def test_tbs_meets_every_stamped_deadline(seed):
     job must finish by the deadline stamped on its RELEASE event."""
     rng = PortableRandom(seed)
     utilization = rng.uniform(0.2, 0.35)
-    sim = Simulation(EarliestDeadlineFirstPolicy(), monitors=[
-        NonOverlapMonitor(), MonotoneClockMonitor(),
-    ])
+    sim = Simulation(EarliestDeadlineFirstPolicy())
     server = TotalBandwidthServer(utilization=utilization)
     server.attach(sim, horizon=HORIZON)
     for task in random_tasks(rng, n=2, target_util=0.5):
@@ -159,7 +158,7 @@ def test_tbs_meets_every_stamped_deadline(seed):
     for job in jobs:
         sim.submit_aperiodic(job, server.submit)
     trace = sim.run(until=HORIZON)
-    report = trace.finish_monitors(HORIZON)
+    report = run_monitors(trace, schedule_monitors(), horizon=HORIZON)
     assert report.ok, report.summary()
     stamped = {
         e.subject: float(e.detail.split("=", 1)[1])

@@ -89,9 +89,10 @@ class TestSkewedStorm:
 
 class TestKillRestore:
     def test_kill_then_restore_resumes_identically(self, tmp_path):
+        # killed at 35.0, three admitted jobs are still in flight
         path = tmp_path / "storm.jsonl"
         config = StormConfig(
-            rate=0.4, horizon=150.0, seed=11, kill_at=60.0,
+            rate=0.4, horizon=150.0, seed=11, kill_at=35.0,
         )
         killed = run_service_storm(config, checkpoint_path=path)
         assert killed.killed and killed.twin_hash
@@ -102,6 +103,12 @@ class TestKillRestore:
         )
         assert resumed.resumed_from_hash == killed.twin_hash
         assert resumed.clean, resumed.violations
+        announced = [
+            e for e in resumed.trace.events
+            if e.kind is TraceEventKind.RELEASE
+            and e.detail.startswith("resumed")
+        ]
+        assert len(announced) == 3
 
     def test_restore_without_checkpoint_fails(self, tmp_path):
         from repro.service.checkpoint import CheckpointError

@@ -3,8 +3,10 @@
 ``AdmissionGateway.merged_trace``, ``AdmissionFabric.merged_trace`` and
 ``run_monitors`` each interleave several sequences of records into one
 order.  The oracles below are the original formulas: one sort tuple per
-record, ``(time, plane, incarnation, append order)`` for the two merges
-and ``(instant, segment-before-event, position)`` for the monitor feed.
+record, ``(time, plane, incarnation, append order)`` for the two merges,
+and ``(instant, slice-before-event, position)`` for the monitor feed,
+one per slice once each stored segment is cut at the event instants
+inside it.
 The planes are seeded at random on a coarse time grid, so they tie
 often, and some records are appended out of time order, as the
 service plane does when it records a release at its dispatch stamp
@@ -167,20 +169,29 @@ class _Recorder(TraceMonitor):
 
 
 def _feed_oracle(trace: ExecutionTrace, horizon: float) -> list[tuple]:
+    instants = sorted({event.time for event in trace.events})
     feed = []
     for i, segment in enumerate(trace.segments):
-        feed.append((segment.end, 0, i, segment))
+        cuts = [t for t in instants
+                if segment.start + 1e-9 < t < segment.end - 1e-9]
+        start = segment.start
+        for k, end in enumerate([*cuts, segment.end]):
+            feed.append((end, 0, (i, k), ("slice", start, end, segment.entity,
+                                          segment.job, segment.core)))
+            start = end
     for i, event in enumerate(trace.events):
-        feed.append((event.time, 1, i, event))
-    calls = []
-    for _, _, index, item in sorted(feed, key=lambda entry: entry[:3]):
-        if isinstance(item, Segment):
-            calls.append(("slice", item.start, item.end, item.entity,
-                          item.job, item.core))
-        else:
-            calls.append(("event", index, id(item)))
+        feed.append((event.time, 1, i, ("event", i, id(event))))
+    calls = [entry[3] for entry in sorted(feed, key=lambda entry: entry[:3])]
     calls.append(("finish", horizon))
     return calls
+
+
+def _cut_segments(trace: ExecutionTrace) -> int:
+    times = {event.time for event in trace.events}
+    return sum(
+        any(s.start + 1e-9 < t < s.end - 1e-9 for t in times)
+        for s in trace.segments
+    )
 
 
 def _segments(rng: random.Random, n: int, cores: int) -> list[Segment]:
@@ -208,6 +219,7 @@ def test_run_monitors_feeds_in_the_oracle_order(seed, cores):
     trace.events = _plane(rng, "plane", 150)
     ends = {s.end for s in trace.segments}
     assert any(e.time in ends for e in trace.events)
+    assert _cut_segments(trace) > 0
     if cores > 1:
         assert any(
             b.end < a.end for a, b in zip(trace.segments, trace.segments[1:])

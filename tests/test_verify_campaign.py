@@ -3,6 +3,7 @@ byte-identity guarantee when verification is off."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -12,11 +13,17 @@ from repro.experiments.campaign import (
     run_campaign,
     simulate_system,
 )
+from repro.sim.servers import IdealDeferrableServer, IdealPollingServer
 from repro.sim.trace import TraceEventKind
-from repro.sim.trace_io import diff_traces, trace_to_dict
+from repro.sim.trace_io import diff_traces, trace_from_dict, trace_to_dict
 from repro.smp.campaign import run_multicore_system
+from repro.verify import monitors_for_system, run_monitors
+from repro.verify.chaos import _scenario_seed, _uni_system
 from repro.verify.mutations import _selftest_system, mutation
+from repro.workload.rng import PortableRandom
 from repro.workload.spec import GenerationParameters
+
+SERVERS = {"polling": IdealPollingServer, "deferrable": IdealDeferrableServer}
 
 
 class TestSimulateSystemWiring:
@@ -108,3 +115,39 @@ class TestCampaignWiring:
             "capacity-overdraw" in record.error
             for record in verified.failures
         )
+
+
+class TestReloadedTraces:
+    """A verified run's trace, saved as JSON and reloaded, sweeps to the
+    run's own report."""
+
+    def sweep_reloaded(self, system, policy, trace):
+        reloaded = trace_from_dict(
+            json.loads(json.dumps(trace_to_dict(trace)))
+        )
+        server = SERVERS[policy](system.server, name=policy.upper())
+        return run_monitors(
+            reloaded, monitors_for_system(system, servers=(server,)),
+            horizon=system.horizon,
+        )
+
+    @pytest.mark.parametrize("policy", sorted(SERVERS))
+    def test_chaos_systems(self, policy):
+        # these deferrable runs include servers that run straight
+        # through a replenishment, stored as one segment
+        for index in range(60):
+            seed = _scenario_seed(20260806, index)
+            system = _uni_system(PortableRandom(seed), seed)
+            result = simulate_system(system, policy, verify=True)
+            report = self.sweep_reloaded(system, policy, result.trace)
+            assert report.ok, (index, report.summary())
+            assert report.violations == result.report.violations, index
+
+    def test_stamped_violations_sweep_to_the_same_report(self):
+        system = _selftest_system()
+        with mutation("capacity-leak"):
+            result = simulate_system(system, "polling", verify=True)
+        assert result.trace.events_of(TraceEventKind.VIOLATION)
+        report = self.sweep_reloaded(system, "polling", result.trace)
+        assert report.kinds() == {"capacity-overdraw"}
+        assert report.violations == result.report.violations

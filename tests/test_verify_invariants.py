@@ -16,13 +16,13 @@ from repro.verify import (
     BreakerMonitor,
     EDFOrderMonitor,
     FixedPriorityMonitor,
-    MonitoredTrace,
     MonotoneClockMonitor,
     NonOverlapMonitor,
     ReleaseAccountingMonitor,
     ServerCapacityMonitor,
     monitors_for_system,
     run_monitors,
+    stamp_violations,
 )
 from repro.verify.mutations import _selftest_system
 from repro.workload.spec import PeriodicTaskSpec
@@ -57,13 +57,17 @@ class TestNonOverlap:
 
 class TestMonotoneClock:
     def test_flags_time_regression(self):
-        # the post-hoc replay re-sorts by time, so a regression is only
-        # observable on the live feed
-        trace = MonitoredTrace([MonotoneClockMonitor()])
-        trace.add_event(5.0, R, "a#0")
-        trace.add_event(1.0, C, "a#0")
-        report = trace.finish_monitors(10.0)
+        # the sweep visits events in time order; the monitor reads the
+        # recorded order and names the late event's index
+        trace = make_trace(events=[
+            (2.0, R, "a#0", ""), (5.0, R, "b#0", ""),
+            (1.0, C, "a#0", ""), (6.0, C, "b#0", ""),
+        ])
+        report = run_monitors(trace, [MonotoneClockMonitor()])
         assert report.kinds() == {"clock-skew"}
+        (violation,) = report.violations
+        assert violation.witness == (2,)
+        assert violation.entities == ("b#0", "a#0")
 
     def test_equal_timestamps_are_legal(self):
         trace = make_trace(events=[(1.0, R, "a#0", ""), (1.0, R, "b#0", "")])
@@ -165,6 +169,25 @@ class TestServerCapacity:
         )
         assert run_monitors(trace, [self.monitor()]).ok
 
+    def test_segment_spanning_a_replenishment_is_cut(self):
+        # the kernel ran [4,5) on the old budget and [5,6) on the refill;
+        # the trace stores them as one segment
+        trace = make_trace(
+            segments=[(4, 6, "DS", "h0", None)],
+            events=[(0, R, "h0", ""),
+                    (5.0, TraceEventKind.REPLENISH, "DS", "capacity=1")],
+        )
+        assert run_monitors(trace, [self.monitor()]).ok
+
+    def test_overdraw_before_a_replenishment_still_flagged(self):
+        trace = make_trace(
+            segments=[(3, 6, "DS", "h0", None)],
+            events=[(5.0, TraceEventKind.REPLENISH, "DS", "capacity=1")],
+        )
+        report = run_monitors(trace, [self.monitor()])
+        assert report.kinds() == {"capacity-overdraw"}
+        assert [v.time for v in report.violations] == [5.0]
+
 
 class TestReleaseAccounting:
     def test_duplicate_terminal_flagged(self):
@@ -230,33 +253,21 @@ class TestBreakerMonitor:
         assert run_monitors(trace, [BreakerMonitor()]).ok
 
 
-class TestMonitoredTrace:
-    def test_violations_stamped_and_idempotent(self):
-        trace = MonitoredTrace([BreakerMonitor()])
+class TestKernelSweep:
+    def test_violations_stamped_on_the_trace(self):
+        trace = ExecutionTrace()
         trace.add_event(1.0, TraceEventKind.BREAKER_CLOSE, "src")
-        first = trace.finish_monitors(10.0)
-        assert not first.ok
+        report = run_monitors(trace, [BreakerMonitor()], horizon=10.0)
+        assert not report.ok
+        assert trace.events_of(TraceEventKind.VIOLATION) == []
+        stamp_violations(trace, report)
         stamped = trace.events_of(TraceEventKind.VIOLATION)
         assert len(stamped) == 1
         assert stamped[0].subject == "src"
-        # a second sweep returns the same report and stamps nothing new
-        assert trace.finish_monitors(10.0) is first
-        assert len(trace.events_of(TraceEventKind.VIOLATION)) == 1
-
-    def test_engine_hook_rejects_trace_and_monitors(self):
-        with pytest.raises(ValueError):
-            Simulation(
-                FixedPriorityPolicy(),
-                trace=ExecutionTrace(),
-                monitors=[NonOverlapMonitor()],
-            )
+        assert stamped[0].detail == str(report.violations[0])
 
     def test_clean_engine_run_verifies_ok(self):
-        sim = Simulation(FixedPriorityPolicy(), monitors=[
-            NonOverlapMonitor(),
-            MonotoneClockMonitor(),
-            FixedPriorityMonitor({"hi": 2, "lo": 1}),
-        ])
+        sim = Simulation(FixedPriorityPolicy())
         sim.add_periodic_task(
             PeriodicTaskSpec("hi", cost=1.0, period=5.0, priority=2)
         )
@@ -264,7 +275,11 @@ class TestMonitoredTrace:
             PeriodicTaskSpec("lo", cost=2.0, period=10.0, priority=1)
         )
         trace = sim.run(until=30.0)
-        report = trace.finish_monitors(30.0)
+        report = run_monitors(trace, [
+            NonOverlapMonitor(),
+            MonotoneClockMonitor(),
+            FixedPriorityMonitor({"hi": 2, "lo": 1}),
+        ], horizon=30.0)
         assert report.ok, report.summary()
         assert trace.events_of(TraceEventKind.VIOLATION) == []
 
@@ -292,10 +307,12 @@ class TestMonitorsForSystem:
 
 class TestGanttViolationMarkers:
     def violating_trace(self):
-        trace = MonitoredTrace([BreakerMonitor()])
+        trace = ExecutionTrace()
         trace.add_segment(0.0, 1.0, "a", "a#0", core=0)
         trace.add_event(0.5, TraceEventKind.BREAKER_CLOSE, "src")
-        trace.finish_monitors(2.0)
+        stamp_violations(
+            trace, run_monitors(trace, [BreakerMonitor()], horizon=2.0)
+        )
         return trace
 
     def test_markers_rendered_on_both_renderers(self):

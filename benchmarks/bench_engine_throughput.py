@@ -22,8 +22,9 @@ runs has its own guard.
 end: one skewed service storm on the virtual clock.  Besides its time
 it records ``extra_info["loop_turns_per_decision"]``, counted from
 outside the program by a selector that tallies its polls (one per
-event-loop turn).  The count repeats exactly, so its guard holds on any
-host.
+event-loop turn).  A storm runs on the scheduler alone and starts no
+event loop, so the count is exactly 0, and its guard holds it there on
+any host.
 
 ``bench_rtss_kernel_dense_periodic_default`` and
 ``bench_rtss_kernel_wide_taskset_default`` run the default kernel over

@@ -20,8 +20,6 @@ milliseconds are not.
 
 from __future__ import annotations
 
-import asyncio
-
 from repro.fabric import AdmissionFabric, FabricConfig
 from repro.service import AdmissionService, EventRequest, ServiceConfig
 
@@ -48,16 +46,16 @@ def bench_fabric_router_submit(benchmark):
     """SUBMITS requests through the router edge into one shard."""
     requests = _requests(SUBMITS)
 
-    async def run():
-        fabric = await AdmissionFabric(FABRIC, CONFIG).start()
+    def run():
+        fabric = AdmissionFabric(FABRIC, CONFIG).start()
         admitted = 0
         for request in requests:
-            ticket = await fabric.router.submit(request)
+            ticket = fabric.router.submit(request)
             admitted += ticket.admitted
         fabric.kill_shard(0)
         return admitted
 
-    admitted = benchmark(lambda: asyncio.run(run()))
+    admitted = benchmark(run)
     assert admitted > 0
     print(f"\n{admitted}/{SUBMITS} admitted through the router edge")
 
@@ -66,17 +64,16 @@ def bench_fabric_direct_submit(benchmark):
     """The same workload straight into a bare admission service."""
     requests = _requests(SUBMITS)
 
-    async def run():
-        service = AdmissionService(CONFIG)
-        await service.start()
+    def run():
+        service = AdmissionService(CONFIG).start()
         admitted = 0
         for request in requests:
-            ticket = await service.submit(request)
+            ticket = service.submit(request)
             admitted += ticket.admitted
         service.kill()
         return admitted
 
-    admitted = benchmark(lambda: asyncio.run(run()))
+    admitted = benchmark(run)
     assert admitted > 0
     print(f"\n{admitted}/{SUBMITS} admitted on the bare service")
 
@@ -85,21 +82,21 @@ def bench_fabric_duplicate_replay(benchmark):
     """Pure idempotency-cache hits: every submission is a replay."""
     requests = _requests(SUBMITS)
 
-    async def run():
-        fabric = await AdmissionFabric(FABRIC, CONFIG).start()
+    def run():
+        fabric = AdmissionFabric(FABRIC, CONFIG).start()
         settled = 0
         for request in requests:
-            ticket = await fabric.router.submit(request)
+            ticket = fabric.router.submit(request)
             # retryable rejections are deliberately uncached
             settled += not ticket.retryable
         replayed = 0
         for request in requests:
-            ticket = await fabric.router.submit(request)
+            ticket = fabric.router.submit(request)
             replayed += ticket.duplicate
         fabric.kill_shard(0)
         return settled, replayed
 
-    settled, replayed = benchmark(lambda: asyncio.run(run()))
+    settled, replayed = benchmark(run)
     assert settled > 0 and replayed == settled
     print(f"\n{replayed}/{settled} settled ids replayed from the "
           "router cache")

@@ -8,8 +8,10 @@ Not a paper table — these pin the PR 9 wall-clock ingestion path:
   service; prints req/sec and the p50/p99 round-trip admit latency of
   the last round;
 * ``bench_gateway_direct_submit`` — the same workload submitted
-  straight to a bare :class:`AdmissionService` on the same wall clock,
-  the in-process baseline the gateway wraps;
+  straight to a bare :class:`AdmissionService`, whose scheduler is
+  advanced to each wall-clock stamp before the submit at that stamp, as
+  the gateway's dispatcher does: the in-process baseline the gateway
+  wraps;
 * ``bench_gateway_edge_turns`` — one stream client sends requests the
   service rejects outright (no executor, no journal) through an
   in-process gateway, and ``extra_info["loop_turns_per_request"]``
@@ -57,6 +59,7 @@ from repro.service import (
     EventRequest,
     ServiceConfig,
     TwinConfig,
+    VirtualClock,
     WallClock,
 )
 from repro.sim.trace import TraceEventKind
@@ -132,25 +135,28 @@ def bench_gateway_socket_submit(benchmark):
 
 
 def bench_gateway_direct_submit(benchmark):
-    """The same workload straight into a service on a wall clock."""
+    """The same workload straight into a service whose scheduler is fed
+    wall-clock stamps."""
     requests = _requests(SUBMITS)
 
-    async def run():
-        service = AdmissionService(CONFIG, clock=WallClock(scale=SCALE))
-        await service.start()
+    def run():
+        wall = WallClock(scale=SCALE).anchor()
+        scheduler = VirtualClock(wall.start)
+        service = AdmissionService(CONFIG, clock=scheduler).start()
         admitted = 0
         try:
             for request in requests:
-                ticket = await service.submit(request)
-                admitted += ticket.admitted
+                stamp = wall.now()
+                scheduler.advance(stamp)
+                admitted += service.submit(request, at=stamp).admitted
         finally:
             service.kill()
         return admitted
 
-    admitted = benchmark(lambda: asyncio.run(run()))
+    admitted = benchmark(run)
     assert admitted > 0
-    print(f"\n{admitted}/{SUBMITS} admitted on the bare wall-clock "
-          "service")
+    print(f"\n{admitted}/{SUBMITS} admitted on the bare service fed "
+          "wall-clock stamps")
 
 
 def bench_gateway_edge_turns(benchmark):
@@ -202,8 +208,11 @@ def _served_gateway(directory: str) -> AdmissionGateway:
     requests, one every 0.25 tu: an INGEST and a RESPONSE each on the
     gateway plane; four in five admitted, each with a RELEASE at its
     stamp and a COMPLETION and a RECONCILE 0.4 tu later on the service
-    plane.  So, as on a serving gateway, each release lands after the
-    previous request's completion, out of time order."""
+    plane.  So each release lands after the previous request's
+    completion, out of time order, and the sweep has to visit that
+    plane through its sorted index (a serving gateway records its
+    service plane in time order; a restored incarnation re-submitting
+    its journal debt does not)."""
     gateway = AdmissionGateway(
         GatewayConfig(unix_path=str(Path(directory) / "gw.sock")), CONFIG,
     )

@@ -6,8 +6,8 @@ horizontally:
 * :mod:`repro.fabric.placement` — consistent source → shard placement
   on the SMP bin-packing machinery, with per-shard failover reserve;
 * :mod:`repro.fabric.router` — the client-facing edge: fabric-level
-  idempotency, per-shard circuit breakers, retryable refusals, and the
-  well-behaved :class:`FabricClient`;
+  idempotency, per-shard circuit breakers and retryable refusals,
+  which the :class:`~repro.service.service.ServiceClient` retries;
 * :mod:`repro.fabric.supervisor` — the control plane: heartbeat
   sampling, death declaration, failover / brown-out, checkpoint
   restore;
@@ -19,7 +19,7 @@ horizontally:
 
 from .fabric import AdmissionFabric, FabricConfig, FabricError
 from .placement import SourcePlacement, place_sources
-from .router import FabricClient, ShardRouter
+from .router import ShardRouter
 from .storm import (
     FabricStormConfig,
     FabricStormReport,
@@ -30,7 +30,6 @@ from .supervisor import Supervisor, SupervisorConfig
 
 __all__ = [
     "AdmissionFabric",
-    "FabricClient",
     "FabricConfig",
     "FabricError",
     "FabricStormConfig",

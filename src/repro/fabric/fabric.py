@@ -4,9 +4,11 @@
 shard-per-core admission plane:
 
 * N :class:`~repro.service.service.AdmissionService` shards on one
-  shared :class:`~repro.service.clock.VirtualClock`, each with its own
-  capacity bucket, overload stack, digital twin, and (optionally) its
-  own JSONL write-ahead checkpoint under ``checkpoint_dir``;
+  shared :class:`~repro.service.clock.VirtualClock` — the one scheduler
+  their executors, housekeepers and the supervisor run on — each with
+  its own capacity bucket, overload stack, digital twin, and
+  (optionally) its own JSONL write-ahead checkpoint under
+  ``checkpoint_dir``;
 * a consistent source → shard :class:`~repro.fabric.placement.
   SourcePlacement` computed with the SMP bin-packing machinery;
 * the :class:`~repro.fabric.router.ShardRouter` edge (fabric-level
@@ -26,7 +28,6 @@ admission through failover, hard deadlines met or explicitly SHED.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,22 +157,22 @@ class AdmissionFabric:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> "AdmissionFabric":
+    def start(self) -> "AdmissionFabric":
         for shard in self.shards:
-            await shard.service.start()
+            shard.service.start()
         if self.supervisor is not None:
             self.supervisor.start()
-        # let every housekeeper and the supervisor register their first
-        # clock sleeps: an immediate advance() past their wake times
-        # must find them on the heap, not jump over unstarted tasks
-        await asyncio.sleep(0)
+        # arm every housekeeper and the supervisor at the start instant:
+        # an immediate advance() past their first ticks must find them
+        # on the heap, not arm them late
+        self.clock.advance(self.clock.now())
         return self
 
     def kill_shard(self, index: int) -> None:
         """Crash one shard mid-flight — silently, as a real crash is.
 
         The shared clock is left running (sibling shards keep their
-        sleepers); the supervisor discovers the death through missed
+        timers); the supervisor discovers the death through missed
         heartbeats, never through this call.
         """
         shard = self.shards[index]
@@ -179,7 +180,7 @@ class AdmissionFabric:
         shard.alive = False
         self.kills += 1
 
-    async def restore_shard(self, index: int) -> AdmissionService:
+    def restore_shard(self, index: int) -> AdmissionService:
         """Rebuild a dead shard from its write-ahead checkpoint."""
         shard = self.shards[index]
         if shard.checkpoint is None:
@@ -188,7 +189,7 @@ class AdmissionFabric:
                 "(fabric built without checkpoint_dir)"
             )
         shard.archived.append(shard.service)
-        service = await AdmissionService.restore(
+        service = AdmissionService.restore(
             shard.checkpoint, config=self.shard_config,
             clock=self.clock, skew=self.skew,
         )
@@ -197,14 +198,14 @@ class AdmissionFabric:
         shard.incarnation += 1
         return service
 
-    async def drain(self) -> dict[int, DrainReport]:
+    def drain(self) -> dict[int, DrainReport]:
         """Stop supervision, then drain every live shard in order."""
         if self.supervisor is not None:
-            await self.supervisor.stop()
+            self.supervisor.stop()
         reports: dict[int, DrainReport] = {}
         for shard in self.shards:
             if shard.alive:
-                reports[shard.index] = await shard.service.drain()
+                reports[shard.index] = shard.service.drain()
         return reports
 
     # -- router/supervisor callbacks ---------------------------------------

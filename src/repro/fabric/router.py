@@ -15,9 +15,10 @@ request it
    refusals), so a flapping shard is steered around without hammering;
 4. returns retryable :data:`~repro.service.requests.Decision.
    REJECT_UNREACHABLE` tickets for dead/breaker-open/browned-out
-   targets, which :class:`FabricClient` retries with the shared
-   exponential backoff — by then the supervisor has usually failed the
-   source over or restored the shard.
+   targets, which a :class:`~repro.service.service.ServiceClient`
+   retries with the shared exponential backoff — by then the
+   supervisor has usually failed the source over or restored the
+   shard.
 
 On a healthy single-shard fabric every step is side-effect-free beyond
 the shard's own ``submit``, which keeps the fabric byte-identical to a
@@ -40,7 +41,7 @@ from ..service.requests import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fabric import AdmissionFabric
 
-__all__ = ["ShardRouter", "FabricClient"]
+__all__ = ["ShardRouter"]
 
 #: tickets the fabric-level idempotency cache remembers
 _IDEMPOTENCY_ENTRIES = 65536
@@ -51,6 +52,8 @@ class ShardRouter:
 
     def __init__(self, fabric: "AdmissionFabric") -> None:
         self.fabric = fabric
+        #: the fabric's clock, which a retrying client schedules on
+        self.clock = fabric.clock
         self.cache = IdempotencyCache(max_entries=_IDEMPOTENCY_ENTRIES)
         self._breakers: dict[int, CircuitBreaker] = {}
         if fabric.config.breaker is not None:
@@ -99,7 +102,7 @@ class ShardRouter:
 
     # -- the client-facing edge --------------------------------------------
 
-    async def submit(
+    def submit(
         self, request: EventRequest, *, at: float | None = None
     ) -> AdmissionTicket:
         """One routing + admission attempt, idempotent by request id.
@@ -108,7 +111,7 @@ class ShardRouter:
         in :meth:`AdmissionService.submit` — the gateway's wall-clock
         front end stamps frames once and routes with that stamp.
         """
-        now = at if at is not None else self.fabric.clock.now()
+        now = at if at is not None else self.clock.now()
         self.routed += 1
         cached = self.cache.get(request.request_id)
         if cached is not None:
@@ -147,7 +150,7 @@ class ShardRouter:
             )
         if source_failed_over := (request.source in self._overrides):
             self.failover_routed += 1
-        ticket = await shard.service.submit(request, at=now)
+        ticket = shard.service.submit(request, at=now)
         if breaker is not None:
             # the shard answered — that is success for *reachability*
             # (an overload rejection is the shard doing its job)
@@ -156,38 +159,3 @@ class ShardRouter:
         if source_failed_over and ticket.admitted:
             self.fabric.note_failover_admit(request.request_id, target)
         return ticket
-
-
-class FabricClient:
-    """A well-behaved fabric client: idempotent retries with backoff.
-
-    Mirrors :class:`~repro.service.service.ServiceClient` exactly —
-    same request id on every attempt, same jittered backoff drawn from
-    the same seeded stream, sleeping on the fabric's clock — so a
-    single-shard fabric replays a plain service storm byte-for-byte.
-    """
-
-    def __init__(self, router: ShardRouter, backoff=None, seed: int = 0,
-                 max_attempts: int = 4) -> None:
-        from ..service.backoff import DEFAULT_BACKOFF
-        from ..workload.rng import PortableRandom
-        if max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
-        self.router = router
-        self.backoff = backoff if backoff is not None else DEFAULT_BACKOFF
-        self.max_attempts = max_attempts
-        self._rng = PortableRandom(seed)
-        self.retries = 0
-
-    async def submit(self, request: EventRequest) -> AdmissionTicket:
-        attempt = 1
-        while True:
-            ticket = await self.router.submit(request)
-            if not ticket.retryable or attempt >= self.max_attempts:
-                return replace(ticket, attempt=attempt)
-            self.retries += 1
-            delay = self.backoff.delay(attempt, self._rng)
-            await self.router.fabric.clock.sleep(delay)
-            attempt += 1

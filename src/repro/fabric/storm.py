@@ -21,7 +21,6 @@ exactly zero semantic drift.
 
 from __future__ import annotations
 
-import asyncio
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,14 +28,13 @@ from pathlib import Path
 from ..faults.injectors import ExecutionSkew
 from ..sim.trace import TraceEventKind
 from ..workload.rng import PortableRandom
-from ..service.service import ServiceConfig
+from ..service.service import ServiceClient, ServiceConfig
 from ..service.storm import (
     StormConfig,
     default_storm_service_config,
     storm_requests,
 )
 from .fabric import AdmissionFabric, FabricConfig
-from .router import FabricClient
 from .supervisor import SupervisorConfig
 
 __all__ = ["ShardKill", "FabricStormConfig", "FabricStormReport",
@@ -228,11 +226,11 @@ def _corrupt_tail(path: Path) -> None:
         handle.write(b'{"op": "admit", "t": 999999, "requ')
 
 
-async def _drive(fabric: AdmissionFabric, config: FabricStormConfig,
-                 report: FabricStormReport) -> None:
+def _drive(fabric: AdmissionFabric, config: FabricStormConfig,
+           report: FabricStormReport) -> None:
     clock = fabric.clock
     clients = {
-        f"src-{i}": FabricClient(
+        f"src-{i}": ServiceClient(
             fabric.router, seed=config.seed * 1009 + i,
             max_attempts=config.max_attempts,
         )
@@ -242,11 +240,11 @@ async def _drive(fabric: AdmissionFabric, config: FabricStormConfig,
     # enabled, so duplicate_fraction=0.0 keeps the drive byte-identical
     # to the plain service storm
     dup_rng = None
-    dup_clients: dict[str, FabricClient] = {}
+    dup_clients: dict[str, ServiceClient] = {}
     if config.duplicate_fraction > 0:
         dup_rng = PortableRandom(config.seed * 7919 + 13)
         dup_clients = {
-            f"src-{i}": FabricClient(
+            f"src-{i}": ServiceClient(
                 fabric.router, seed=config.seed * 7919 + i,
                 max_attempts=config.max_attempts,
             )
@@ -255,48 +253,40 @@ async def _drive(fabric: AdmissionFabric, config: FabricStormConfig,
     kills = sorted(config.kills, key=lambda k: (k.at, k.shard))
     next_kill = 0
 
-    async def apply_kills_until(when: float) -> None:
+    def apply_kills_until(when: float) -> None:
         nonlocal next_kill
         while next_kill < len(kills) and kills[next_kill].at <= when:
             kill = kills[next_kill]
             next_kill += 1
-            await clock.advance(kill.at)
+            clock.advance(kill.at)
             fabric.kill_shard(kill.shard)
             checkpoint = fabric.shards[kill.shard].checkpoint
             if kill.corrupt_tail and checkpoint is not None:
                 _corrupt_tail(checkpoint)
 
-    pending: list[asyncio.Task] = []
     for when, request in storm_requests(config.as_storm_config()):
-        await apply_kills_until(when)
-        await clock.advance(when)
-        pending.append(asyncio.create_task(
-            clients[request.source].submit(request)
-        ))
+        apply_kills_until(when)
+        clock.advance(when)
+        clients[request.source].submit(request)
         if dup_rng is not None and (
             dup_rng.random() < config.duplicate_fraction
         ):
             # an impatient client re-submitting the same request id
             report.duplicate_submissions += 1
-            pending.append(asyncio.create_task(
-                dup_clients[request.source].submit(request)
-            ))
-        await asyncio.sleep(0)  # let the submissions decide at `when`
+            dup_clients[request.source].submit(request)
     tail = config.horizon + config.settle
-    await apply_kills_until(tail)
-    await clock.advance(tail)
+    apply_kills_until(tail)
+    clock.advance(tail)
     # ride out any still-down shard's restore window before draining,
     # so its resumed in-flight work reaches a terminal
     if fabric.supervisor is not None and fabric.checkpoint_dir is not None:
         for _ in range(200):
             if fabric.alive_count == len(fabric.shards):
                 break
-            await clock.advance(clock.now() + fabric.supervisor.interval)
-    drained = await fabric.drain()
+            clock.advance(clock.now() + fabric.supervisor.interval)
+    drained = fabric.drain()
     report.drained_completed = sum(d.completed for d in drained.values())
     report.drained_shed = sum(d.shed for d in drained.values())
-    if pending:
-        await asyncio.gather(*pending, return_exceptions=True)
     report.horizon = clock.now()
     report.client_retries = sum(c.retries for c in clients.values())
     report.client_retries += sum(c.retries for c in dup_clients.values())
@@ -333,16 +323,11 @@ def run_fabric_storm(
     report = FabricStormReport(config=config, horizon=config.horizon)
     wall_start = _time.perf_counter()
 
-    async def _main() -> AdmissionFabric:
-        fabric = AdmissionFabric(
-            fabric_config, shard_config, skew=skew, seed=config.seed,
-            checkpoint_dir=checkpoint_dir,
-        )
-        await fabric.start()
-        await _drive(fabric, config, report)
-        return fabric
-
-    fabric = asyncio.run(_main())
+    fabric = AdmissionFabric(
+        fabric_config, shard_config, skew=skew, seed=config.seed,
+        checkpoint_dir=checkpoint_dir,
+    ).start()
+    _drive(fabric, config, report)
     report.wall_seconds = _time.perf_counter() - wall_start
     metrics = fabric.metrics()
     report.submitted = metrics["submitted"]

@@ -1,7 +1,8 @@
 """The shard supervisor: heartbeats, death declaration, failover, restore.
 
-The supervisor is the fabric's control plane, one asyncio task on the
-shared clock.  Every ``interval`` tu it samples each shard's
+The supervisor is the fabric's control plane, one timer action on the
+shared clock that re-arms itself after its checks.  Every ``interval``
+tu it samples each shard's
 housekeeping beat counter (the same heartbeat taxonomy the digital twin
 uses for its *internal* liveness —
 :data:`~repro.service.twin.HEARTBEAT_MISS` — applied from the outside):
@@ -24,18 +25,20 @@ its write-ahead checkpoint (:meth:`~repro.service.service.
 AdmissionService.restore` — byte-identical twin, re-spawned in-flight
 executors), the overrides are lifted (``SHARD_RESTORED``), and the
 declared→restored latency is recorded for the soak's bounded-failover
-assertion.
+assertion.  The new incarnation's first executor steps and
+housekeeping arm are queued behind the check that restored it, so they
+run at the same instant, after the supervisor has re-armed.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..sim.trace import TraceEventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..service.clock import Timer
     from .fabric import AdmissionFabric, _Shard
 
 __all__ = ["SupervisorConfig", "Supervisor"]
@@ -90,8 +93,7 @@ class Supervisor:
             self.config.interval if self.config.interval is not None
             else fabric.shard_config.twin.heartbeat
         )
-        self._task: asyncio.Task | None = None
-        self._stopped = False
+        self._timer: "Timer | None" = None
         self._beats: dict[int, int] = {}
         self._misses: dict[int, int] = {}
         #: shard index -> declaration instant while it is down
@@ -102,41 +104,32 @@ class Supervisor:
         self.restored = 0
 
     def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.create_task(
-                self._run(), name="fabric-supervisor"
-            )
+        """Queue the first arm of the sampling timer."""
+        if self._timer is None:
+            self._timer = self.fabric.clock.call_soon(self._arm)
 
-    async def stop(self) -> None:
-        self._stopped = True
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+    def stop(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
-    async def _run(self) -> None:
+    def _arm(self) -> None:
         clock = self.fabric.clock
-        try:
-            while not self._stopped:
-                await clock.sleep(self.interval)
-                if self._stopped:
-                    return
-                now = clock.now()
-                for shard in self.fabric.shards:
-                    await self._check(now, shard)
-        except asyncio.CancelledError:
-            return
+        self._timer = clock.call_at(clock.now() + self.interval, self._run)
 
-    async def _check(self, now: float, shard: "_Shard") -> None:
+    def _run(self) -> None:
+        now = self.fabric.clock.now()
+        for shard in self.fabric.shards:
+            self._check(now, shard)
+        self._arm()
+
+    def _check(self, now: float, shard: "_Shard") -> None:
         index = shard.index
         if index in self.down_since:
             if now - self.down_since[index] >= (
                 self.config.restart_delay - _EPS
             ):
-                await self._restore(now, shard)
+                self._restore(now, shard)
             return
         beats = shard.service.heartbeats
         if beats == self._beats.get(index, -1):
@@ -194,10 +187,10 @@ class Supervisor:
             return None
         return min(candidates)[1]
 
-    async def _restore(self, now: float, shard: "_Shard") -> None:
+    def _restore(self, now: float, shard: "_Shard") -> None:
         fabric = self.fabric
         index = shard.index
-        await fabric.restore_shard(index)
+        fabric.restore_shard(index)
         latency = now - self.down_since.pop(index)
         self.failover_latencies.append(latency)
         self.restored += 1

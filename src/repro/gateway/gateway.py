@@ -1,8 +1,11 @@
 """The wall-clock admission gateway: real network ingestion.
 
-:class:`AdmissionGateway` is an asyncio TCP/Unix-socket front end that
-runs one :class:`~repro.service.AdmissionService` on a hardened
-:class:`~repro.service.WallClock`.  Requests flow through three stages:
+:class:`AdmissionGateway` is an asyncio TCP/Unix-socket front end to
+one :class:`~repro.service.AdmissionService`.  A hardened
+:class:`~repro.service.WallClock` stamps every request; the service
+runs on its own :class:`~repro.service.VirtualClock` scheduler, which
+the wall clock drives with one event-loop timer armed for its next
+action.  Requests flow through three stages:
 
 * **the edge** — one :class:`asyncio.Protocol` per connection buffers
   bytes and decodes complete frames in the transport's
@@ -15,9 +18,9 @@ runs one :class:`~repro.service.AdmissionService` on a hardened
   bytes waits unread.
 * **the bounded pipeline** — ``max_in_flight`` deep; overflow surfaces
   as a retryable ``REJECT_BUSY`` instead of unbounded queueing.
-* **the single dispatcher** — stamps, settles, journals and submits
-  every request, then writes the ticket straight to the connection's
-  transport.
+* **the single dispatcher** — stamps every request, advances the
+  service's scheduler to the stamp, journals and submits, then writes
+  the ticket straight to the connection's transport.
 
 Robustness layers:
 
@@ -40,12 +43,13 @@ Robustness layers:
   ones are re-submitted *at their original stamps* — never a double
   admission.
 * **determinism under jitter** — all decisions flow through one
-  dispatcher, each frame is stamped exactly once, and a settle
-  discipline (completions due before the stamp commit first) mirrors
-  ``VirtualClock.advance``'s wake-then-settle ordering.  A control run
-  replaying the journal's (stamp, request) pairs on a ``VirtualClock``
-  therefore reproduces every admission decision bit-for-bit — the
-  property ``run_gateway_soak`` cross-checks.
+  dispatcher, each frame is stamped exactly once, and the service's
+  scheduler runs every action due by the stamp before the request is
+  submitted at it.  A control run replaying the journal's (stamp,
+  request) pairs on a ``VirtualClock`` does the same, and so
+  reproduces every admission decision bit-for-bit — the property
+  ``run_gateway_soak`` cross-checks.  The service plane is recorded in
+  time order.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from repro.service import (
     EventRequest,
     IdempotencyCache,
     ServiceConfig,
+    VirtualClock,
     WallClock,
 )
 from repro.service.clock import ClockPause
@@ -96,9 +101,6 @@ _EPS = 1e-9
 #: how far past the last journal/checkpoint stamp a restored gateway's
 #: logical timeline resumes
 _RESUME_SLACK = 1e-6
-#: ready-queue yields granted for due completions to commit before a
-#: new arrival is stamped (the wall-clock settle discipline)
-_SETTLE_ROUNDS = 256
 
 
 @dataclass(frozen=True)
@@ -186,8 +188,8 @@ class AdmissionGateway:
         self.seed = seed
         if _service is None:
             _service = AdmissionService(
-                self.service_config, clock=self.clock, skew=skew,
-                seed=seed, checkpoint_path=checkpoint_path,
+                self.service_config, clock=VirtualClock(self.clock.start),
+                skew=skew, seed=seed, checkpoint_path=checkpoint_path,
             )
         self.service = _service
         self.journal: CheckpointLog | None = (
@@ -225,7 +227,6 @@ class AdmissionGateway:
         self.protocol_errors = 0
         self.connections_total = 0
         self.connections_rejected = 0
-        self.settle_overruns = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -235,14 +236,15 @@ class AdmissionGateway:
         self.terminated = asyncio.Event()
         self._pipeline = asyncio.Queue(maxsize=self.config.max_in_flight)
         if self.service._housekeeper is None:
-            await self.service.start()
+            self.service.start()
         if self.journal is not None and not self.journal.exists():
             self.journal.append({
                 "op": "gateway_init", "t": self.clock.now(),
                 "scale": self.clock.scale, "seed": self.seed,
             })
         if self._replay_debt:
-            await self._replay_journal_debt()
+            self._replay_journal_debt()
+        self.clock.drive(self.service.clock, self.clock.now())
         self.clock.on_pause(self._on_clock_pause)
         self.clock.start_watchdog(self.config.watchdog_interval)
         self._dispatcher = asyncio.create_task(
@@ -298,8 +300,9 @@ class AdmissionGateway:
         )
         resume_at = max(last_stamp, last_checkpoint) + _RESUME_SLACK
         clock = WallClock(scale=scale, start=resume_at).anchor()
-        service = await AdmissionService.restore(
-            checkpoint_path, config=service_config, clock=clock, skew=skew,
+        service = AdmissionService.restore(
+            checkpoint_path, config=service_config,
+            clock=VirtualClock(resume_at), skew=skew,
         )
         gateway = cls(
             config, service_config, clock=clock, seed=seed,
@@ -320,16 +323,16 @@ class AdmissionGateway:
             ]
         return await gateway.start()
 
-    async def _replay_journal_debt(self) -> None:
+    def _replay_journal_debt(self) -> None:
         debt, self._replay_debt = self._replay_debt, []
         for op in debt:
-            request = EventRequest.from_dict(op["request"])
             stamp = op["t"]
-            await self._settle_before(stamp)
-            ticket = await self._decide_settled(request, stamp,
-                                                replayed=True)
+            self.service.clock.advance(stamp)
+            # the original client re-learns the fate by retrying
+            self._decide_at(
+                EventRequest.from_dict(op["request"]), stamp, replayed=True,
+            )
             self.replayed += 1
-            del ticket  # the original client re-learns the fate by retrying
         now = self.clock.now()
         if self.journal is not None:
             self.journal.append({
@@ -363,30 +366,17 @@ class AdmissionGateway:
             finally:
                 pipeline.task_done()
 
-    async def _settle_before(self, stamp: float) -> None:
-        """Yield until no in-flight completion is due at or before
-        ``stamp`` — the wall-clock mirror of ``VirtualClock.advance``'s
-        wake-then-settle ordering, so retire-before-admit interleavings
-        match the control replay."""
-        for spin in range(_SETTLE_ROUNDS):
-            if not self.service.has_due(stamp):
-                return
-            if spin and spin % 16 == 0:
-                # a due executor may still be on a timer a few hundred
-                # microseconds out — grant real time, not just cycles
-                await asyncio.sleep(self.clock.scale * 0.05)
-            else:
-                await asyncio.sleep(0)
-        self.settle_overruns += 1
-
     async def _decide(self, request: EventRequest) -> AdmissionTicket:
+        """Stamp the request, run the service's actions due by the
+        stamp, submit at the stamp, then re-arm the driven timer."""
         stamp = self.clock.now()
-        await self._settle_before(stamp)
-        stamp = max(stamp, self.clock.now())
-        await self._settle_before(stamp)
-        return await self._decide_settled(request, stamp)
+        scheduler = self.service.clock
+        scheduler.advance(stamp)
+        ticket = self._decide_at(request, stamp)
+        self.clock.drive(scheduler, stamp)
+        return ticket
 
-    async def _decide_settled(
+    def _decide_at(
         self, request: EventRequest, stamp: float, *, replayed: bool = False,
     ) -> AdmissionTicket:
         rid = request.request_id
@@ -402,7 +392,7 @@ class AdmissionGateway:
         if cached is not None:
             ticket = replace(cached, duplicate=True)
         else:
-            ticket = await self.service.submit(request, at=stamp)
+            ticket = self.service.submit(request, at=stamp)
             self.cache.put(ticket)
         if self.journal is not None:
             self.journal.append({
@@ -465,6 +455,8 @@ class AdmissionGateway:
 
     def _on_clock_pause(self, pause: ClockPause) -> None:
         """A stalled loop / suspended process is a real divergence."""
+        # what fell due during the stall is recorded first
+        self.clock.drive(self.service.clock, pause.at)
         detail = (
             f"loop stalled {pause.observed:g}tu where {pause.expected:g}tu "
             "was expected"
@@ -511,9 +503,15 @@ class AdmissionGateway:
         self._close_listener()
         assert self._pipeline is not None
         await self._pipeline.join()   # decide everything already accepted
-        report = await self.service.drain(
-            max_wait=self.config.drain_max_wait
-        )
+        scheduler = self.service.clock
+        self.clock.stop_driving()
+        scheduler.advance(self.clock.now())
+        report = self.service.drain(max_wait=self.config.drain_max_wait)
+        # the drain settled work up to the scheduler's time: no later
+        # gateway stamp may come before it
+        lag = scheduler.now() - self.clock.now()
+        if lag > 0:
+            await asyncio.sleep(lag * self.clock.scale)
         if self.journal is not None:
             self.journal.append(
                 {"op": "drained", "t": self.clock.now()}
@@ -549,13 +547,14 @@ class AdmissionGateway:
             return
         self.killed = True
         self.clock.stop_watchdog()
+        self.clock.stop_driving()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
         for connection in list(self._connections):
             connection.abort()
         self._connections.clear()
         self._close_listener()
-        self.service.kill(cancel_clock=False)
+        self.service.kill()
 
     def _close_listener(self) -> None:
         # no ``wait_closed()``: since CPython 3.12.1 it waits for every
@@ -581,10 +580,13 @@ class AdmissionGateway:
 
         Ordering is (time, plane, incarnation, append order) with the
         gateway plane last at equal instants — the same deterministic
-        merge discipline as the fabric's.  Each plane is sorted on its
-        own, since a service records a release at its dispatch stamp
-        after completions it recorded later, and the planes are merged
-        without copying their records.
+        merge discipline as the fabric's.  A serving gateway records
+        each plane in time order, because it advances the service's
+        scheduler to each stamp before it submits there; a plane out of
+        order (a restored incarnation re-submits its journal debt at the
+        original stamps, after it re-announced its resumed jobs) is
+        visited in time order on its own.  The planes are merged without
+        copying their records.
         """
         planes = [
             s.trace.events for s in (*self.archived_services, self.service)
@@ -637,7 +639,6 @@ class AdmissionGateway:
             "protocol_errors": self.protocol_errors,
             "connections_total": self.connections_total,
             "connections_rejected": self.connections_rejected,
-            "settle_overruns": self.settle_overruns,
             "shutdown_signals": self.shutdown_signals,
             "clock": {
                 "scale": self.clock.scale,

@@ -225,45 +225,34 @@ def _wall_fates(
     return fates
 
 
-async def _control_replay_async(
-    journal_ops: list[dict], service_config: ServiceConfig, seed: int,
-) -> tuple[dict[str, tuple[str, str | None]], AdmissionService]:
+def run_control_replay(
+    journal_ops: list[dict], service_config: ServiceConfig, seed: int = 0,
+) -> dict[str, tuple[str, str | None]]:
+    """Replay a gateway journal on a :class:`VirtualClock`.
+
+    Advances the clock to each ingest op's stamp, then submits its
+    request at that stamp — exactly what the gateway does with its wall
+    stamps.  Returns request id -> (first decision, terminal kind or
+    ``None``) — the fate map the wall-clock run must match exactly.
+    """
     clock = VirtualClock(start=service_config.start)
     service = AdmissionService(service_config, clock=clock, seed=seed)
-    await service.start()
+    service.start()
     first: dict[str, AdmissionTicket] = {}
     for op in journal_ops:
         if op.get("op") != "ingest":
             continue
         stamp = op["t"]
         request = EventRequest.from_dict(op["request"])
-        await clock.advance(stamp)
-        ticket = await service.submit(request, at=stamp)
+        clock.advance(stamp)
+        ticket = service.submit(request, at=stamp)
         first.setdefault(request.request_id, ticket)
-    await service.drain()
+    service.drain()
     terminals = _fates_from_trace(service.trace)
-    fates = {
+    return {
         rid: (ticket.decision.value, terminals.get(rid))
         for rid, ticket in first.items()
     }
-    return fates, service
-
-
-def run_control_replay(
-    journal_ops: list[dict], service_config: ServiceConfig, seed: int = 0,
-) -> dict[str, tuple[str, str | None]]:
-    """Replay a gateway journal on a :class:`VirtualClock`.
-
-    Returns request id -> (first decision, terminal kind or ``None``)
-    — the fate map the wall-clock run must match exactly.
-    """
-    async def run():
-        fates, _service = await _control_replay_async(
-            journal_ops, service_config, seed
-        )
-        return fates
-
-    return asyncio.run(run())
 
 
 # -- the retrying soak client -------------------------------------------
@@ -461,9 +450,7 @@ async def _run_soak_async(
     report.gateway_metrics = gateway.metrics()
     report.wall_seconds = time.monotonic() - started
 
-    control, _service = await _control_replay_async(
-        journal_ops, service_config, config.seed
-    )
+    control = run_control_replay(journal_ops, service_config, config.seed)
     report.control_fates = control
     ids = sorted(set(report.fates) | set(control))
     for rid in ids:

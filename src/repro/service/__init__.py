@@ -1,14 +1,16 @@
 """Online admission service with digital-twin re-planning (PR 6).
 
 The service layer turns the offline admission arithmetic into a
-long-running asyncio server:
+long-running service whose execution steps, heartbeats and client
+retries are timer actions on one logical-time scheduler:
 
 * :mod:`repro.service.requests` — client-facing request/ticket types
   and the idempotency cache;
 * :mod:`repro.service.backoff` — deterministic exponential backoff with
   jitter (shared with the campaign retry path);
-* :mod:`repro.service.clock` — the logical clock (virtual for
-  deterministic runs, wall for deployment);
+* :mod:`repro.service.clock` — the scheduler (:class:`VirtualClock`:
+  a timer heap and a ready queue, advanced synchronously) and the wall
+  clock that stamps and drives it in deployment;
 * :mod:`repro.service.planner` — O(1) admission + in-place incremental
   schedule repair (local → renegotiate → degrade);
 * :mod:`repro.service.twin` — the digital twin reconciling promises
@@ -16,7 +18,8 @@ long-running asyncio server:
 * :mod:`repro.service.checkpoint` — write-ahead JSONL op log and its
   replay (restart-identical twin state);
 * :mod:`repro.service.service` — the :class:`AdmissionService` itself
-  plus the well-behaved :class:`ServiceClient`; its ``finish()`` sweeps
+  plus the well-behaved :class:`ServiceClient`, which retries against a
+  service or a fabric router; its ``finish()`` sweeps
   the trace with :class:`~repro.verify.admission.AdmissionProtocolMonitor`;
 * :mod:`repro.service.storm` — the seeded Poisson-storm harness.
 """

@@ -2,7 +2,7 @@
 
 One policy object serves every retry loop in the repo:
 
-* the admission-service *client* sleeps ``delay(attempt, rng)`` logical
+* the admission-service *client* waits ``delay(attempt, rng)`` logical
   time units between retries of a retryable rejection (breaker open,
   queue full), so synchronized clients de-correlate instead of
   re-storming the service in lockstep;
@@ -77,7 +77,7 @@ class BackoffPolicy:
         return rng.uniform(0.0, raw)
 
     def schedule(self, seed: int, attempts: int) -> tuple[float, ...]:
-        """The full delay sequence a client with ``seed`` would sleep.
+        """The full delay sequence a client with ``seed`` would wait.
 
         Deterministic: same (policy, seed, attempts) — same tuple,
         every platform.

@@ -1,30 +1,39 @@
-"""Logical-time clocks driving the asyncio admission service.
+"""The logical-time scheduler of the admission path, and the wall clock.
 
 The service never reads the wall clock for *scheduling* decisions: all
 deadlines, replenishments and execution finishes live on a logical
-timeline (tu — the same unit the simulator traces use).  Two sources
-implement it:
+timeline (tu — the same unit the simulator traces use).
 
-* :class:`VirtualClock` — manually advanced.  The storm harness and the
-  tests drive it, so a whole asyncio service run is deterministic under
-  a seed: same arrivals, same interleavings, same trace, replayable
-  bit-for-bit (the wall clock only ever feeds *measurement*, e.g.
-  re-plan latency in seconds).
-* :class:`WallClock` — a production mapping of the process monotonic
-  clock onto the logical timeline for real deployments (the gateway
-  runs on it).  It is anchored explicitly, tracks wake-up lateness, and
-  runs an optional pause watchdog: a stalled event loop or a suspended
-  process surfaces as a recorded :class:`ClockPause` (which the gateway
-  feeds into the digital twin as a heartbeat-miss divergence) instead
-  of silently warping deadlines.
+* :class:`VirtualClock` — the one scheduler of the admission path: a
+  heap of (time, seq, timer) plus a ready queue of actions, advanced
+  by hand.  Executors, housekeeping heartbeats, client retries and the
+  fabric supervisor are timer actions — plain callables that run to
+  completion at their instant — so a whole service, fabric or control
+  replay run is a plain loop, deterministic under a seed: same
+  arrivals, same order of actions, same trace, replayable bit for bit
+  (the wall clock only ever feeds *measurement*, e.g. re-plan latency
+  in seconds).
+* :class:`WallClock` — the process monotonic clock mapped onto the
+  logical timeline for real deployments (the gateway stamps requests
+  with it).  :meth:`WallClock.drive` keeps one event-loop timer armed
+  for a scheduler's next action and advances the scheduler when it
+  fires.  The clock is anchored explicitly, tracks how late that timer
+  fires, and runs an optional pause watchdog: a stalled event loop or
+  a suspended process surfaces as a recorded :class:`ClockPause` (which
+  the gateway feeds into the digital twin as a heartbeat-miss
+  divergence) instead of silently warping deadlines.
 
-``advance()`` wakes sleepers strictly in (time, registration) order and
-lets the woken tasks settle between wakeups, so completions scheduled
-for t=4 run — and can schedule new work — before anything at t=5 fires.
-Settling lasts until nothing else on the running loop is ready, however
-many loop turns a woken chain takes; the test for "nothing is ready"
-reads the ready queue of CPython's ``asyncio`` event loop, so the
-virtual clock needs that loop (not a replacement such as uvloop).
+Ordering rules of :meth:`VirtualClock.advance`:
+
+* timers run in (time, registration) order, and each runs with
+  ``now()`` equal to its time;
+* an action that queues another action (a zero-delay timer, a retry, a
+  restored shard's executors) runs it at the same instant, before time
+  moves on, however long the chain;
+* a cancelled timer is skipped without moving time;
+* an action queued *outside* ``advance`` — a submission's first
+  executor step, ``start()``'s first housekeeping arm — runs at the
+  next live timer, or at the target time when none is due.
 """
 
 from __future__ import annotations
@@ -32,92 +41,117 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time
+from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["ClockPause", "VirtualClock", "WallClock"]
+__all__ = ["ClockPause", "Timer", "VirtualClock", "WallClock"]
 
 _EPS = 1e-9
 
 
+class Timer:
+    """One scheduled action; :meth:`cancel` drops it."""
+
+    __slots__ = ("action", "args")
+
+    def __init__(self, action, args: tuple) -> None:
+        self.action = action
+        self.args = args
+
+    def cancel(self) -> None:
+        # dropping the action (not just flagging it) frees whatever it
+        # closes over, even while the timer still sits in the heap
+        self.action = None
+        self.args = ()
+
+
 class VirtualClock:
-    """A manually advanced logical clock for deterministic asyncio runs."""
+    """A manually advanced logical clock: a timer heap plus a ready
+    queue, run synchronously."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = start
         self._seq = 0
-        #: min-heap of (wake_time, seq, future)
-        self._sleepers: list[tuple[float, int, asyncio.Future]] = []
+        #: min-heap of (when, seq, timer)
+        self._heap: list[tuple[float, int, Timer]] = []
+        #: timers due now, in the order they were queued
+        self._ready: deque[Timer] = deque()
 
     def now(self) -> float:
         return self._now
 
-    async def sleep_until(self, when: float) -> None:
-        """Suspend the calling task until the clock reaches ``when``."""
+    def call_at(self, when: float, action, *args) -> Timer:
+        """Run ``action(*args)`` when the clock reaches ``when``; an
+        instant at or before ``now()`` queues it on the ready queue."""
+        timer = Timer(action, args)
         if when <= self._now + _EPS:
-            # still yield once: a zero sleep must not starve peers
-            await asyncio.sleep(0)
-            return
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._seq += 1
-        heapq.heappush(self._sleepers, (when, self._seq, future))
-        await future
+            self._ready.append(timer)
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (when, self._seq, timer))
+        return timer
 
-    async def sleep(self, duration: float) -> None:
-        await self.sleep_until(self._now + duration)
+    def call_soon(self, action, *args) -> Timer:
+        """Queue ``action(*args)`` to run at the current instant."""
+        return self.call_at(self._now, action, *args)
 
-    @staticmethod
-    async def _settle() -> None:
-        """Yield until no other callback is ready to run.
-
-        Every runnable task step sits in the CPython loop's ``_ready``
-        deque; when it is empty as this task resumes, each woken task
-        has reached its next await (a clock sleep, a queue, a future)
-        and time may move on.
-        """
-        ready = asyncio.get_running_loop()._ready
-        await asyncio.sleep(0)
+    def _run_ready(self) -> None:
+        ready = self._ready
         while ready:
-            await asyncio.sleep(0)
+            timer = ready.popleft()
+            action, args = timer.action, timer.args
+            if action is not None:
+                timer.cancel()
+                action(*args)
 
-    async def advance(self, to: float) -> None:
-        """Move logical time to ``to``, waking sleepers in order.
+    def advance(self, to: float) -> None:
+        """Move logical time to ``to``, running every timer due by then.
 
-        Each wakeup is followed by a settle phase that lasts until
-        nothing else on the loop is ready, so a task woken at an
-        intermediate instant observes ``now() == its wake time`` however
-        long its chain of awaits, and may register earlier sleeps than
-        ``to`` — the heap is re-examined after every wakeup.  A sleeper
-        whose task was cancelled while suspended leaves a done future in
-        the heap; those are skipped without advancing time or burning a
-        settle phase.
+        Each live timer sets ``now()`` to its time, joins the ready
+        queue and the queue runs until it is empty, so an action sees
+        its own instant and may schedule earlier timers than ``to`` —
+        the heap is re-examined after every one.  Time never moves
+        backwards; the ready queue runs once more at the end.
         """
-        while self._sleepers and self._sleepers[0][0] <= to + _EPS:
-            when, _seq, future = heapq.heappop(self._sleepers)
-            if future.done():
-                # cancelled (or otherwise settled) while sleeping —
-                # nothing is waiting on this wakeup anymore
-                continue
+        heap = self._heap
+        while heap and heap[0][0] <= to + _EPS:
+            when, _seq, timer = heapq.heappop(heap)
+            if timer.action is None:
+                continue  # cancelled: nothing runs, time stays put
             self._now = max(self._now, when)
-            future.set_result(None)
-            await self._settle()
+            self._ready.append(timer)
+            self._run_ready()
         self._now = max(self._now, to)
-        await self._settle()
+        self._run_ready()
+
+    def next_due(self) -> float | None:
+        """The instant of the next action: ``now()`` while one is
+        queued, else the earliest live timer's, else ``None``."""
+        if any(timer.action is not None for timer in self._ready):
+            return self._now
+        heap = self._heap
+        while heap and heap[0][2].action is None:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def cancel_all(self) -> int:
-        """Abandon every sleeper (crash simulation); returns the count."""
-        dropped = 0
-        while self._sleepers:
-            _when, _seq, future = heapq.heappop(self._sleepers)
-            if not future.done():
-                future.cancel()
-                dropped += 1
-        return dropped
+        """Abandon every timer (crash simulation); returns how many
+        were live."""
+        live = self.pending
+        for _when, _seq, timer in self._heap:
+            timer.cancel()
+        for timer in self._ready:
+            timer.cancel()
+        self._heap.clear()
+        self._ready.clear()
+        return live
 
     @property
     def pending(self) -> int:
-        """Live sleepers only — cancelled heap entries don't count."""
-        return sum(1 for _w, _s, f in self._sleepers if not f.done())
+        """Live timers only — cancelled ones don't count."""
+        return sum(
+            1 for _w, _s, timer in self._heap if timer.action is not None
+        ) + sum(1 for timer in self._ready if timer.action is not None)
 
 
 @dataclass(frozen=True)
@@ -148,8 +182,8 @@ class WallClock:
 
     The mapping is monotonic by construction (``time.monotonic`` base,
     non-decreasing guard) and observable: ``late_wakeups`` /
-    ``max_lateness`` record how far :meth:`sleep_until` overshoots its
-    target, and :meth:`start_watchdog` samples the clock at a fixed
+    ``max_lateness`` record how late the timer armed by :meth:`drive`
+    fires, and :meth:`start_watchdog` samples the clock at a fixed
     logical interval, recording a :class:`ClockPause` whenever the
     observed gap exceeds a threshold — the signature of a stalled loop
     or a suspended process.
@@ -170,6 +204,9 @@ class WallClock:
         self.pauses: list[ClockPause] = []
         self._pause_callbacks: list = []
         self._watchdog: asyncio.Task | None = None
+        #: the loop timer armed by :meth:`drive`, and its logical instant
+        self._timer: asyncio.TimerHandle | None = None
+        self._armed_for: float | None = None
 
     def anchor(self) -> "WallClock":
         """Pin the logical origin to the current monotonic instant.
@@ -189,20 +226,43 @@ class WallClock:
         self._last = max(self._last, raw)
         return self._last
 
-    async def sleep_until(self, when: float) -> None:
-        delta = when - self.now()
-        if delta <= 0:
-            # zero/negative sleeps still yield so peers aren't starved
-            await asyncio.sleep(0)
-        else:
-            await asyncio.sleep(delta * self.scale)
-        lateness = self.now() - when
+    # -- driving a scheduler --------------------------------------------
+
+    def drive(self, scheduler: VirtualClock, to: float) -> None:
+        """Advance ``scheduler`` to ``to``, then keep one loop timer
+        armed for its next action.
+
+        The timer is re-armed only when that instant changes.  When it
+        fires, the scheduler is advanced to the wall clock's ``now()``
+        and the timer is armed again; how late it fired feeds
+        ``late_wakeups`` and ``max_lateness``.
+        """
+        scheduler.advance(to)
+        due = scheduler.next_due()
+        if due == self._armed_for and self._timer is not None:
+            return
+        self.stop_driving()
+        if due is not None:
+            self._armed_for = due
+            self._timer = asyncio.get_running_loop().call_later(
+                max(0.0, (due - self.now()) * self.scale),
+                self._fire, scheduler,
+            )
+
+    def _fire(self, scheduler: VirtualClock) -> None:
+        armed_for, self._timer = self._armed_for, None
+        now = self.now()
+        lateness = now - armed_for
         if lateness > self.LATENESS_TOLERANCE:
             self.late_wakeups += 1
             self.max_lateness = max(self.max_lateness, lateness)
+        self.drive(scheduler, now)
 
-    async def sleep(self, duration: float) -> None:
-        await self.sleep_until(self.now() + duration)
+    def stop_driving(self) -> None:
+        """Disarm the timer :meth:`drive` keeps."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._armed_for = None
 
     # -- pause watchdog -------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The long-running asyncio admission service.
+"""The admission service, run as timer actions on one logical clock.
 
 :class:`AdmissionService` is the tentpole of the service layer: a
 stream-facing server that, per submitted :class:`~repro.service.
@@ -20,14 +20,14 @@ requests.EventRequest`,
 
 Every state mutation is written ahead to the JSONL checkpoint, so
 :meth:`AdmissionService.restore` rebuilds a byte-identical twin after a
-kill.  All waiting goes through the pluggable clock; under
-:class:`~repro.service.clock.VirtualClock` an entire service run is
-deterministic.
+kill.  Nothing suspends: execution steps, housekeeping heartbeats and
+client retries are timer actions on the service's
+:class:`~repro.service.clock.VirtualClock`, so an entire service run is
+a deterministic sequence of synchronous steps.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -37,7 +37,7 @@ from ..overload.config import BreakerConfig, DetectorConfig
 from ..overload.detector import OverloadDetector
 from ..sim.trace import ExecutionTrace, TraceEventKind
 from .checkpoint import CheckpointError, CheckpointLog, replay_ops
-from .clock import VirtualClock
+from .clock import Timer, VirtualClock
 from .planner import IncrementalPlanner
 from .requests import AdmissionTicket, Decision, EventRequest, IdempotencyCache
 from .twin import BUDGET_DRIFT, DigitalTwin, Divergence, TwinConfig
@@ -116,7 +116,7 @@ class _DegradeAction:
 
 
 class AdmissionService:
-    """Admit → execute → reconcile → re-plan, as one asyncio service."""
+    """Admit → execute → reconcile → re-plan, on one logical clock."""
 
     def __init__(
         self,
@@ -161,8 +161,9 @@ class AdmissionService:
             ).add_action(_DegradeAction(self))
         self._breakers: dict[str, CircuitBreaker] = {}
         self._requests: dict[str, EventRequest] = {}   # in-flight registry
-        self._tasks: dict[str, asyncio.Task] = {}
-        self._housekeeper: asyncio.Task | None = None
+        #: the one pending executor step of each in-flight job
+        self._executors: dict[str, Timer] = {}
+        self._housekeeper: Timer | None = None
         self.draining = False
         self.killed = False
         #: housekeeping wake counter — the liveness beat a fabric
@@ -187,9 +188,9 @@ class AdmissionService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> "AdmissionService":
-        """Spawn the housekeeping loop (and, after a restore, the
-        executors of every in-flight job).  Must run inside the loop."""
+    def start(self) -> "AdmissionService":
+        """Queue the first housekeeping arm (and, after a restore, the
+        first executor step of every in-flight job)."""
         now = self.clock.now()
         for rid, job in sorted(self.planner.jobs.items()):
             if rid not in self._requests:
@@ -203,16 +204,14 @@ class AdmissionService:
                            f"deadline={job.deadline:g}"
                            f"{' hard' if job.request.hard else ' soft'}",
                 )
-            if rid not in self._tasks:
+            if rid not in self._executors:
                 self._spawn_executor(rid)
         if self._housekeeper is None:
-            self._housekeeper = asyncio.create_task(
-                self._housekeeping(), name="service-housekeeping"
-            )
+            self._housekeeper = self.clock.call_soon(self._arm_housekeeping)
         return self
 
     @classmethod
-    async def restore(
+    def restore(
         cls,
         checkpoint_path,
         config: ServiceConfig | None = None,
@@ -223,7 +222,7 @@ class AdmissionService:
 
         The planner and twin are replayed through the live mutation
         code, so ``twin.state_hash()`` equals the killed instance's.
-        In-flight jobs get fresh executor tasks; their skewed actual
+        In-flight jobs get fresh executor steps; their skewed actual
         finishes re-derive identically because :class:`ExecutionSkew`
         is keyed per (seed, request_id), not per draw order.
         """
@@ -245,11 +244,11 @@ class AdmissionService:
         )
         service.log = log
         service._degraded = planner.scale < 1.0 - _EPS
-        return await service.start()
+        return service.start()
 
     # -- submission (the client-facing edge) -------------------------------
 
-    async def submit(
+    def submit(
         self, request: EventRequest, *, at: float | None = None
     ) -> AdmissionTicket:
         """One admission attempt; O(1) decision, idempotent by id.
@@ -372,13 +371,14 @@ class AdmissionService:
     # -- execution ---------------------------------------------------------
 
     def _spawn_executor(self, request_id: str) -> None:
-        task = asyncio.create_task(
-            self._execute(request_id), name=f"exec-{request_id}"
+        self._executors[request_id] = self.clock.call_soon(
+            self._execute, request_id
         )
-        self._tasks[request_id] = task
-        task.add_done_callback(
-            lambda _t, rid=request_id: self._tasks.pop(rid, None)
-        )
+
+    def _cancel_executor(self, request_id: str) -> None:
+        timer = self._executors.pop(request_id, None)
+        if timer is not None:
+            timer.cancel()
 
     def _actual_outcome(self, job) -> tuple[float, float]:
         """(actual_finish, served_cost) under the injected skew."""
@@ -390,27 +390,25 @@ class AdmissionService:
         actual = job.admitted_at + span * drift + declared * (overrun - 1.0)
         return actual, declared * overrun * drift
 
-    async def _execute(self, request_id: str) -> None:
-        try:
-            while not self.killed:
-                job = self.planner.jobs.get(request_id)
-                if job is None:
-                    return  # repaired away; the repair recorded the SHED
-                actual, served = self._actual_outcome(job)
-                due = (
-                    min(actual, job.deadline) if job.request.hard else actual
-                )
-                now = self.clock.now()
-                if due > now + _EPS:
-                    await self.clock.sleep_until(due)
-                    continue  # re-validate: a repair may have moved us
-                if job.request.hard and actual > job.deadline + _EPS:
-                    self._cut(now, job, actual, served)
-                else:
-                    self._complete(now, job, actual, served)
-                return
-        except asyncio.CancelledError:
-            return  # shed by a repair, drained, or killed
+    def _execute(self, request_id: str) -> None:
+        """One executor step.  It re-validates the job, since a repair
+        may have moved or shed it since the step was armed, then
+        re-arms at the job's due time or cuts or completes it."""
+        del self._executors[request_id]
+        job = self.planner.jobs.get(request_id)
+        if job is None:
+            return  # repaired away; the repair recorded the SHED
+        actual, served = self._actual_outcome(job)
+        due = min(actual, job.deadline) if job.request.hard else actual
+        now = self.clock.now()
+        if due > now + _EPS:
+            self._executors[request_id] = self.clock.call_at(
+                due, self._execute, request_id
+            )
+        elif job.request.hard and actual > job.deadline + _EPS:
+            self._cut(now, job, actual, served)
+        else:
+            self._complete(now, job, actual, served)
 
     def _complete(self, now: float, job, actual: float,
                   served: float) -> None:
@@ -524,12 +522,6 @@ class AdmissionService:
         self._record_repair_sheds(now, result)
 
     def _record_repair_sheds(self, now: float, result) -> None:
-        try:
-            current = asyncio.current_task()
-        except RuntimeError:
-            # finish() may close the detector's books (and so leave
-            # degraded mode) after the event loop has returned
-            current = None
         # no per-id "shed" op: replaying the "replan" op re-derives the
         # shed set deterministically (logging both would double-count)
         for rid in result.shed:
@@ -546,9 +538,7 @@ class AdmissionService:
             if self.detector is not None:
                 self.detector.note_shed(now)
             self.shed += 1
-            task = self._tasks.get(rid)
-            if task is not None and task is not current:
-                task.cancel()
+            self._cancel_executor(rid)
 
     # -- degraded-mode lifecycle -------------------------------------------
 
@@ -606,49 +596,49 @@ class AdmissionService:
 
     # -- housekeeping (heartbeat + overload polling) -----------------------
 
-    async def _housekeeping(self) -> None:
-        interval = self.twin.config.heartbeat / 2.0
-        try:
-            while not self.killed and not self.draining:
-                await self.clock.sleep(interval)
-                if self.killed or self.draining:
-                    # drain() already wrote its cutoff op: a late
-                    # heartbeat tick must not pollute the checkpoint tail
-                    return
-                self.heartbeats += 1
-                now = self.clock.now()
-                if self.twin.heartbeat_due(now):
-                    divergence = self.twin.note_heartbeat_miss(now)
-                    self._log({"op": "heartbeat_miss", "t": now})
-                    self._last_divergence_at = now
-                    self.trace.add_event(
-                        now, TraceEventKind.DIVERGENCE, "twin",
-                        detail=f"{divergence.kind}: {divergence.detail}",
-                    )
-                    self._replan(now, "local")
-                if self.detector is not None:
-                    self.detector.poll(now)
-                if (
-                    self._self_degraded
-                    and self._last_divergence_at is not None
-                ):
-                    quiet_for = now - self._last_divergence_at
-                    quiescence = (
-                        self.config.detector.quiescence
-                        if self.config.detector is not None else 10.0
-                    )
-                    if quiet_for >= quiescence:
-                        self._exit_degraded(now)
-        except asyncio.CancelledError:
+    def _arm_housekeeping(self) -> None:
+        self._housekeeper = self.clock.call_at(
+            self.clock.now() + self.twin.config.heartbeat / 2.0,
+            self._housekeeping,
+        )
+
+    def _housekeeping(self) -> None:
+        """One half-heartbeat tick; it re-arms itself at its end."""
+        if self.killed or self.draining:
+            # drain() already wrote its cutoff op: a late heartbeat
+            # tick must not pollute the checkpoint tail
             return
+        self.heartbeats += 1
+        now = self.clock.now()
+        if self.twin.heartbeat_due(now):
+            divergence = self.twin.note_heartbeat_miss(now)
+            self._log({"op": "heartbeat_miss", "t": now})
+            self._last_divergence_at = now
+            self.trace.add_event(
+                now, TraceEventKind.DIVERGENCE, "twin",
+                detail=f"{divergence.kind}: {divergence.detail}",
+            )
+            self._replan(now, "local")
+        if self.detector is not None:
+            self.detector.poll(now)
+        if self._self_degraded and self._last_divergence_at is not None:
+            quiet_for = now - self._last_divergence_at
+            quiescence = (
+                self.config.detector.quiescence
+                if self.config.detector is not None else 10.0
+            )
+            if quiet_for >= quiescence:
+                self._exit_degraded(now)
+        self._arm_housekeeping()
 
     # -- shutdown ----------------------------------------------------------
 
-    async def drain(self, max_wait: float | None = None) -> DrainReport:
+    def drain(self, max_wait: float | None = None) -> DrainReport:
         """Graceful shutdown: stop admitting, settle every in-flight
         event — completion, deadline-guard cut, or an explicit
-        drain-cutoff SHED — and return the tally.  Nothing is ever
-        silently dropped."""
+        drain-cutoff SHED — by advancing the clock to the last settle
+        instant, and return the tally.  Nothing is ever silently
+        dropped."""
         now = self.clock.now()
         self.draining = True
         self._log({"op": "drain", "t": now})
@@ -673,17 +663,9 @@ class AdmissionService:
                     settle_at.pop(rid)
         if settle_at:
             horizon = max(settle_at.values())
-        if isinstance(self.clock, VirtualClock):
-            await self.clock.advance(horizon)
-        pending = [t for t in self._tasks.values() if not t.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        self.clock.advance(horizon)
         if self._housekeeper is not None:
             self._housekeeper.cancel()
-            try:
-                await self._housekeeper
-            except asyncio.CancelledError:
-                pass
             self._housekeeper = None
         return DrainReport(
             started_at=now, horizon=horizon,
@@ -704,9 +686,7 @@ class AdmissionService:
             detail="drain cutoff: cannot settle before shutdown",
         )
         self.shed += 1
-        task = self._tasks.get(rid)
-        if task is not None:
-            task.cancel()
+        self._cancel_executor(rid)
 
     def kill(self, *, cancel_clock: bool = True) -> None:
         """Crash simulation: stop everything abruptly, mid-flight.
@@ -714,35 +694,19 @@ class AdmissionService:
         No draining, no final trace events — the checkpoint log is the
         only survivor, exactly as in a real power-loss.  Pass
         ``cancel_clock=False`` when the clock is shared with sibling
-        services (a fabric): killing one shard must not wake or cancel
-        the others' sleepers."""
+        services (a fabric): killing one shard must not cancel the
+        others' timers."""
         self.killed = True
-        for task in list(self._tasks.values()):
-            task.cancel()
+        for timer in self._executors.values():
+            timer.cancel()
+        self._executors.clear()
         if self._housekeeper is not None:
             self._housekeeper.cancel()
             self._housekeeper = None
-        if cancel_clock and isinstance(self.clock, VirtualClock):
+        if cancel_clock:
             self.clock.cancel_all()
 
     # -- gateway hooks -----------------------------------------------------
-
-    def has_due(self, t: float) -> bool:
-        """Whether an in-flight job's settle instant is at or before
-        ``t``; stops at the first one.
-
-        The gateway's settle discipline uses this before stamping a new
-        arrival: on a wall clock, completions due before the stamp must
-        commit first, mirroring ``VirtualClock.advance``'s
-        wake-then-settle ordering so a control replay sees the same
-        ledger state at every stamp.
-        """
-        for job in self.planner.jobs.values():
-            actual, _served = self._actual_outcome(job)
-            settle = min(actual, job.deadline) if job.request.hard else actual
-            if settle <= t + _EPS:
-                return True
-        return False
 
     def note_clock_pause(self, now: float, detail: str) -> None:
         """Register an externally detected wall-clock stall.
@@ -818,14 +782,17 @@ class AdmissionService:
 class ServiceClient:
     """A well-behaved client: deadlines, idempotent retries, backoff.
 
-    Retries only *retryable* rejections, always with the **same**
-    request id (the idempotency contract), sleeping the backoff
-    policy's jittered delay on the service's own clock between
-    attempts.  Deterministic under a seed via
-    :class:`~repro.workload.rng.PortableRandom`.
+    Serves any target with ``submit(request)`` and a ``clock``: an
+    :class:`AdmissionService` or a fabric's
+    :class:`~repro.fabric.router.ShardRouter`.  Retries only
+    *retryable* rejections, always with the **same** request id (the
+    idempotency contract), each one a timer action on the target's
+    clock after the backoff policy's jittered delay.  Deterministic
+    under a seed via :class:`~repro.workload.rng.PortableRandom`.  The
+    client holds nothing for a request once it settles.
     """
 
-    def __init__(self, service: AdmissionService, backoff=None,
+    def __init__(self, target, backoff=None,
                  seed: int = 0, max_attempts: int = 4) -> None:
         from ..workload.rng import PortableRandom
         from .backoff import DEFAULT_BACKOFF
@@ -833,19 +800,25 @@ class ServiceClient:
             raise ValueError(
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
-        self.service = service
+        self.target = target
         self.backoff = backoff if backoff is not None else DEFAULT_BACKOFF
         self.max_attempts = max_attempts
         self._rng = PortableRandom(seed)
         self.retries = 0
 
-    async def submit(self, request: EventRequest) -> AdmissionTicket:
-        attempt = 1
-        while True:
-            ticket = await self.service.submit(request)
-            if not ticket.retryable or attempt >= self.max_attempts:
-                return replace(ticket, attempt=attempt)
+    def submit(self, request: EventRequest) -> AdmissionTicket:
+        """The first attempt's ticket; a retryable rejection schedules
+        the next attempt on the target's clock."""
+        return self._attempt(request, 1)
+
+    def _attempt(self, request: EventRequest,
+                 attempt: int) -> AdmissionTicket:
+        ticket = self.target.submit(request)
+        if ticket.retryable and attempt < self.max_attempts:
             self.retries += 1
-            delay = self.backoff.delay(attempt, self._rng)
-            await self.service.clock.sleep(delay)
-            attempt += 1
+            clock = self.target.clock
+            clock.call_at(
+                clock.now() + self.backoff.delay(attempt, self._rng),
+                self._attempt, request, attempt + 1,
+            )
+        return replace(ticket, attempt=attempt)

@@ -20,7 +20,6 @@ compare hashes.  Everything is deterministic under ``seed``.
 
 from __future__ import annotations
 
-import asyncio
 import time as _time
 from dataclasses import dataclass, field
 
@@ -195,10 +194,9 @@ def storm_requests(config: StormConfig) -> list[tuple[float, EventRequest]]:
     return out
 
 
-async def _drive(service: AdmissionService, config: StormConfig,
-                 report: StormReport) -> None:
+def _drive(service: AdmissionService, config: StormConfig,
+           report: StormReport) -> None:
     clock = service.clock
-    assert isinstance(clock, VirtualClock)
     resumed_at = clock.now()   # > 0 when resuming from a checkpoint
     clients = {
         f"src-{i}": ServiceClient(
@@ -206,34 +204,23 @@ async def _drive(service: AdmissionService, config: StormConfig,
         )
         for i in range(config.sources)
     }
-    pending: list[asyncio.Task] = []
-    killed = False
     for when, request in storm_requests(config):
         if when <= resumed_at:
             continue   # the pre-crash run already decided this arrival
         if config.kill_at is not None and when >= config.kill_at:
-            await clock.advance(config.kill_at)
-            killed = True
-            break
-        await clock.advance(when)
-        client = clients[request.source]
-        pending.append(asyncio.create_task(client.submit(request)))
-        await asyncio.sleep(0)  # let the submission decide at `when`
-    if killed:
-        report.killed = True
-        report.twin_hash = service.twin.state_hash()
-        service.kill()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        report.horizon = clock.now()
-        return
+            clock.advance(config.kill_at)
+            report.killed = True
+            report.twin_hash = service.twin.state_hash()
+            service.kill()
+            report.horizon = clock.now()
+            return
+        clock.advance(when)
+        clients[request.source].submit(request)
     # quiet tail: let in-flight work settle and overload recovery land
-    await clock.advance(config.horizon + config.settle)
-    drained = await service.drain()
+    clock.advance(config.horizon + config.settle)
+    drained = service.drain()
     report.drained_completed = drained.completed
     report.drained_shed = drained.shed
-    if pending:
-        await asyncio.gather(*pending, return_exceptions=True)
     report.horizon = clock.now()
     report.twin_hash = service.twin.state_hash()
     report.client_retries = sum(c.retries for c in clients.values())
@@ -259,26 +246,20 @@ def run_service_storm(
     report = StormReport(config=config, horizon=config.horizon)
     wall_start = _time.perf_counter()
 
-    async def _main() -> AdmissionService:
-        if resume:
-            restored = await AdmissionService.restore(
-                checkpoint_path, config=service_config, skew=skew,
-            )
-            report.resumed_from_hash = restored.twin.state_hash()
-            await _drive(restored, config, report)
-            return restored
-        fresh = AdmissionService(
+    if resume:
+        service = AdmissionService.restore(
+            checkpoint_path, config=service_config, skew=skew,
+        )
+        report.resumed_from_hash = service.twin.state_hash()
+    else:
+        service = AdmissionService(
             service_config,
             clock=VirtualClock(service_config.start),
             skew=skew,
             seed=config.seed,
             checkpoint_path=checkpoint_path,
-        )
-        await fresh.start()
-        await _drive(fresh, config, report)
-        return fresh
-
-    service = asyncio.run(_main())
+        ).start()
+    _drive(service, config, report)
     report.wall_seconds = _time.perf_counter() - wall_start
     metrics = service.metrics()
     report.submitted = metrics["submitted"]

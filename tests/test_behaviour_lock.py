@@ -10,10 +10,13 @@ fabric kill drill) bit for bit.  A
 deliberate behaviour change updates the pinned digest in its own commit,
 with the reason.
 
-The two admission-path digests run on a ``VirtualClock`` and read the
-same whether ``advance`` settles for 1, 2, 3, 4 or 32 event-loop rounds
-after each wakeup (measured): they guard the fates, not the settle
-bound.  ``tests/test_gateway_clock.py`` guards the settle itself.
+The two admission-path digests run on the ``VirtualClock`` scheduler.
+They read the same whether executors are asyncio tasks that ``advance``
+settles for 1, 2, 3, 4 or 32 event-loop rounds after each wakeup, or
+synchronous timer actions (measured): they guard the fates, not the
+mechanism.  ``tests/test_admission_fates_lock.py`` widens them over
+seeds and run kinds; ``tests/test_gateway_clock.py`` guards the
+scheduler's ordering rules.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ whole log (or, worse, replaying garbage)."""
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -26,21 +25,17 @@ CONFIG = ServiceConfig(capacity=2.0, period=2.0, detector=None)
 def _write_ops(path, count: int = 4) -> str:
     """Run a real service against ``path``; return its twin hash."""
 
-    async def scenario():
-        clock = VirtualClock()
-        service = AdmissionService(CONFIG, clock=clock,
-                                   checkpoint_path=path)
-        await service.start()
-        for i in range(count):
-            await service.submit(EventRequest(
-                request_id=f"e{i}", cost=0.5, relative_deadline=60.0,
-            ))
-        await clock.advance(2.0)
-        hash_ = service.twin.state_hash()
-        service.kill()
-        return hash_
-
-    return asyncio.run(scenario())
+    clock = VirtualClock()
+    service = AdmissionService(CONFIG, clock=clock,
+                               checkpoint_path=path).start()
+    for i in range(count):
+        service.submit(EventRequest(
+            request_id=f"e{i}", cost=0.5, relative_deadline=60.0,
+        ))
+    clock.advance(2.0)
+    hash_ = service.twin.state_hash()
+    service.kill()
+    return hash_
 
 
 class TestCrc:
@@ -109,10 +104,7 @@ class TestCrc:
         with open(path, "ab") as handle:
             handle.write(b'{"half a rec')
 
-        async def restore():
-            with pytest.warns(UserWarning, match="torn/corrupt"):
-                service = await AdmissionService.restore(path)
-            assert service.twin.state_hash() == live_hash
-            await service.drain()
-
-        asyncio.run(restore())
+        with pytest.warns(UserWarning, match="torn/corrupt"):
+            service = AdmissionService.restore(path)
+        assert service.twin.state_hash() == live_hash
+        service.drain()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,7 +158,7 @@ class _PairedScenario:
             for i in range(count)
         ]
 
-    async def run(self, kill: bool, blackout_arrivals: bool):
+    def run(self, kill: bool, blackout_arrivals: bool):
         # one fixed timeline for chaos and control runs alike, so the
         # only difference between them is the kill itself:
         #   t=0  warm arrivals     t=8   kill (chaos run only)
@@ -176,32 +174,32 @@ class _PairedScenario:
                 self.tmp_path / ("killed" if kill else "control")
             ),
         )
-        await fabric.start()
+        fabric.start()
         router = fabric.router
         for request in self._requests("warm", 6, 4):
-            await router.submit(request)
-            dup = await router.submit(request)   # impatient duplicate
+            router.submit(request)
+            dup = router.submit(request)   # impatient duplicate
             assert not dup.admitted or dup.duplicate
-        await fabric.clock.advance(8.0)          # warm work settles
+        fabric.clock.advance(8.0)          # warm work settles
         if kill:
             fabric.kill_shard(1)
-        await fabric.clock.advance(16.0)
+        fabric.clock.advance(16.0)
         if kill:
             assert fabric.supervisor.declared_down == 1
         if blackout_arrivals:
             for request in self._requests("dark", 4, 4):
-                ticket = await router.submit(request)
-                dup = await router.submit(request)
+                ticket = router.submit(request)
+                dup = router.submit(request)
                 assert ticket.admitted
                 assert dup.duplicate
-        await fabric.clock.advance(60.0)
+        fabric.clock.advance(60.0)
         if kill:
             assert fabric.supervisor.restored == 1
         for request in self._requests("late", 6, 4):
-            await router.submit(request)
-            await router.submit(request)
-        await fabric.clock.advance(100.0)
-        await fabric.drain()
+            router.submit(request)
+            router.submit(request)
+        fabric.clock.advance(100.0)
+        fabric.drain()
         report, merged = fabric.finish()
         fates: dict[str, str] = {}
         for event in merged.events:
@@ -223,16 +221,10 @@ class TestFailoverProperties:
         tmp_path = tmp_path_factory.mktemp(f"fates-{seed}")
         scenario = _PairedScenario(seed, tmp_path)
 
-        async def both():
-            chaos = await scenario.run(kill=True, blackout_arrivals=True)
-            control = await scenario.run(kill=False,
-                                         blackout_arrivals=True)
-            return chaos, control
-
-        (chaos_fabric, chaos_report, chaos_fates), \
-            (_control_fabric, control_report, control_fates) = (
-                asyncio.run(both())
-            )
+        chaos_fabric, chaos_report, chaos_fates = scenario.run(
+            kill=True, blackout_arrivals=True)
+        _control_fabric, control_report, control_fates = scenario.run(
+            kill=False, blackout_arrivals=True)
         assert not chaos_report.violations
         assert not control_report.violations
         assert chaos_fates == control_fates
@@ -248,16 +240,10 @@ class TestFailoverProperties:
         tmp_path = tmp_path_factory.mktemp(f"hash-{seed}")
         scenario = _PairedScenario(seed, tmp_path)
 
-        async def both():
-            chaos = await scenario.run(kill=True, blackout_arrivals=False)
-            control = await scenario.run(kill=False,
-                                         blackout_arrivals=False)
-            return chaos, control
-
-        (chaos_fabric, chaos_report, chaos_fates), \
-            (control_fabric, control_report, control_fates) = (
-                asyncio.run(both())
-            )
+        chaos_fabric, chaos_report, chaos_fates = scenario.run(
+            kill=True, blackout_arrivals=False)
+        control_fabric, control_report, control_fates = scenario.run(
+            kill=False, blackout_arrivals=False)
         assert not chaos_report.violations
         assert not control_report.violations
         assert chaos_fates == control_fates

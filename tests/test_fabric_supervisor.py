@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.fabric import AdmissionFabric, FabricConfig, SupervisorConfig
@@ -37,134 +35,110 @@ def _req(rid: str, source: str = "src-0", cost: float = 0.5,
 
 class TestHeartbeatWatch:
     def test_live_shards_are_never_declared_down(self, tmp_path):
-        async def scenario():
-            fabric = await _fabric(tmp_path).start()
-            await fabric.clock.advance(40.0)
-            assert fabric.supervisor.declared_down == 0
-            assert fabric.alive_count == 2
-            await fabric.drain()
-
-        asyncio.run(scenario())
+        fabric = _fabric(tmp_path).start()
+        fabric.clock.advance(40.0)
+        assert fabric.supervisor.declared_down == 0
+        assert fabric.alive_count == 2
+        fabric.drain()
 
     def test_killed_shard_is_declared_after_k_missed_beats(self, tmp_path):
-        async def scenario():
-            fabric = await _fabric(tmp_path).start()
-            await fabric.clock.advance(4.0)
-            fabric.kill_shard(1)
-            # one interval may still observe a beat from just before the
-            # kill (sample-vs-beat ordering), then max_missed more samples
-            await fabric.clock.advance(4.0 + 3 * SUPERVISION.interval + 1.0)
-            assert fabric.supervisor.declared_down == 1
-            downs = [e for e in fabric.trace.events
-                     if e.kind is TraceEventKind.SHARD_DOWN]
-            assert len(downs) == 1 and downs[0].subject == "shard-1"
-            assert "missed heartbeats" in downs[0].detail
-            await fabric.clock.advance(60.0)   # let it restore
-            await fabric.drain()
-
-        asyncio.run(scenario())
+        fabric = _fabric(tmp_path).start()
+        fabric.clock.advance(4.0)
+        fabric.kill_shard(1)
+        # one interval may still observe a beat from just before the
+        # kill (sample-vs-beat ordering), then max_missed more samples
+        fabric.clock.advance(4.0 + 3 * SUPERVISION.interval + 1.0)
+        assert fabric.supervisor.declared_down == 1
+        downs = [e for e in fabric.trace.events
+                 if e.kind is TraceEventKind.SHARD_DOWN]
+        assert len(downs) == 1 and downs[0].subject == "shard-1"
+        assert "missed heartbeats" in downs[0].detail
+        fabric.clock.advance(60.0)   # let it restore
+        fabric.drain()
 
     def test_failover_overrides_point_at_a_live_sibling(self, tmp_path):
-        async def scenario():
-            fabric = await _fabric(tmp_path).start()
-            homed = fabric.sources_homed_on(1)
-            assert homed
-            fabric.kill_shard(1)
-            await fabric.clock.advance(3 * SUPERVISION.interval + 1.0)
-            for source in homed:
-                assert fabric.router.shard_for(source) == 0
-            failovers = [e for e in fabric.trace.events
-                         if e.kind is TraceEventKind.FAILOVER]
-            assert sorted(e.subject for e in failovers) == sorted(homed)
-            assert all("shard-1 -> shard-0" in e.detail for e in failovers)
-            await fabric.clock.advance(60.0)
-            await fabric.drain()
-
-        asyncio.run(scenario())
+        fabric = _fabric(tmp_path).start()
+        homed = fabric.sources_homed_on(1)
+        assert homed
+        fabric.kill_shard(1)
+        fabric.clock.advance(3 * SUPERVISION.interval + 1.0)
+        for source in homed:
+            assert fabric.router.shard_for(source) == 0
+        failovers = [e for e in fabric.trace.events
+                     if e.kind is TraceEventKind.FAILOVER]
+        assert sorted(e.subject for e in failovers) == sorted(homed)
+        assert all("shard-1 -> shard-0" in e.detail for e in failovers)
+        fabric.clock.advance(60.0)
+        fabric.drain()
 
     def test_restore_rehomes_sources_and_records_latency(self, tmp_path):
-        async def scenario():
-            fabric = await _fabric(tmp_path).start()
-            homed = fabric.sources_homed_on(1)
-            fabric.kill_shard(1)
-            await fabric.clock.advance(80.0)
-            supervisor = fabric.supervisor
-            assert supervisor.restored == 1
-            assert fabric.shards[1].alive
-            assert fabric.shards[1].incarnation == 1
-            assert len(supervisor.failover_latencies) == 1
-            assert supervisor.failover_latencies[0] >= (
-                SUPERVISION.restart_delay - 1e-9
-            )
-            for source in homed:
-                assert fabric.router.shard_for(source) == 1
-            restores = [e for e in fabric.trace.events
-                        if e.kind is TraceEventKind.SHARD_RESTORED]
-            assert len(restores) == 1 and restores[0].subject == "shard-1"
-            await fabric.drain()
-
-        asyncio.run(scenario())
+        fabric = _fabric(tmp_path).start()
+        homed = fabric.sources_homed_on(1)
+        fabric.kill_shard(1)
+        fabric.clock.advance(80.0)
+        supervisor = fabric.supervisor
+        assert supervisor.restored == 1
+        assert fabric.shards[1].alive
+        assert fabric.shards[1].incarnation == 1
+        assert len(supervisor.failover_latencies) == 1
+        assert supervisor.failover_latencies[0] >= (
+            SUPERVISION.restart_delay - 1e-9
+        )
+        for source in homed:
+            assert fabric.router.shard_for(source) == 1
+        restores = [e for e in fabric.trace.events
+                    if e.kind is TraceEventKind.SHARD_RESTORED]
+        assert len(restores) == 1 and restores[0].subject == "shard-1"
+        fabric.drain()
 
     def test_inflight_work_survives_the_kill_restore_cycle(self, tmp_path):
-        async def scenario():
-            fabric = await _fabric(tmp_path).start()
-            source = fabric.sources_homed_on(1)[0]
-            ticket = await fabric.router.submit(
-                _req("survivor", source=source, cost=1.0, deadline=200.0)
-            )
-            assert ticket.admitted
-            fabric.kill_shard(1)
-            await fabric.clock.advance(100.0)
-            await fabric.drain()
-            report, _merged = fabric.finish()
-            assert not report.violations
-            terminals = [
-                e for e in fabric.merged_trace().events
-                if e.kind in (TraceEventKind.COMPLETION,
-                              TraceEventKind.SHED)
-                and e.subject == "survivor"
-            ]
-            assert len(terminals) == 1
-
-        asyncio.run(scenario())
+        fabric = _fabric(tmp_path).start()
+        source = fabric.sources_homed_on(1)[0]
+        ticket = fabric.router.submit(
+            _req("survivor", source=source, cost=1.0, deadline=200.0)
+        )
+        assert ticket.admitted
+        fabric.kill_shard(1)
+        fabric.clock.advance(100.0)
+        fabric.drain()
+        report, _merged = fabric.finish()
+        assert not report.violations
+        terminals = [
+            e for e in fabric.merged_trace().events
+            if e.kind in (TraceEventKind.COMPLETION,
+                          TraceEventKind.SHED)
+            and e.subject == "survivor"
+        ]
+        assert len(terminals) == 1
 
     def test_no_sibling_means_brown_out(self, tmp_path):
-        async def scenario():
-            fabric = await _fabric(tmp_path, shards=1, sources=2).start()
-            fabric.kill_shard(0)
-            await fabric.clock.advance(3 * SUPERVISION.interval + 1.0)
-            for source in fabric.sources_homed_on(0):
-                assert fabric.router.shard_for(source) is None
-            failovers = [e for e in fabric.trace.events
-                         if e.kind is TraceEventKind.FAILOVER]
-            assert failovers
-            assert all("brown-out" in e.detail for e in failovers)
-            await fabric.clock.advance(60.0)
-            await fabric.drain()
-
-        asyncio.run(scenario())
+        fabric = _fabric(tmp_path, shards=1, sources=2).start()
+        fabric.kill_shard(0)
+        fabric.clock.advance(3 * SUPERVISION.interval + 1.0)
+        for source in fabric.sources_homed_on(0):
+            assert fabric.router.shard_for(source) is None
+        failovers = [e for e in fabric.trace.events
+                     if e.kind is TraceEventKind.FAILOVER]
+        assert failovers
+        assert all("brown-out" in e.detail for e in failovers)
+        fabric.clock.advance(60.0)
+        fabric.drain()
 
     def test_restore_without_checkpoint_raises(self):
-        async def scenario():
-            fabric = await _fabric(None, supervised=False).start()
-            fabric.kill_shard(0)
-            with pytest.raises(FabricError):
-                await fabric.restore_shard(0)
-            await fabric.drain()
-
-        asyncio.run(scenario())
+        fabric = _fabric(None, supervised=False).start()
+        fabric.kill_shard(0)
+        with pytest.raises(FabricError):
+            fabric.restore_shard(0)
+        fabric.drain()
 
     def test_drain_stops_supervision_without_false_declarations(
             self, tmp_path):
-        async def scenario():
-            fabric = await _fabric(tmp_path).start()
-            await fabric.router.submit(_req("a"))
-            await fabric.drain()
-            # draining shards freeze their heartbeat counters; a still-
-            # running supervisor would mis-declare them dead
-            assert fabric.supervisor.declared_down == 0
-
-        asyncio.run(scenario())
+        fabric = _fabric(tmp_path).start()
+        fabric.router.submit(_req("a"))
+        fabric.drain()
+        # draining shards freeze their heartbeat counters; a still-
+        # running supervisor would mis-declare them dead
+        assert fabric.supervisor.declared_down == 0
 
 
 class TestSupervisorConfig:

@@ -1,4 +1,5 @@
-"""Hardened WallClock battery + VirtualClock sleeper lifecycle (PR 9)."""
+"""Hardened WallClock battery, the driven timer, and the VirtualClock
+scheduler's ordering rules and timer lifecycle."""
 
 from __future__ import annotations
 
@@ -7,9 +8,20 @@ import time
 
 import pytest
 
-from repro.service import ClockPause, VirtualClock, WallClock
+from repro.fabric import FabricStormConfig, ShardKill, run_fabric_storm
+from repro.gateway import default_gateway_service_config, run_control_replay
+from repro.service import ClockPause, StormConfig, VirtualClock, WallClock
+from repro.service.storm import run_service_storm, storm_requests
 
 SCALE = 1e-3  # 1 tu = 1 ms, the deployment convention
+
+
+async def _until(done, timeout: float = 2.0) -> None:
+    """Let the loop run until ``done()`` holds, for at most ``timeout``
+    wall seconds."""
+    give_up = time.monotonic() + timeout
+    while not done() and time.monotonic() < give_up:
+        await asyncio.sleep(0.005)
 
 
 class TestWallClockMapping:
@@ -50,42 +62,57 @@ class TestWallClockMapping:
             WallClock(scale=-1.0)
 
 
-class TestWallClockSleep:
-    def test_zero_and_negative_sleeps_yield_but_return(self):
+class TestDrivenTimer:
+    """``WallClock.drive``: one loop timer armed for a scheduler's next
+    action, advancing the scheduler to wall-clock now when it fires."""
+
+    def test_driven_timer_reaches_its_instant(self):
         async def scenario():
             clock = WallClock(scale=SCALE).anchor()
-            woke = []
-
-            async def peer():
-                woke.append(True)
-
-            task = asyncio.create_task(peer())
-            before = time.monotonic()
-            await clock.sleep_until(clock.now() - 100.0)  # long past
-            await clock.sleep(0.0)
-            await clock.sleep(-5.0)
-            assert time.monotonic() - before < 0.1
-            # the zero sleeps yielded: the peer task got to run
-            assert woke
-            task.cancel()
+            scheduler = VirtualClock(clock.now())
+            target = scheduler.now() + 20.0
+            fired = []
+            scheduler.call_at(
+                target, lambda: fired.append((scheduler.now(), clock.now()))
+            )
+            clock.drive(scheduler, clock.now())
+            await _until(lambda: fired)
+            clock.stop_driving()
+            [(virtual, wall)] = fired
+            assert virtual == target       # the action sees its instant
+            assert wall >= target - 1e-6   # and never runs early
 
         asyncio.run(scenario())
 
-    def test_sleep_until_reaches_target(self):
+    def test_rearms_only_when_the_instant_changes(self):
         async def scenario():
             clock = WallClock(scale=SCALE).anchor()
-            target = clock.now() + 20.0
-            await clock.sleep_until(target)
-            assert clock.now() >= target
+            scheduler = VirtualClock(clock.now())
+            scheduler.call_at(scheduler.now() + 500.0, lambda: None)
+            clock.drive(scheduler, clock.now())
+            armed = clock._timer
+            scheduler.call_at(scheduler.now() + 600.0, lambda: None)
+            clock.drive(scheduler, clock.now())
+            assert clock._timer is armed   # same next instant: untouched
+            scheduler.call_at(scheduler.now() + 100.0, lambda: None)
+            clock.drive(scheduler, clock.now())
+            assert clock._timer is not armed and armed.cancelled()
+            clock.stop_driving()
+            assert clock._timer is None
 
         asyncio.run(scenario())
 
     def test_lateness_accounting(self):
         async def scenario():
             clock = WallClock(scale=SCALE).anchor()
-            target = clock.now() + 1.0
+            scheduler = VirtualClock(clock.now())
+            fired = []
+            scheduler.call_at(scheduler.now() + 1.0, fired.append, True)
+            clock.drive(scheduler, clock.now())
             time.sleep(0.05)  # block the loop past the target
-            await clock.sleep_until(target)
+            await _until(lambda: fired)
+            clock.stop_driving()
+            assert fired
             assert clock.late_wakeups >= 1
             assert clock.max_lateness > WallClock.LATENESS_TOLERANCE
 
@@ -143,133 +170,195 @@ class TestPauseDetection:
 
 
 class TestVirtualAgreement:
-    """The two clocks must agree on a scripted timeline: same wake
-    order (modulo ties — equal-instant sleepers may wake in either
-    order on a wall clock), and wall wake instants within a jitter
-    tolerance."""
+    """Scripted actions run by ``advance`` and the same actions driven by
+    the wall-clock timer: same order, and wall instants within a jitter
+    tolerance of the scripted ones, never before them."""
 
     SCRIPT = (("a", 10.0), ("b", 25.0), ("c", 25.0), ("d", 40.0))
 
-    async def _run_script(self, clock) -> list[tuple[str, float]]:
+    def _schedule(self, scheduler: VirtualClock, now) -> list:
         wakes: list[tuple[str, float]] = []
-
-        async def sleeper(name: str, when: float) -> None:
-            await clock.sleep_until(when)
-            wakes.append((name, clock.now()))
-
-        tasks = [asyncio.create_task(sleeper(n, w)) for n, w in self.SCRIPT]
-        await asyncio.sleep(0)
-        if isinstance(clock, VirtualClock):
-            await clock.advance(50.0)
-        else:
-            await clock.sleep_until(50.0)
-        await asyncio.gather(*tasks)
+        for name, when in self.SCRIPT:
+            scheduler.call_at(
+                when, lambda name=name: wakes.append((name, now()))
+            )
         return wakes
 
     def test_wall_clock_agrees_with_virtual_clock(self):
-        async def virtual():
-            return await self._run_script(VirtualClock())
+        scheduler = VirtualClock()
+        virtual_wakes = self._schedule(scheduler, scheduler.now)
+        scheduler.advance(50.0)
 
         async def wall():
-            return await self._run_script(WallClock(scale=SCALE).anchor())
+            clock = WallClock(scale=SCALE).anchor()
+            scheduler = VirtualClock(clock.start)
+            wakes = self._schedule(scheduler, clock.now)
+            clock.drive(scheduler, clock.now())
+            await _until(lambda: len(wakes) == len(self.SCRIPT))
+            clock.stop_driving()
+            return wakes
 
-        virtual_wakes = asyncio.run(virtual())
         wall_wakes = asyncio.run(wall())
-        scripted = dict(self.SCRIPT)
-        # identical order of scripted instants: ties may swap, but a
-        # later sleeper never overtakes an earlier one on either clock
-        assert [scripted[n] for n, _t in virtual_wakes] == \
-               [scripted[n] for n, _t in wall_wakes]
-        assert {n for n, _t in virtual_wakes} == {n for n, _t in wall_wakes}
-        wall_by_name = dict(wall_wakes)
-        for name, vt in virtual_wakes:
+        assert virtual_wakes == list(self.SCRIPT)
+        assert [n for n, _t in wall_wakes] == [n for n, _t in self.SCRIPT]
+        for (_name, vt), (_same, wt) in zip(virtual_wakes, wall_wakes):
             # generous bound: CI jitter, not semantics, is the variable
-            assert abs(wall_by_name[name] - vt) < 30.0
+            assert vt - 1e-6 <= wt < vt + 30.0
+
+
+class TestVirtualClockOrdering:
+    """The ordering rules ``advance`` documents."""
+
+    def test_timers_run_in_time_then_registration_order(self):
+        clock = VirtualClock()
+        ran = []
+        for name, when in (("late", 3.0), ("tie-1", 2.0), ("early", 1.0),
+                           ("tie-2", 2.0)):
+            clock.call_at(when, lambda n=name: ran.append((n, clock.now())))
+        clock.advance(5.0)
+        assert ran == [("early", 1.0), ("tie-1", 2.0), ("tie-2", 2.0),
+                       ("late", 3.0)]
+        assert clock.now() == 5.0
+
+    def test_action_queued_outside_advance_runs_at_the_next_timer(self):
+        clock = VirtualClock()
+        ran = []
+        clock.call_at(4.0, lambda: ran.append(("timer", clock.now())))
+        clock.call_soon(lambda: ran.append(("queued", clock.now())))
+        assert ran == []   # nothing runs outside advance
+        clock.advance(6.0)
+        # the queued action runs first, at the next live timer's instant
+        assert ran == [("queued", 4.0), ("timer", 4.0)]
+
+    def test_action_queued_outside_advance_runs_at_the_target(self):
+        clock = VirtualClock()
+        ran = []
+        clock.call_at(9.0, lambda: ran.append(("timer", clock.now())))
+        clock.call_soon(lambda: ran.append(("queued", clock.now())))
+        clock.advance(6.0)
+        assert ran == [("queued", 6.0)]
+
+    def test_past_instant_joins_the_ready_queue(self):
+        clock = VirtualClock(start=5.0)
+        ran = []
+
+        def first():
+            # a zero or past delay runs at this instant, after this action
+            clock.call_at(clock.now() - 1.0, ran.append, clock.now())
+            ran.append("first")
+
+        clock.call_at(6.0, first)
+        clock.advance(7.0)
+        assert ran == ["first", 6.0]
+
+    def test_next_due_reports_the_next_action(self):
+        clock = VirtualClock()
+        assert clock.next_due() is None
+        doomed = clock.call_at(2.0, lambda: None)
+        clock.call_at(3.0, lambda: None)
+        assert clock.next_due() == 2.0
+        doomed.cancel()
+        assert clock.next_due() == 3.0   # cancelled timers don't count
+        clock.call_soon(lambda: None)
+        assert clock.next_due() == clock.now()
 
 
 class TestVirtualClockSleeperLifecycle:
-    """Regression: a sleeper cancelled while suspended must not stall
-    ``advance()`` or drag logical time to its abandoned wake instant."""
+    """Regression: a timer cancelled while pending must not stall
+    ``advance()`` or drag logical time to its abandoned instant."""
 
     def test_cancelled_sleeper_is_skipped(self):
-        async def scenario():
-            clock = VirtualClock()
-            woke = []
-
-            async def sleeper(name: str, when: float) -> None:
-                await clock.sleep_until(when)
-                woke.append(name)
-
-            doomed = asyncio.create_task(sleeper("doomed", 5.0))
-            alive = asyncio.create_task(sleeper("alive", 9.0))
-            await asyncio.sleep(0)
-            assert clock.pending == 2
-            doomed.cancel()
-            await asyncio.sleep(0)
-            assert clock.pending == 1  # dead entries don't count
-            await clock.advance(7.0)
-            # the cancelled wake at t=5 was skipped entirely
-            assert woke == []
-            assert clock.now() == 7.0
-            await clock.advance(9.0)
-            assert woke == ["alive"]
-            await asyncio.gather(doomed, alive, return_exceptions=True)
-
-        asyncio.run(scenario())
+        clock = VirtualClock()
+        woke = []
+        doomed = clock.call_at(5.0, woke.append, "doomed")
+        clock.call_at(9.0, woke.append, "alive")
+        assert clock.pending == 2
+        doomed.cancel()
+        assert clock.pending == 1  # dead entries don't count
+        assert doomed.action is None  # and hold nothing alive
+        # a cancelled timer is no instant: a queued action waits past it
+        clock.call_soon(lambda: woke.append(clock.now()))
+        clock.advance(7.0)
+        # the cancelled wake at t=5 was skipped entirely
+        assert woke == [7.0]
+        assert clock.now() == 7.0
+        clock.advance(9.0)
+        assert woke == [7.0, "alive"]
 
     def test_cancel_all_reports_only_live_sleepers(self):
-        async def scenario():
-            clock = VirtualClock()
-
-            async def sleeper(when: float) -> None:
-                await clock.sleep_until(when)
-
-            tasks = [asyncio.create_task(sleeper(t)) for t in (3.0, 6.0)]
-            await asyncio.sleep(0)
-            tasks[0].cancel()
-            await asyncio.sleep(0)
-            assert clock.cancel_all() == 1
-            assert clock.pending == 0
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-        asyncio.run(scenario())
+        clock = VirtualClock()
+        woke = []
+        timers = [clock.call_at(t, woke.append, t) for t in (3.0, 6.0)]
+        timers[0].cancel()
+        clock.call_soon(woke.append, "queued")
+        assert clock.cancel_all() == 2
+        assert clock.pending == 0
+        clock.advance(10.0)
+        assert woke == []
 
     def test_advance_to_earlier_instant_is_a_noop_for_later_sleepers(self):
-        async def scenario():
-            clock = VirtualClock()
-
-            async def sleeper(when: float) -> None:
-                await clock.sleep_until(when)
-
-            task = asyncio.create_task(sleeper(10.0))
-            await asyncio.sleep(0)
-            await clock.advance(4.0)
-            assert clock.now() == 4.0
-            assert clock.pending == 1
-            await clock.advance(10.0)
-            await task
-
-        asyncio.run(scenario())
+        clock = VirtualClock()
+        woke = []
+        clock.call_at(10.0, woke.append, 10.0)
+        clock.advance(4.0)
+        assert clock.now() == 4.0
+        assert clock.pending == 1
+        assert woke == []
+        clock.advance(10.0)
+        assert woke == [10.0]
+        clock.advance(2.0)
+        assert clock.now() == 10.0   # time never runs backwards
 
     def test_settle_outlasts_any_fixed_round_bound(self):
-        """A woken chain may take any number of loop turns to reach its
-        next clock await; time must not move under it meanwhile."""
-        async def scenario():
-            clock = VirtualClock()
-            seen: list[float] = []
+        """A chain of 1,000 actions, each queuing the next, all run at
+        their instant before time moves on."""
+        clock = VirtualClock()
+        seen: list[tuple[float, float]] = []
 
-            async def chain() -> None:
-                for when in (1.0, 2.0):
-                    await clock.sleep_until(when)
-                    for _ in range(1000):
-                        await asyncio.sleep(0)
-                    seen.append(clock.now())
+        def link(n: int, when: float) -> None:
+            seen.append((when, clock.now()))
+            if n % 2:
+                clock.call_soon(link, n + 1, when)
+            elif n < 1000:
+                clock.call_at(clock.now(), link, n + 1, when)
 
-            task = asyncio.create_task(chain())
-            await asyncio.sleep(0)
-            await clock.advance(3.0)
-            assert seen == [1.0, 2.0]
-            assert clock.now() == 3.0
-            await task
+        for when in (1.0, 2.0):
+            clock.call_at(when, link, 1, when)
+        clock.advance(3.0)
+        assert len(seen) == 2000
+        assert seen[:1000] == [(1.0, 1.0)] * 1000
+        assert seen[1000:] == [(2.0, 2.0)] * 1000
+        assert clock.now() == 3.0
 
-        asyncio.run(scenario())
+
+class TestNoEventLoop:
+    """Storms, kill drills and control replays are plain loops over the
+    scheduler: none of them may start an event loop."""
+
+    @pytest.fixture(autouse=True)
+    def _no_event_loops(self, monkeypatch):
+        def refuse():
+            raise AssertionError("an event loop was started")
+
+        monkeypatch.setattr(asyncio, "new_event_loop", refuse)
+        monkeypatch.setattr(asyncio.events, "new_event_loop", refuse)
+
+    def test_service_storm(self):
+        assert run_service_storm(StormConfig(seed=5, horizon=60.0)).clean
+
+    def test_fabric_kill_drill(self, tmp_path):
+        report = run_fabric_storm(FabricStormConfig(
+            shards=3, seed=2, kills=(ShardKill(at=30.0, shard=0),),
+            rate=0.8, horizon=60.0, settle=40.0, sources=4,
+        ), checkpoint_dir=tmp_path)
+        assert report.clean and report.restored == 1
+
+    def test_control_replay(self):
+        ops = [
+            {"op": "ingest", "t": when, "request": request.to_dict()}
+            for when, request in storm_requests(
+                StormConfig(seed=5, rate=2.0, horizon=40.0)
+            )
+        ]
+        fates = run_control_replay(ops, default_gateway_service_config())
+        assert len(fates) == len(ops)

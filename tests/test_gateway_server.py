@@ -21,7 +21,11 @@ from repro.gateway import (
     undecided_entries,
     write_frame,
 )
-from repro.gateway.soak import default_gateway_service_config
+from repro.gateway.soak import (
+    GatewaySoakConfig,
+    default_gateway_service_config,
+    soak_requests,
+)
 from repro.service import EventRequest
 from repro.sim.trace import TraceEventKind
 
@@ -594,6 +598,42 @@ class TestDrain:
             writer.close()
 
         asyncio.run(scenario())
+
+
+class TestServicePlaneOrder:
+    def test_closed_loop_records_the_service_plane_in_time_order(
+            self, tmp_path):
+        """Two closed-loop connections keep jobs in flight across
+        arrivals; the dispatcher runs every action due by a stamp before
+        it submits there, so no service event is recorded before an
+        earlier one."""
+        requests = [request for _t, request in
+                    soak_requests(GatewaySoakConfig(requests=600, seed=7))]
+
+        async def lane(gateway, part) -> None:
+            reader, writer = await _connect(gateway)
+            for request in part:
+                await _submit(reader, writer, request)
+            writer.close()
+
+        async def scenario():
+            gateway = await AdmissionGateway(
+                _config(tmp_path), default_gateway_service_config(),
+            ).start()
+            await asyncio.gather(lane(gateway, requests[0::2]),
+                                 lane(gateway, requests[1::2]))
+            gateway.request_shutdown()
+            await gateway.terminated.wait()
+            return gateway
+
+        gateway = asyncio.run(scenario())
+        for trace in (gateway.service.trace, gateway.trace):
+            times = [event.time for event in trace.events]
+            assert times == sorted(times)
+        kinds = {event.kind for event in gateway.service.trace.events}
+        assert TraceEventKind.COMPLETION in kinds
+        report, _merged = gateway.finish()
+        assert not report.violations
 
 
 class TestUndecidedEntries:

@@ -8,8 +8,6 @@ twin state hash and finish the surviving work cleanly.
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.service import (
@@ -33,93 +31,81 @@ def _req(rid: str, cost: float = 0.8, deadline: float = 40.0,
                         relative_deadline=deadline, **kw)
 
 
-async def _service(clock: VirtualClock, **kw) -> AdmissionService:
-    service = AdmissionService(CONFIG, clock=clock, **kw)
-    await service.start()
-    return service
+def _service(clock: VirtualClock, **kw) -> AdmissionService:
+    return AdmissionService(CONFIG, clock=clock, **kw).start()
 
 
 class TestDrain:
     def test_every_inflight_event_gets_one_terminal(self):
-        async def scenario():
-            clock = VirtualClock()
-            service = await _service(clock)
-            for i in range(6):
-                ticket = await service.submit(_req(f"e{i}"))
-                assert ticket.admitted
-            report = await service.drain()
-            assert report.completed == 6 and report.shed == 0
-            assert service.planner.backlog == 0
+        clock = VirtualClock()
+        service = _service(clock)
+        for i in range(6):
+            ticket = service.submit(_req(f"e{i}"))
+            assert ticket.admitted
+        report = service.drain()
+        assert report.completed == 6 and report.shed == 0
+        assert service.planner.backlog == 0
 
-            # exactly one terminal per released id, no silent drops
-            events = service.trace.events
-            released = {e.subject for e in events
-                        if e.kind is TraceEventKind.RELEASE}
-            terminals = [e.subject for e in events
-                         if e.kind in (TraceEventKind.COMPLETION,
-                                       TraceEventKind.SHED)]
-            assert sorted(terminals) == sorted(released)
-            verification = service.finish()
-            assert verification is not None and not verification.violations
-
-        asyncio.run(scenario())
+        # exactly one terminal per released id, no silent drops
+        events = service.trace.events
+        released = {e.subject for e in events
+                    if e.kind is TraceEventKind.RELEASE}
+        terminals = [e.subject for e in events
+                     if e.kind in (TraceEventKind.COMPLETION,
+                                   TraceEventKind.SHED)]
+        assert sorted(terminals) == sorted(released)
+        verification = service.finish()
+        assert verification is not None and not verification.violations
 
     def test_max_wait_sheds_far_future_work_explicitly(self):
-        async def scenario():
-            clock = VirtualClock()
-            service = await _service(clock)
-            near = await service.submit(_req("near", cost=0.5))
-            # a queue of work whose settle time exceeds the drain budget
-            far_ids = []
-            for i in range(8):
-                ticket = await service.submit(
-                    _req(f"far{i}", cost=1.5, deadline=120.0)
-                )
-                assert ticket.admitted
-                far_ids.append(ticket.request_id)
-            report = await service.drain(max_wait=3.0)
-            assert report.completed >= 1          # near work finished
-            assert report.shed >= 1               # far work explicitly shed
-            assert report.completed + report.shed == 9
-            events = service.trace.events
-            cutoff_sheds = {e.subject for e in events
-                            if e.kind is TraceEventKind.SHED
-                            and "drain cutoff" in e.detail}
-            assert cutoff_sheds                   # the shed is attributed
-            terminals = [e.subject for e in events
-                         if e.kind in (TraceEventKind.COMPLETION,
-                                       TraceEventKind.SHED)]
-            assert len(terminals) == 9            # nothing silently dropped
-            assert len(set(terminals)) == 9
-
-        asyncio.run(scenario())
+        clock = VirtualClock()
+        service = _service(clock)
+        near = service.submit(_req("near", cost=0.5))
+        # a queue of work whose settle time exceeds the drain budget
+        far_ids = []
+        for i in range(8):
+            ticket = service.submit(
+                _req(f"far{i}", cost=1.5, deadline=120.0)
+            )
+            assert ticket.admitted
+            far_ids.append(ticket.request_id)
+        report = service.drain(max_wait=3.0)
+        assert report.completed >= 1          # near work finished
+        assert report.shed >= 1               # far work explicitly shed
+        assert report.completed + report.shed == 9
+        events = service.trace.events
+        cutoff_sheds = {e.subject for e in events
+                        if e.kind is TraceEventKind.SHED
+                        and "drain cutoff" in e.detail}
+        assert cutoff_sheds                   # the shed is attributed
+        terminals = [e.subject for e in events
+                     if e.kind in (TraceEventKind.COMPLETION,
+                                   TraceEventKind.SHED)]
+        assert len(terminals) == 9            # nothing silently dropped
+        assert len(set(terminals)) == 9
 
     def test_draining_rejects_new_submissions(self):
-        async def scenario():
-            clock = VirtualClock()
-            service = await _service(clock)
-            await service.submit(_req("inflight"))
-            drain_task = asyncio.ensure_future(service.drain())
-            await asyncio.sleep(0)
-            late = await service.submit(_req("late"))
-            assert late.decision is Decision.REJECT_DRAINING
-            assert not late.retryable
-            report = await drain_task
-            assert report.completed == 1
-
-        asyncio.run(scenario())
+        clock = VirtualClock()
+        service = _service(clock)
+        service.submit(_req("inflight"))
+        late = []
+        # a submission arriving while the drain advances the clock
+        clock.call_at(0.1, lambda: late.append(service.submit(_req("late"))))
+        report = service.drain()
+        assert [ticket.decision for ticket in late] == [
+            Decision.REJECT_DRAINING
+        ]
+        assert not late[0].retryable
+        assert report.completed == 1
 
     def test_drain_is_idempotent(self):
-        async def scenario():
-            clock = VirtualClock()
-            service = await _service(clock)
-            await service.submit(_req("a"))
-            first = await service.drain()
-            second = await service.drain()
-            assert first.completed == 1
-            assert second.completed == 0 and second.shed == 0
-
-        asyncio.run(scenario())
+        clock = VirtualClock()
+        service = _service(clock)
+        service.submit(_req("a"))
+        first = service.drain()
+        second = service.drain()
+        assert first.completed == 1
+        assert second.completed == 0 and second.shed == 0
 
 
 class TestDrainHousekeepingRace:
@@ -135,25 +121,21 @@ class TestDrainHousekeepingRace:
             twin=TwinConfig(heartbeat=1.0),
         )
 
-        async def scenario():
-            clock = VirtualClock()
-            service = AdmissionService(config, clock=clock,
-                                       checkpoint_path=path)
-            await service.start()
-            # slow work keeps events in flight long past the heartbeat
-            # window, so ticks during the drain advance WOULD fire
-            # heartbeat-miss divergences without the suppression
-            for i in range(4):
-                assert (await service.submit(
-                    _req(f"slow{i}", cost=1.5, deadline=120.0)
-                )).admitted
-            beats_before = service.heartbeats
-            report = await service.drain()
-            assert report.completed + report.shed == 4
-            assert service.heartbeats == beats_before  # counter froze
-            return service
-
-        asyncio.run(scenario())
+        clock = VirtualClock()
+        service = AdmissionService(config, clock=clock,
+                                   checkpoint_path=path)
+        service.start()
+        # slow work keeps events in flight long past the heartbeat
+        # window, so ticks during the drain advance WOULD fire
+        # heartbeat-miss divergences without the suppression
+        for i in range(4):
+            assert service.submit(
+                _req(f"slow{i}", cost=1.5, deadline=120.0)
+            ).admitted
+        beats_before = service.heartbeats
+        report = service.drain()
+        assert report.completed + report.shed == 4
+        assert service.heartbeats == beats_before  # counter froze
         ops = CheckpointLog(path).load()
         drain_index = next(
             i for i, op in enumerate(ops) if op["op"] == "drain"
@@ -162,38 +144,29 @@ class TestDrainHousekeepingRace:
         assert "heartbeat_miss" not in tail
 
     def test_draining_housekeeper_exits_promptly(self):
-        async def scenario():
-            clock = VirtualClock()
-            service = await _service(clock)
-            await service.submit(_req("a"))
-            await service.drain()
-            assert service._housekeeper is None
-            frozen = service.heartbeats
-            await clock.advance(clock.now() + 50.0)
-            assert service.heartbeats == frozen
-
-        asyncio.run(scenario())
+        clock = VirtualClock()
+        service = _service(clock)
+        service.submit(_req("a"))
+        service.drain()
+        assert service._housekeeper is None
+        frozen = service.heartbeats
+        clock.advance(clock.now() + 50.0)
+        assert service.heartbeats == frozen
 
 
 class TestCheckpointRestart:
     def test_kill_restore_twin_hash_identical(self, tmp_path):
         path = tmp_path / "service.jsonl"
 
-        async def run_and_kill():
-            clock = VirtualClock()
-            service = AdmissionService(CONFIG, clock=clock,
-                                       checkpoint_path=path, seed=7)
-            await service.start()
-            for i in range(5):
-                assert (await service.submit(
-                    _req(f"e{i}", deadline=60.0))).admitted
-            await clock.advance(1.5)        # some work completes pre-kill
-            live_hash = service.twin.state_hash()
-            live_counters = dict(service.twin.counters)
-            service.kill()
-            return live_hash, live_counters
-
-        live_hash, live_counters = asyncio.run(run_and_kill())
+        clock = VirtualClock()
+        service = AdmissionService(CONFIG, clock=clock,
+                                   checkpoint_path=path, seed=7).start()
+        for i in range(5):
+            assert service.submit(_req(f"e{i}", deadline=60.0)).admitted
+        clock.advance(1.5)        # some work completes pre-kill
+        live_hash = service.twin.state_hash()
+        live_counters = dict(service.twin.counters)
+        service.kill()
 
         # replaying the log off-line reproduces the twin byte-for-byte
         log = CheckpointLog(path)
@@ -201,55 +174,39 @@ class TestCheckpointRestart:
         assert twin.state_hash() == live_hash
         assert dict(twin.counters) == live_counters
 
-        async def restore_and_finish():
-            service = await AdmissionService.restore(path)
-            assert service.twin.state_hash() == live_hash
-            resumed = service.planner.backlog
-            report = await service.drain()
-            assert report.completed + report.shed == resumed
-            verification = service.finish()
-            assert verification is not None and not verification.violations
-
-        asyncio.run(restore_and_finish())
+        service = AdmissionService.restore(path)
+        assert service.twin.state_hash() == live_hash
+        resumed = service.planner.backlog
+        report = service.drain()
+        assert report.completed + report.shed == resumed
+        verification = service.finish()
+        assert verification is not None and not verification.violations
 
     def test_restore_refuses_missing_log(self, tmp_path):
         with pytest.raises(CheckpointError):
-            asyncio.run(AdmissionService.restore(tmp_path / "absent.jsonl"))
+            AdmissionService.restore(tmp_path / "absent.jsonl")
 
     def test_fresh_service_refuses_existing_log(self, tmp_path):
         path = tmp_path / "service.jsonl"
 
-        async def first():
-            clock = VirtualClock()
-            service = AdmissionService(CONFIG, clock=clock,
-                                       checkpoint_path=path)
-            await service.start()
-            await service.submit(_req("a"))
-            await service.drain()
-
-        asyncio.run(first())
+        service = AdmissionService(CONFIG, clock=VirtualClock(),
+                                   checkpoint_path=path).start()
+        service.submit(_req("a"))
+        service.drain()
         with pytest.raises(CheckpointError):
             AdmissionService(CONFIG, checkpoint_path=path)
 
     def test_duplicate_submit_after_restore_is_idempotent(self, tmp_path):
         path = tmp_path / "service.jsonl"
 
-        async def run_and_kill():
-            clock = VirtualClock()
-            service = AdmissionService(CONFIG, clock=clock,
-                                       checkpoint_path=path)
-            await service.start()
-            assert (await service.submit(_req("dup", deadline=60.0))).admitted
-            service.kill()
+        service = AdmissionService(CONFIG, clock=VirtualClock(),
+                                   checkpoint_path=path).start()
+        assert service.submit(_req("dup", deadline=60.0)).admitted
+        service.kill()
 
-        asyncio.run(run_and_kill())
-
-        async def restore_and_resubmit():
-            service = await AdmissionService.restore(path)
-            again = await service.submit(_req("dup", deadline=60.0))
-            # the id is still in flight: no double admission
-            assert again.decision is not Decision.ADMIT or again.duplicate
-            assert service.planner.backlog == 1
-            await service.drain()
-
-        asyncio.run(restore_and_resubmit())
+        service = AdmissionService.restore(path)
+        again = service.submit(_req("dup", deadline=60.0))
+        # the id is still in flight: no double admission
+        assert again.decision is not Decision.ADMIT or again.duplicate
+        assert service.planner.backlog == 1
+        service.drain()

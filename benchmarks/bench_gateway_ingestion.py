@@ -17,12 +17,16 @@ Not a paper table — these pin the PR 9 wall-clock ingestion path:
   in-process gateway, and ``extra_info["loop_turns_per_request"]``
   records the event-loop turns per round trip, client and server
   together, counted by a selector that tallies its polls;
-* ``bench_gateway_finish_sweep`` — the shutdown verification sweep
-  (``AdmissionGateway.finish``: merge the planes, replay them through
-  the protocol monitors) over a fixed synthetic timeline of
-  ``SWEEP_REQUESTS`` served requests, 44,000 events, and
-  ``extra_info["finish_peak_bytes_per_event"]``: tracemalloc's traced
-  peak inside one ``finish()``, per merged event.
+* ``bench_gateway_finish_sweep`` — the shutdown verification
+  (``AdmissionGateway.finish``: feed the protocol monitors the events
+  the online sweep has not fed yet, then close their books) after
+  ``SWEEP_REQUESTS`` in-order requests served through the dispatcher's
+  decision path, which flushes the planes into the sweep every
+  ``_FLUSH_BATCH`` events.  ``extra_info`` records
+  ``retained_bytes_per_request``, tracemalloc's traced memory the
+  gateway holds after serving, per served request, and
+  ``finish_peak_bytes_per_event``, tracemalloc's traced peak inside
+  one ``finish()``, per event its final flush feeds.
 
 The ratio guard in ``BENCH_engine.json``, checked by the
 ``gateway-soak`` CI job, holds the socket/direct median ratio: the
@@ -33,19 +37,22 @@ portable across machines; the absolute milliseconds are not.  The
 edge's turn count is a count of work, not a time: no wall-clock timer
 fires during the run (the clock watchdog and the service heartbeat
 are set far beyond it), so it repeats exactly on any host, and a count
-guard holds it.  So does the sweep's peak, a count of bytes the
-program asks for, which repeats exactly on any host and on CPython
-3.11, 3.12 and 3.13.
+guard holds it.  So do the served gateway's retained bytes and the
+final sweep's peak, counts of bytes the program asks for: the served
+requests are stamped by a stepped clock, not the wall clock, so they
+repeat on any host.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
+import repro.gateway.gateway as gateway_module
 from repro.gateway import (
     AdmissionGateway,
     GatewayConfig,
@@ -62,7 +69,6 @@ from repro.service import (
     VirtualClock,
     WallClock,
 )
-from repro.sim.trace import TraceEventKind
 
 from loop_turns import count_loop_turns
 
@@ -201,56 +207,90 @@ def bench_gateway_edge_turns(benchmark):
 
 
 SWEEP_REQUESTS = 10_000
+#: tu between the served requests' stamps
+SWEEP_GAP = 0.25
+
+
+class _SteppedClock(WallClock):
+    """A wall clock that reads the stamp the bench sets."""
+
+    def __init__(self) -> None:
+        super().__init__(scale=SCALE)
+        self.at = 0.0
+
+    def now(self) -> float:
+        return self.at
 
 
 def _served_gateway(directory: str) -> AdmissionGateway:
-    """An unstarted gateway whose planes hold SWEEP_REQUESTS served
-    requests, one every 0.25 tu: an INGEST and a RESPONSE each on the
-    gateway plane; four in five admitted, each with a RELEASE at its
-    stamp and a COMPLETION and a RECONCILE 0.4 tu later on the service
-    plane.  So each release lands after the previous request's
-    completion, out of time order, and the sweep has to visit that
-    plane through its sorted index (a serving gateway records its
-    service plane in time order; a restored incarnation re-submitting
-    its journal debt does not)."""
+    """A gateway that has served SWEEP_REQUESTS requests, one every
+    SWEEP_GAP tu, through its dispatcher's decision path (stamp,
+    advance the scheduler, submit, flush a full batch into the online
+    sweep), every one admitted and completed, then drained."""
+    clock = _SteppedClock()
     gateway = AdmissionGateway(
         GatewayConfig(unix_path=str(Path(directory) / "gw.sock")), CONFIG,
+        clock=clock,
     )
-    edge, service = gateway.trace, gateway.service.trace
-    for i in range(SWEEP_REQUESTS):
-        rid, stamp = f"req-{i:05d}", i * 0.25
-        admitted = i % 5 != 4
-        edge.add_event(stamp, TraceEventKind.INGEST, rid, f"stamp={stamp:g}")
-        edge.add_event(stamp, TraceEventKind.RESPONSE, rid,
-                       "admit" if admitted else "reject_deadline")
-        if admitted:
-            done = stamp + 0.4
-            service.add_event(stamp, TraceEventKind.RELEASE, rid,
-                              f"cost=0.4 deadline={stamp + 5:g} hard")
-            service.add_event(done, TraceEventKind.COMPLETION, rid,
-                              f"actual=0.4 promised={done:g}")
-            service.add_event(done, TraceEventKind.RECONCILE, rid,
-                              "served=0.4 declared=0.4 drift~0.000")
+    gateway.service.start()
+
+    async def serve() -> int:
+        admitted = 0
+        for i, request in enumerate(_sweep_requests()):
+            clock.at = i * SWEEP_GAP
+            admitted += (await gateway._decide(request)).admitted
+        gateway.clock.stop_driving()
+        return admitted
+
+    assert asyncio.run(serve()) == SWEEP_REQUESTS
+    gateway.service.drain()
     return gateway
 
 
+def _sweep_requests() -> list[EventRequest]:
+    return [
+        EventRequest(
+            request_id=f"req-{i:05d}", cost=0.1, relative_deadline=5.0,
+            source=f"src-{i % 3}", hard=(i % 3 != 0),
+        )
+        for i in range(SWEEP_REQUESTS)
+    ]
+
+
+def _unfed(gateway: AdmissionGateway) -> int:
+    return sum(len(trace.events) for trace in gateway._planes())
+
+
 def bench_gateway_finish_sweep(benchmark):
-    """The shutdown sweep over SWEEP_REQUESTS served requests, with
-    its traced memory peak per merged event taken after the timed
-    rounds."""
-    horizon = SWEEP_REQUESTS * 0.25 + 1.0
+    """``finish()`` of a gateway that has served SWEEP_REQUESTS
+    requests, with the memory the served gateway retains per request
+    and the traced peak of ``finish()`` per event its final flush feeds
+    taken after the timed rounds."""
+    horizon = SWEEP_REQUESTS * SWEEP_GAP + 10.0
     with tempfile.TemporaryDirectory() as tmp:
-        gateway = _served_gateway(tmp)
-        report, merged = benchmark(gateway.finish, horizon=horizon)
-        assert report.ok and len(merged.events) == 44_000
-        del report, merged
+        report, terminals = benchmark.pedantic(
+            lambda gateway: gateway.finish(horizon=horizon),
+            setup=lambda: ((_served_gateway(tmp),), {}), rounds=5,
+        )
+        assert report.ok and len(terminals) == SWEEP_REQUESTS
+        del report, terminals
+        gc.collect()
         tracemalloc.start()
         try:
-            report, merged = gateway.finish(horizon=horizon)
+            before, _peak = tracemalloc.get_traced_memory()
+            gateway = _served_gateway(tmp)
+            gc.collect()
+            served, _peak = tracemalloc.get_traced_memory()
+            tail = _unfed(gateway)
+            tracemalloc.reset_peak()
+            report, _terminals = gateway.finish(horizon=horizon)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert report.ok
+    assert report.ok and 0 < tail < 2 * gateway_module._FLUSH_BATCH
+    benchmark.extra_info["retained_bytes_per_request"] = round(
+        (served - before) / SWEEP_REQUESTS, 2
+    )
     benchmark.extra_info["finish_peak_bytes_per_event"] = round(
-        peak / len(merged.events), 2
+        (peak - served) / tail, 2
     )

@@ -839,7 +839,7 @@ def _serve_gateway(args: argparse.Namespace) -> int:
         print(f"gateway listening on {gateway.address}", flush=True)
         assert gateway.terminated is not None
         await gateway.terminated.wait()
-        report, _merged = gateway.finish()
+        report, _terminals = gateway.finish()
         print(_json.dumps(gateway.metrics(), indent=1))
         if report.violations:
             print(f"{len(report.violations)} violation(s):",

@@ -50,11 +50,20 @@ Robustness layers:
   reproduces every admission decision bit-for-bit — the property
   ``run_gateway_soak`` cross-checks.  The service plane is recorded in
   time order.
+* **bounded verification state** — the protocol monitors are fed while
+  the gateway serves: every ``_FLUSH_BATCH`` recorded events, the
+  dispatcher merges the planes up to a watermark no plane can record
+  before any more, feeds the merge to one online sweep and drops the
+  fed events.  A served gateway keeps the events since the last flush
+  and the monitors' per-request state, not its whole history.
 """
 
 from __future__ import annotations
 
 import asyncio
+import bisect
+import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -71,12 +80,7 @@ from repro.service import (
     WallClock,
 )
 from repro.service.clock import ClockPause
-from repro.sim.trace import (
-    ExecutionTrace,
-    TraceEventKind,
-    in_time_order,
-    merge_in_time_order,
-)
+from repro.sim.trace import ExecutionTrace, TraceEventKind
 
 from .protocol import (
     HEADER_BYTES,
@@ -101,6 +105,11 @@ _EPS = 1e-9
 #: how far past the last journal/checkpoint stamp a restored gateway's
 #: logical timeline resumes
 _RESUME_SLACK = 1e-6
+#: unfed events on the live planes that make the dispatcher flush them
+#: into the online sweep
+_FLUSH_BATCH = 512
+
+_time = operator.attrgetter("time")
 
 
 @dataclass(frozen=True)
@@ -200,10 +209,14 @@ class AdmissionGateway:
         self.cache = IdempotencyCache(
             max_entries=self.service_config.idempotency_entries
         )
-        #: dead predecessor incarnations (in-process restore drills keep
-        #: them so merged_trace spans the crash)
-        self.archived_services: list[AdmissionService] = []
+        #: the unfed tails of dead predecessor incarnations' service and
+        #: gateway planes, oldest first (a restore hands them over)
+        self.archived_service_traces: list[ExecutionTrace] = []
         self.archived_traces: list[ExecutionTrace] = []
+        #: the online sweep, opened at the first flush, and the
+        #: watermark it has been fed up to
+        self._sweep = None
+        self._fed_to = -math.inf
         self._replay_debt: list[dict] = []
         self.server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | str | None = None
@@ -315,8 +328,13 @@ class AdmissionGateway:
                 gateway.cache.put(replace(ticket, duplicate=False))
         gateway._replay_debt = undecided_entries(ops)
         if predecessor is not None:
-            gateway.archived_services = [
-                *predecessor.archived_services, predecessor.service,
+            # one sweep spans the crash: the predecessor's monitors,
+            # report and fed count, and its planes' unfed tails
+            gateway._sweep = predecessor._sweep
+            gateway._fed_to = predecessor._fed_to
+            gateway.archived_service_traces = [
+                *predecessor.archived_service_traces,
+                predecessor.service.trace,
             ]
             gateway.archived_traces = [
                 *predecessor.archived_traces, predecessor.trace,
@@ -368,12 +386,18 @@ class AdmissionGateway:
 
     async def _decide(self, request: EventRequest) -> AdmissionTicket:
         """Stamp the request, run the service's actions due by the
-        stamp, submit at the stamp, then re-arm the driven timer."""
+        stamp, submit at the stamp, then re-arm the driven timer and
+        flush the planes once a batch of events is unfed."""
         stamp = self.clock.now()
         scheduler = self.service.clock
         scheduler.advance(stamp)
         ticket = self._decide_at(request, stamp)
         self.clock.drive(scheduler, stamp)
+        if (
+            len(self.service.trace.events) + len(self.trace.events)
+            >= _FLUSH_BATCH
+        ):
+            self._flush(min(scheduler.now(), self.clock.now()))
         return ticket
 
     def _decide_at(
@@ -385,9 +409,7 @@ class AdmissionGateway:
             self.journal.append(
                 {"op": "ingest", "t": stamp, "request": request.to_dict()}
             )
-        self.trace.add_event(
-            stamp, TraceEventKind.INGEST, rid, detail=f"stamp={stamp:g}"
-        )
+        self.trace.add_event(stamp, TraceEventKind.INGEST, rid)
         cached = self.cache.get(rid)
         if cached is not None:
             ticket = replace(cached, duplicate=True)
@@ -575,53 +597,91 @@ class AdmissionGateway:
 
     # -- verification ------------------------------------------------------
 
-    def merged_trace(self) -> ExecutionTrace:
-        """Every service incarnation + the gateway plane, one timeline.
-
-        Ordering is (time, plane, incarnation, append order) with the
-        gateway plane last at equal instants — the same deterministic
-        merge discipline as the fabric's.  A serving gateway records
-        each plane in time order, because it advances the service's
-        scheduler to each stamp before it submits there; a plane out of
-        order (a restored incarnation re-submits its journal debt at the
-        original stamps, after it re-announced its resumed jobs) is
-        visited in time order on its own.  The planes are merged without
-        copying their records.
-        """
-        planes = [
-            s.trace.events for s in (*self.archived_services, self.service)
+    def _planes(self) -> list[ExecutionTrace]:
+        """Every plane in merge rank: the service incarnations oldest
+        first, then the gateway's planes oldest first."""
+        return [
+            *self.archived_service_traces, self.service.trace,
+            *self.archived_traces, self.trace,
         ]
-        planes += [t.events for t in (*self.archived_traces, self.trace)]
-        merged = ExecutionTrace()
-        merged.events = [
-            event for _t, _i, event in merge_in_time_order(
-                map(in_time_order, planes)
+
+    def _flush(self, watermark: float) -> None:
+        """Feed the online sweep every unfed event before ``watermark``
+        and drop it from its plane.
+
+        The watermark is an instant no plane can record before any
+        more: the gateway plane records at the wall clock's now, the
+        service plane at its scheduler's.  Each plane's unfed tail is
+        sorted stably by time first.  The one out-of-order stretch a
+        plane holds is a restored incarnation's replayed journal debt,
+        stamped at or after the last decided stamp, so none of it has
+        been fed.  The cut tails merge in the order of sorting every
+        record by (time, plane rank, append order).  A record that
+        landed behind the watermark already fed is reported as a
+        ``late-record`` violation; it is fed with its batch, never
+        reordered silently.
+        """
+        sweep = self._sweep
+        if sweep is None:
+            sweep = self._sweep = self._open_sweep()
+        batch: list = []
+        for trace in self._planes():
+            events = trace.events
+            events.sort(key=_time)
+            cut = bisect.bisect_left(events, watermark, key=_time)
+            batch += events[:cut]
+            del events[:cut]
+        # the planes' cuts in rank order, each in time order: a stable
+        # sort by time merges them
+        batch.sort(key=_time)
+        fed_to = self._fed_to
+        behind = bisect.bisect_left(batch, fed_to, key=_time)
+        for offset, event in enumerate(batch[:behind]):
+            sweep.report.record(
+                "late-record", event.time, (event.subject,),
+                f"{event.kind.value} at {event.time:.10g} recorded after "
+                f"the timeline was checked up to {fed_to:.10g}",
+                witness=(sweep.fed + offset,),
             )
+        sweep.feed(batch)
+        self._fed_to = max(fed_to, watermark)
+        self.archived_service_traces = [
+            trace for trace in self.archived_service_traces if trace.events
         ]
-        return merged
+        self.archived_traces = [
+            trace for trace in self.archived_traces if trace.events
+        ]
 
-    def finish(self, horizon: float | None = None):
-        """Post-hoc verification sweep over the merged timeline.
-
-        Returns ``(report, merged_trace)``; the report carries every
-        protocol-monitor violation (empty = clean).
-        """
+    def _open_sweep(self):
+        # imported at the first flush, not at start-up: importing
+        # repro.verify takes tens of milliseconds a gateway would
+        # otherwise spend before it listens
         from repro.verify.admission import AdmissionProtocolMonitor
         from repro.verify.gateway import GatewayProtocolMonitor
-        from repro.verify.invariants import run_monitors
+        from repro.verify.invariants import Sweep
 
-        at = horizon if horizon is not None else self.clock.now()
-        merged = self.merged_trace()
-        # the merge holds every incarnation, so a restore drill's
+        # the feed holds every incarnation, so a restore drill's
         # resumed RELEASEs follow their original admissions
-        monitors = [
+        return Sweep([
             GatewayProtocolMonitor(),
             AdmissionProtocolMonitor(
                 replan_window=self.service_config.replan_window
             ),
-        ]
-        report = run_monitors(merged, monitors, horizon=at)
-        return report, merged
+        ])
+
+    def finish(self, horizon: float | None = None):
+        """Feed the sweep the events still unfed, then close its books
+        at ``horizon`` (default: now).
+
+        Returns ``(report, terminals)``: the report carries every
+        protocol-monitor violation (empty = clean), and ``terminals``
+        maps each request id to the kind of its first terminal in the
+        merged timeline, ``"completion"`` or ``"shed"``.
+        """
+        at = horizon if horizon is not None else self.clock.now()
+        self._flush(math.inf)
+        _gateway, admission = self._sweep.monitors
+        return self._sweep.finish(at), admission.first_terminals()
 
     # -- reporting ---------------------------------------------------------
 

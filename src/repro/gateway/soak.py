@@ -6,8 +6,8 @@ through the :class:`NetworkFaultProxy` and across one mid-run gateway
 kill + journal restore — then closes the books two ways:
 
 * the **protocol sweep**: :class:`GatewayProtocolMonitor` and the
-  fabric protocol monitor over the merged (gateway + every service
-  incarnation) timeline must report zero violations;
+  admission protocol monitor, fed online over the merged (gateway +
+  every service incarnation) timeline, must report zero violations;
 * the **control replay**: the ingestion journal's (stamp, request)
   pairs are replayed against a fresh service on a ``VirtualClock``
   (``run_control_replay``), and every request's terminal fate —
@@ -210,9 +210,9 @@ def _fates_from_trace(
 
 
 def _wall_fates(
-    journal_ops: list[dict], merged: ExecutionTrace
+    journal_ops: list[dict], terminals: dict[str, str]
 ) -> dict[str, tuple[str, str | None]]:
-    terminals = _fates_from_trace(merged)
+    """request id -> (first journaled decision, first terminal kind)."""
     fates: dict[str, tuple[str, str | None]] = {}
     for op in journal_ops:
         if op.get("op") != "decided":
@@ -443,10 +443,10 @@ async def _run_soak_async(
         await proxy.close()
         report.proxy = proxy.metrics()
 
-    verdict, merged = gateway.finish()
+    verdict, terminals = gateway.finish()
     report.violations = list(verdict.violations)
     journal_ops = load_journal(journal_path)
-    report.fates = _wall_fates(journal_ops, merged)
+    report.fates = _wall_fates(journal_ops, terminals)
     report.gateway_metrics = gateway.metrics()
     report.wall_seconds = time.monotonic() - started
 

@@ -3,13 +3,15 @@
 Turns every simulation or emulated execution into a self-checking run:
 
 * :mod:`~repro.verify.invariants` — monitors swept over a finished
-  trace with :func:`run_monitors` (non-overlap, monotone clocks,
+  trace with :func:`run_monitors`, or fed as records come through one
+  :class:`Sweep` (non-overlap, monotone clocks,
   FP/EDF/D-OVER ordering legality, server capacity conservation,
   release accounting, circuit-breaker state legality);
   :func:`stamp_violations` marks the verdicts on the trace;
 * :mod:`~repro.verify.admission` — the Section 7 admission protocol,
-  swept post-hoc over every service, fabric and gateway timeline;
-  :mod:`~repro.verify.gateway` adds the gateway's ingestion protocol;
+  swept post-hoc over every service and fabric timeline and online
+  over a serving gateway's; :mod:`~repro.verify.gateway` adds the
+  gateway's ingestion protocol;
 * :mod:`~repro.verify.oracle` — post-run comparison against the paper's
   closed forms (equations (1)-(5), the server-aware RTA, the ideal-PS
   admission test);
@@ -21,9 +23,10 @@ Turns every simulation or emulated execution into a self-checking run:
 * :mod:`~repro.verify.mutations` — deliberate scheduler bugs proving
   each monitor family non-vacuous (test infrastructure only).
 
-Everything is opt-in and runs after the run: the kernels never call
-into this package, so a verified run executes exactly as an unverified
-one, and only its trace gains a VIOLATION event per violation.
+Everything is opt-in, and all but a serving gateway's protocol sweep
+runs after the run: the kernels never call into this package, so a
+verified run executes exactly as an unverified one, and only its trace
+gains a VIOLATION event per violation.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .invariants import (
     NonOverlapMonitor,
     ReleaseAccountingMonitor,
     ServerCapacityMonitor,
+    Sweep,
     TraceMonitor,
     run_monitors,
     stamp_violations,
@@ -63,6 +67,7 @@ __all__ = [
     "VerificationReport",
     "VerificationError",
     "TraceMonitor",
+    "Sweep",
     "run_monitors",
     "stamp_violations",
     "NonOverlapMonitor",

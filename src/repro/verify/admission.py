@@ -1,15 +1,17 @@
-"""The Section 7 admission protocol as one post-hoc oracle.
+"""The Section 7 admission protocol as one oracle.
 
-:class:`AdmissionProtocolMonitor` checks every admission timeline the
-same way: after the run, through :func:`~repro.verify.invariants.
-run_monitors`.  That timeline is a plain service's trace
+:class:`AdmissionProtocolMonitor` checks every admission timeline with
+the same rules, fed through a :class:`~repro.verify.invariants.Sweep`.
+That timeline is a plain service's trace, swept after the run
 (:meth:`~repro.service.service.AdmissionService.finish`), the merge of
-a gateway's service incarnations and its own plane
-(:meth:`~repro.gateway.gateway.AdmissionGateway.finish`), or the merge
-of a sharded fabric's incarnations (:meth:`~repro.fabric.fabric.
-AdmissionFabric.finish`).  In the fabric's merge every service event
-carries a ``[shard-k]`` detail suffix and the control-plane events
-(``SHARD_DOWN`` / ``FAILOVER`` / ``SHARD_RESTORED``) interleave
+a sharded fabric's incarnations, swept after the run too
+(:meth:`~repro.fabric.fabric.AdmissionFabric.finish`), or the merge of
+a gateway's service incarnations and its own plane, fed online while
+the gateway serves (:class:`~repro.gateway.gateway.AdmissionGateway`).
+The monitor keeps no event and no detail string, so an online sweep
+frees each event once it is fed.  In the fabric's merge every service
+event carries a ``[shard-k]`` detail suffix and the control-plane
+events (``SHARD_DOWN`` / ``FAILOVER`` / ``SHARD_RESTORED``) interleave
 untagged; an untagged service event is the shard-``None`` case of the
 same rules.  The monitor enforces:
 
@@ -31,6 +33,7 @@ same rules.  The monitor enforces:
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterable
 
@@ -40,14 +43,40 @@ from .invariants import TraceMonitor
 __all__ = ["AdmissionProtocolMonitor"]
 
 _CORRECTIVE_LEVELS = ("local", "renegotiate", "degrade")
+
+# members resolved once at import: a serving gateway feeds the monitor
+# a release and a terminal per admitted request
+_RELEASE = TraceEventKind.RELEASE
+_COMPLETION = TraceEventKind.COMPLETION
+_SHED = TraceEventKind.SHED
 _SHARD_TAG = re.compile(r" \[shard-(\d+)\]$")
 _FAILOVER_FROM = re.compile(r"^shard-(\d+) -> ")
 
 
 def _shard_of(event: TraceEvent) -> int | None:
     """The shard a merged service event came from (None = untagged)."""
-    match = _SHARD_TAG.search(event.detail)
+    detail = event.detail
+    if not detail.endswith("]"):
+        return None
+    match = _SHARD_TAG.search(detail)
     return int(match.group(1)) if match else None
+
+
+def _admission(event: TraceEvent) -> tuple[float, bool, int | None]:
+    """(time, hard, shard) of an admitting RELEASE."""
+    # a word of its own: the tag "[shard-k]" contains "hard"
+    return event.time, "hard" in event.detail.split(), _shard_of(event)
+
+
+@functools.cache
+def _settled(hard: bool, shard: int | None) -> tuple[None, bool, int | None]:
+    """The one (None, hard, shard) entry shared by settled requests."""
+    return None, hard, shard
+
+
+def _first_terminal(code: int) -> tuple[str, int]:
+    """(kind, feed index) of a first terminal kept as its code."""
+    return ("shed", ~code) if code < 0 else ("completion", code)
 
 
 def _on(shard: int | None) -> str:
@@ -67,48 +96,62 @@ class AdmissionProtocolMonitor(TraceMonitor):
     """
 
     name = "admission-protocol"
+    kinds = frozenset((
+        TraceEventKind.RELEASE, TraceEventKind.COMPLETION,
+        TraceEventKind.SHED, TraceEventKind.DEADLINE_MISS,
+        TraceEventKind.DIVERGENCE, TraceEventKind.MODE_CHANGE,
+        TraceEventKind.REPLAN, TraceEventKind.SHARD_DOWN,
+        TraceEventKind.SHARD_RESTORED, TraceEventKind.FAILOVER,
+    ))
 
     def __init__(self, replan_window: float = 50.0,
                  admitted_before: Iterable[str] = ()) -> None:
         super().__init__()
         self.replan_window = replan_window
         self.admitted_before = frozenset(admitted_before)
-        #: request id -> the RELEASE that admitted it (its time, its
-        #: ``hard`` detail and its shard tag are read off the event)
-        self._released: dict[str, TraceEvent] = {}
-        #: request id -> its terminal as (kind, time, index), or a list
-        #: of them once a second one arrives
-        self._terminals: dict[
-            str, tuple[str, float, int] | list[tuple[str, float, int]]
-        ] = {}
+        #: request id -> (time, hard, shard) of the RELEASE that
+        #: admitted it.  No event is kept, so an online sweep frees
+        #: each one once it is fed; and once a request has a terminal
+        #: it cannot be silently dropped, so its entry becomes a shared
+        #: (None, hard, shard)
+        self._released: dict[str, tuple[float | None, bool, int | None]] = {}
+        #: request id -> the feed index of its first terminal, bitwise
+        #: negated for a SHED; once a second terminal arrives, a list of
+        #: that code, then (kind, time, index) per later terminal
+        self._terminals: dict[str, int | list] = {}
         #: per-shard last divergence/mode-change instant
         self._last_divergence: dict[int | None, float] = {}
         self._down: set[str] = set()
 
     def on_event(self, index: int, event: TraceEvent) -> None:
         kind = event.kind
-        if kind is TraceEventKind.RELEASE:
+        if kind is _RELEASE:
             self._on_release(index, event)
-        elif kind in (TraceEventKind.COMPLETION, TraceEventKind.SHED):
-            if event.subject not in self._released:
+        elif kind is _COMPLETION or kind is _SHED:
+            subject = event.subject
+            released = self._released.get(subject)
+            if released is None:
                 self.report.record(
-                    "terminal-without-admission", event.time,
-                    (event.subject,),
+                    "terminal-without-admission", event.time, (subject,),
                     f"{kind.value} for a request never admitted",
                     witness=(index,),
                 )
-            terminal = (kind.value, event.time, index)
-            seen = self._terminals.get(event.subject)
+            elif released[0] is not None:
+                self._released[subject] = _settled(released[1], released[2])
+            seen = self._terminals.get(subject)
             if seen is None:
-                self._terminals[event.subject] = terminal
+                self._terminals[subject] = (
+                    index if kind is _COMPLETION else ~index
+                )
             elif isinstance(seen, list):
-                seen.append(terminal)
+                seen.append((kind.value, event.time, index))
             else:
-                self._terminals[event.subject] = [seen, terminal]
+                self._terminals[subject] = [
+                    seen, (kind.value, event.time, index),
+                ]
         elif kind is TraceEventKind.DEADLINE_MISS:
             released = self._released.get(event.subject)
-            # a word of its own: the tag "[shard-k]" contains "hard"
-            if released is not None and "hard" in released.detail.split():
+            if released is not None and released[1]:
                 self.report.record(
                     "hard-deadline-miss", event.time, (event.subject,),
                     "a hard request missed its deadline instead of being "
@@ -150,10 +193,11 @@ class AdmissionProtocolMonitor(TraceMonitor):
 
     def _on_release(self, index: int, event: TraceEvent) -> None:
         rid = event.subject
+        released = self._released.get(rid)
         if event.detail.startswith("resumed"):
             # a restored incarnation re-announcing checkpointed
             # in-flight work — legal iff the id was really admitted
-            if rid not in self._released:
+            if released is None:
                 if rid not in self.admitted_before:
                     self.report.record(
                         "resumed-without-admission", event.time, (rid,),
@@ -161,11 +205,11 @@ class AdmissionProtocolMonitor(TraceMonitor):
                         "admitted",
                         witness=(index,),
                     )
-                self._released[rid] = event
+                self._released[rid] = _admission(event)
             return
-        if rid in self._released:
+        if released is not None:
             shard = _shard_of(event)
-            origin = _shard_of(self._released[rid])
+            origin = released[2]
             where = (
                 f"{_on(shard)} twice" if origin == shard
                 else f"{_on(origin)} and again{_on(shard)}"
@@ -176,7 +220,7 @@ class AdmissionProtocolMonitor(TraceMonitor):
                 witness=(index,),
             )
             return
-        self._released[rid] = event
+        self._released[rid] = _admission(event)
 
     def _on_replan(self, index: int, event: TraceEvent) -> None:
         level = event.detail.split()[0] if event.detail else ""
@@ -195,17 +239,30 @@ class AdmissionProtocolMonitor(TraceMonitor):
     def finish(self, horizon: float) -> None:
         for subject, terminals in self._terminals.items():
             if isinstance(terminals, list):
-                kinds = "+".join(kind for kind, _t, _i in terminals)
-                self.report.record(
-                    "duplicate-terminal", terminals[1][1], (subject,),
-                    f"{len(terminals)} terminals ({kinds})",
-                    witness=tuple(i for _k, _t, i in terminals),
+                first, *later = terminals
+                first_kind, first_index = _first_terminal(first)
+                kinds = "+".join(
+                    [first_kind, *(kind for kind, _t, _i in later)]
                 )
-        for subject, release in self._released.items():
+                self.report.record(
+                    "duplicate-terminal", later[0][1], (subject,),
+                    f"{len(terminals)} terminals ({kinds})",
+                    witness=(first_index, *(i for _k, _t, i in later)),
+                )
+        for subject, (time, _hard, shard) in self._released.items():
             if subject not in self._terminals:
                 self.report.record(
                     "silently-dropped", horizon, (subject,),
-                    f"admitted at {release.time:g}"
-                    f"{_on(_shard_of(release))} but neither completed "
-                    "nor shed by the horizon",
+                    f"admitted at {time:g}{_on(shard)} but neither "
+                    "completed nor shed by the horizon",
                 )
+
+    def first_terminals(self) -> dict[str, str]:
+        """Request id -> the kind of its first terminal, in feed order
+        (``"completion"`` or ``"shed"``)."""
+        return {
+            subject: _first_terminal(
+                terminals[0] if isinstance(terminals, list) else terminals
+            )[0]
+            for subject, terminals in self._terminals.items()
+        }

@@ -498,9 +498,10 @@ def _run_gateway_drill(index: int, flavor: str, seed: int,
     A real Unix-socket gateway takes a Poisson front through the
     :class:`~repro.gateway.NetworkFaultProxy` (resets, torn writes,
     duplicates, reorders, latency), half the time with a mid-run
-    kill + journal restore.  The run fails if the merged-timeline
-    monitors report anything, any client gives up, or any request's
-    terminal fate differs from the ``VirtualClock`` control replay.
+    kill + journal restore.  The run fails if the protocol monitors,
+    fed online over the merged timeline, report anything, any client
+    gives up, or any request's terminal fate differs from the
+    ``VirtualClock`` control replay.
     """
     import tempfile
     from pathlib import Path

@@ -1,10 +1,10 @@
 """Gateway-level runtime verification: the ingestion protocol oracle.
 
-:class:`GatewayProtocolMonitor` replays the merged timeline produced by
-:meth:`~repro.gateway.gateway.AdmissionGateway.merged_trace` — service
-events plus the gateway plane's ``INGEST`` / ``RESPONSE`` /
-``CLOCK_PAUSE`` / ``GATEWAY_RESTORED`` events — and enforces the socket
-edge's contract:
+:class:`GatewayProtocolMonitor` watches the merged timeline of a
+serving :class:`~repro.gateway.gateway.AdmissionGateway`, which feeds it
+online: service events plus the gateway plane's ``INGEST`` /
+``RESPONSE`` / ``CLOCK_PAUSE`` / ``GATEWAY_RESTORED`` events.  It
+enforces the socket edge's contract:
 
 * **every ingested frame is answered, exactly once** — per request id,
   the number of non-edge ``RESPONSE`` events equals the number of
@@ -17,7 +17,9 @@ edge's contract:
 * an ``admit`` response must be backed by a service ``RELEASE`` for the
   same id (no promised admissions the backend never performed);
 * **ingest stamps are monotone** — the dispatcher serializes decisions,
-  so out-of-order stamps mean the determinism contract is broken;
+  so out-of-order stamps mean the determinism contract is broken.  An
+  ``INGEST`` is recorded at its stamp, so its time is the stamp, at
+  full precision;
 * once the gateway announces draining (``MODE_CHANGE`` with subject
   ``gateway``), no *new* admission is ingested — only frames accepted
   before the drain mark may still decide (they carry earlier stamps).
@@ -33,37 +35,53 @@ from .invariants import TraceMonitor
 __all__ = ["GatewayProtocolMonitor"]
 
 _EPS = 1e-9
-_STAMP = re.compile(r"stamp=([-0-9.e+]+)")
 _DEPTH = re.compile(r"depth=(\d+)/(\d+)")
+
+# members resolved once at import: a serving gateway feeds the monitor
+# a few of these per request
+_RELEASE = TraceEventKind.RELEASE
+_INGEST = TraceEventKind.INGEST
+_RESPONSE = TraceEventKind.RESPONSE
+_MODE_CHANGE = TraceEventKind.MODE_CHANGE
+_CLOCK_PAUSE = TraceEventKind.CLOCK_PAUSE
 
 
 class GatewayProtocolMonitor(TraceMonitor):
     """Every frame answered once; edge rejections honest; stamps monotone."""
 
     name = "gateway-protocol"
+    kinds = frozenset((
+        _RELEASE, _INGEST, _RESPONSE, _MODE_CHANGE, _CLOCK_PAUSE,
+    ))
 
     def __init__(self) -> None:
         super().__init__()
         self._ingests: dict[str, int] = {}
         self._responses: dict[str, int] = {}
-        #: ids whose first answer was ``admit``, in answer order
-        self._answered_admit: list[str] = []
+        #: ids released before their first answer (in flight only)
         self._released: set[str] = set()
+        #: ids first answered ``admit`` with no RELEASE fed yet, in
+        #: answer order
+        self._unbacked: dict[str, None] = {}
         self._last_stamp: float | None = None
         self._drained_at: float | None = None
 
     def on_event(self, index: int, event: TraceEvent) -> None:
         kind = event.kind
-        if kind is TraceEventKind.RELEASE:
-            self._released.add(event.subject)
-        elif kind is TraceEventKind.INGEST:
+        if kind is _RELEASE:
+            rid = event.subject
+            if rid in self._unbacked:
+                del self._unbacked[rid]
+            elif rid not in self._responses:
+                self._released.add(rid)
+        elif kind is _INGEST:
             self._on_ingest(index, event)
-        elif kind is TraceEventKind.RESPONSE:
+        elif kind is _RESPONSE:
             self._on_response(index, event)
-        elif kind is TraceEventKind.MODE_CHANGE:
+        elif kind is _MODE_CHANGE:
             if event.subject == "gateway" and "draining" in event.detail:
                 self._drained_at = event.time
-        elif kind is TraceEventKind.CLOCK_PAUSE:
+        elif kind is _CLOCK_PAUSE:
             if event.subject != "clock":
                 self.report.record(
                     "malformed-clock-pause", event.time, (event.subject,),
@@ -74,27 +92,16 @@ class GatewayProtocolMonitor(TraceMonitor):
     def _on_ingest(self, index: int, event: TraceEvent) -> None:
         rid = event.subject
         self._ingests[rid] = self._ingests.get(rid, 0) + 1
-        match = _STAMP.search(event.detail)
-        if match is None:
+        stamp, last = event.time, self._last_stamp
+        if last is None or stamp > last:
+            self._last_stamp = stamp
+        elif stamp < last - _EPS:
             self.report.record(
-                "ingest-without-stamp", event.time, (rid,),
-                "INGEST carries no stamp= detail — the decision cannot "
-                "be anchored for a control replay",
+                "non-monotone-ingest", stamp, (rid,),
+                f"ingest stamp {stamp:.10g} precedes the previous stamp "
+                f"{last:.10g} — the dispatcher serialization is broken",
                 witness=(index,),
             )
-            return
-        stamp = float(match.group(1))
-        if self._last_stamp is not None and stamp < self._last_stamp - _EPS:
-            self.report.record(
-                "non-monotone-ingest", event.time, (rid,),
-                f"ingest stamp {stamp:g} precedes the previous stamp "
-                f"{self._last_stamp:g} — the dispatcher serialization "
-                "is broken",
-                witness=(index,),
-            )
-        self._last_stamp = max(
-            stamp, self._last_stamp if self._last_stamp is not None else stamp
-        )
         if self._drained_at is not None and event.time > self._drained_at:
             self.report.record(
                 "ingest-after-drain", event.time, (rid,),
@@ -127,8 +134,12 @@ class GatewayProtocolMonitor(TraceMonitor):
             return
         answered = self._responses.get(rid, 0) + 1
         self._responses[rid] = answered
-        if answered == 1 and decision == "admit":
-            self._answered_admit.append(rid)
+        if answered == 1:
+            released = rid in self._released
+            if released:
+                self._released.discard(rid)
+            elif decision == "admit":
+                self._unbacked[rid] = None
         if answered > self._ingests.get(rid, 0):
             self.report.record(
                 "response-without-ingest", event.time, (rid,),
@@ -145,10 +156,9 @@ class GatewayProtocolMonitor(TraceMonitor):
                     f"{count} frame(s) ingested but {answered} answered "
                     "— a frame was dropped without a decision",
                 )
-        for rid in self._answered_admit:
-            if rid not in self._released:
-                self.report.record(
-                    "admit-without-release", horizon, (rid,),
-                    "the gateway answered admit but the backend never "
-                    "released the request",
-                )
+        for rid in self._unbacked:
+            self.report.record(
+                "admit-without-release", horizon, (rid,),
+                "the gateway answered admit but the backend never "
+                "released the request",
+            )

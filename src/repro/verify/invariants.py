@@ -3,6 +3,8 @@
 A :class:`TraceMonitor` watches one run through :func:`run_monitors`,
 which replays the stored trace after the run, and records structured
 :class:`~repro.verify.violations.Violation` records instead of raising.
+Both it and a serving gateway, which feeds its planes while it serves,
+drive the monitors through one :class:`Sweep`.
 
 The monitors exploit a kernel guarantee: executed slices never span an
 event instant (the engines bound every slice at the next timed
@@ -21,6 +23,7 @@ import bisect
 import math
 import operator
 import re
+from collections.abc import Iterable
 
 from ..sim.trace import (
     ExecutionTrace,
@@ -34,6 +37,7 @@ from .violations import VerificationReport
 
 __all__ = [
     "TraceMonitor",
+    "Sweep",
     "run_monitors",
     "stamp_violations",
     "NonOverlapMonitor",
@@ -122,16 +126,19 @@ def _total(intervals: list[tuple[float, float]]) -> float:
 class TraceMonitor:
     """Base class: bind to a report/trace, then observe the sweep.
 
-    :func:`run_monitors` feeds the finished trace in time order.
-    ``on_event`` sees every point event (``index`` is its position in
-    ``trace.events``, the witness coordinate system); ``on_slice`` sees
-    every executed processor slice, a stored segment cut at the event
+    A :class:`Sweep` feeds the run in time order.  ``on_event`` sees
+    every point event of the kinds in ``kinds`` (``index`` is the
+    witness coordinate: its position in ``trace.events`` after the run,
+    its position in the merged feed online); ``on_slice`` sees every
+    executed processor slice, a stored segment cut at the event
     instants inside it; ``finish`` runs once at the end, with the
     horizon.  A check of the recorded order reads ``self.trace`` in
     ``finish``.
     """
 
     name = "monitor"
+    #: the event kinds ``on_event`` reads; ``None`` means every kind
+    kinds: frozenset[TraceEventKind] | None = None
 
     def __init__(self) -> None:
         self.report: VerificationReport = VerificationReport()
@@ -185,6 +192,60 @@ def _slices(trace: ExecutionTrace) -> list[Segment]:
     return slices
 
 
+class Sweep:
+    """Monitors bound to one report, fed in time order as records come.
+
+    :func:`run_monitors` is its one-shot use over a finished trace.  A
+    serving gateway keeps one open and feeds it its merged planes batch
+    by batch (:meth:`feed`), so ``fed``, the number of events fed so
+    far, is the running index that serves as their witness coordinate.
+    An event goes only to the monitors whose ``kinds`` read its kind,
+    in the monitors' order; every slice goes to every monitor.
+    """
+
+    def __init__(self, monitors: list[TraceMonitor],
+                 trace: ExecutionTrace | None = None) -> None:
+        self.report = VerificationReport()
+        self.monitors = list(monitors)
+        for monitor in self.monitors:
+            monitor.bind(self.report, trace)
+        self.fed = 0
+        #: kind value -> the monitors that read it (an Enum member
+        #: hashes in Python, its value string in C)
+        self._readers = {
+            kind._value_: tuple(
+                monitor for monitor in self.monitors
+                if monitor.kinds is None or kind in monitor.kinds
+            )
+            for kind in TraceEventKind
+        }
+
+    def event(self, index: int, event: TraceEvent) -> None:
+        for monitor in self._readers[event.kind._value_]:
+            monitor.on_event(index, event)
+
+    def slice(self, segment: Segment) -> None:
+        for monitor in self.monitors:
+            monitor.on_slice(segment.start, segment.end, segment.entity,
+                             segment.job, segment.core)
+
+    def feed(self, events: Iterable[TraceEvent]) -> None:
+        """Feed events in the order given, numbering them on from
+        ``fed``."""
+        readers, index = self._readers, self.fed
+        for event in events:
+            for monitor in readers[event.kind._value_]:
+                monitor.on_event(index, event)
+            index += 1
+        self.fed = index
+
+    def finish(self, horizon: float) -> VerificationReport:
+        """Close every monitor's books at ``horizon``."""
+        for monitor in self.monitors:
+            monitor.finish(horizon)
+        return self.report
+
+
 def run_monitors(trace: ExecutionTrace, monitors: list[TraceMonitor],
                  horizon: float | None = None) -> VerificationReport:
     """Sweep a finished trace through monitors.
@@ -193,27 +254,22 @@ def run_monitors(trace: ExecutionTrace, monitors: list[TraceMonitor],
     it *ends*, and at equal timestamps slices (keyed by their end) come
     before events (keyed by their time).  The slices are the stored
     segments cut at the event instants inside them (see
-    :func:`_slices`); the events are merged in place, without a copy.
+    :func:`_slices`); the events are merged in place, without a copy,
+    each with its position in ``trace.events``.
     """
-    report = VerificationReport()
-    for monitor in monitors:
-        monitor.bind(report, trace)
+    sweep = Sweep(monitors, trace)
     feed = merge_in_time_order((
         in_time_order(_slices(trace), _segment_end),
         in_time_order(trace.events),
     ))
     for _, index, item in feed:
         if isinstance(item, Segment):
-            for monitor in monitors:
-                monitor.on_slice(item.start, item.end, item.entity,
-                                 item.job, item.core)
+            sweep.slice(item)
         else:
-            for monitor in monitors:
-                monitor.on_event(index, item)  # type: ignore[arg-type]
-    end = horizon if horizon is not None else trace.makespan
-    for monitor in monitors:
-        monitor.finish(end)
-    return report
+            sweep.event(index, item)  # type: ignore[arg-type]
+    return sweep.finish(
+        horizon if horizon is not None else trace.makespan
+    )
 
 
 def stamp_violations(trace: ExecutionTrace,
@@ -239,6 +295,7 @@ class NonOverlapMonitor(TraceMonitor):
     """
 
     name = "non-overlap"
+    kinds = frozenset()
 
     def finish(self, horizon: float) -> None:
         assert self.trace is not None
@@ -266,6 +323,7 @@ class MonotoneClockMonitor(TraceMonitor):
     """
 
     name = "monotone-clock"
+    kinds = frozenset()
 
     def __init__(self, tol: float = _TOL) -> None:
         super().__init__()
@@ -778,6 +836,10 @@ class BreakerMonitor(TraceMonitor):
     """
 
     name = "breaker"
+    kinds = frozenset((
+        TraceEventKind.BREAKER_OPEN, TraceEventKind.BREAKER_CLOSE,
+        TraceEventKind.SHED,
+    ))
 
     def __init__(self) -> None:
         super().__init__()

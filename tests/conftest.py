@@ -46,6 +46,24 @@ def make_periodic_thread(name: str, cost: float, period: float,
 
 
 @pytest.fixture
+def shadow_planes(monkeypatch) -> dict:
+    """Every event each :class:`ExecutionTrace` records, by trace, in
+    recording order: a plane's history after an online sweep has
+    dropped the events it fed."""
+    from repro.sim.trace import ExecutionTrace
+
+    planes: dict = {}
+    add_event = ExecutionTrace.add_event
+
+    def recording(self, time, kind, subject, detail=""):
+        add_event(self, time, kind, subject, detail)
+        planes.setdefault(self, []).append(self.events[-1])
+
+    monkeypatch.setattr(ExecutionTrace, "add_event", recording)
+    return planes
+
+
+@pytest.fixture
 def zero_vm() -> RTSJVirtualMachine:
     """A VM with all overheads disabled (exact integer timelines)."""
     return RTSJVirtualMachine(overhead=OverheadModel.zero())

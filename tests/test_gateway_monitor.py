@@ -24,7 +24,7 @@ HORIZON = 100.0
 
 def _ingest(time: float, rid: str) -> tuple:
     """An ``INGEST`` as the dispatcher records it, at its stamp."""
-    return (time, K.INGEST, rid, f"stamp={time:g}")
+    return (time, K.INGEST, rid, "")
 
 
 def _answer(time: float, rid: str, detail: str) -> tuple:
@@ -159,3 +159,20 @@ def test_witnesses_and_messages():
     ]
     assert "2 frame(s) ingested but 1 answered" in violations[1].detail
     assert "'admit'" in violations[0].detail
+
+
+def test_a_stamp_regression_under_one_tu_is_seen_late_in_a_run():
+    """After 100 s at 1 tu = 1 ms, six significant digits no longer
+    tell 123456.4 from 123456.2; the stamp is read off the INGEST's
+    time, at full precision."""
+    violations = _feed([
+        _ingest(123456.4, "r1"),
+        _answer(123456.4, "r1", "reject_deadline"),
+        _ingest(123456.2, "r2"),
+        _answer(123456.2, "r2", "reject_deadline"),
+    ]).violations
+    assert [(v.kind, v.time, v.entities, v.witness) for v in violations] == [
+        ("non-monotone-ingest", 123456.2, ("r2",), (2,)),
+    ]
+    assert ("stamp 123456.2 precedes the previous stamp 123456.4"
+            in violations[0].detail)

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+import repro.gateway.gateway as gateway_module
 from repro.gateway import (
     MAX_FRAME_BYTES,
     AdmissionGateway,
@@ -75,7 +76,7 @@ class TestRoundTrip:
             writer.close()
             gateway.request_shutdown()
             await gateway.terminated.wait()
-            report, _merged = gateway.finish()
+            report, _terminals = gateway.finish()
             assert not report.violations
             ops = load_journal(tmp_path / "journal.jsonl")
             # both frames journaled: 2 ingests, 2 decisions, one admit
@@ -216,7 +217,11 @@ def _journaled_ids(path) -> set[str]:
 
 
 class TestBackpressure:
-    def test_pipeline_overflow_answers_reject_busy(self, tmp_path):
+    def test_pipeline_overflow_answers_reject_busy(
+            self, tmp_path, shadow_planes, monkeypatch):
+        # the planes are fed and dropped after every decision
+        monkeypatch.setattr(gateway_module, "_FLUSH_BATCH", 1)
+
         async def scenario():
             gateway = await AdmissionGateway(
                 _config(tmp_path, max_in_flight=1),
@@ -244,16 +249,21 @@ class TestBackpressure:
             gateway.request_shutdown()
             await gateway.terminated.wait()
             # the edge rejection is traced but never journaled
-            kinds = [e.detail for e in gateway.trace.events
+            kinds = [e.detail for e in shadow_planes[gateway.trace]
                      if e.subject == "r-2"]
             assert kinds == ["reject_busy depth=1/1 edge"]
             journaled = _journaled_ids(tmp_path / "journal.jsonl")
             assert {"r-0", "r-1"} <= journaled
             assert "r-2" not in journaled
+            report, _terminals = gateway.finish()
+            assert not report.violations
 
         asyncio.run(scenario())
 
-    def test_draining_answers_reject_draining_at_the_edge(self, tmp_path):
+    def test_draining_answers_reject_draining_at_the_edge(
+            self, tmp_path, shadow_planes, monkeypatch):
+        monkeypatch.setattr(gateway_module, "_FLUSH_BATCH", 1)
+
         async def scenario():
             gateway = await AdmissionGateway(
                 _config(tmp_path), default_gateway_service_config(),
@@ -276,7 +286,7 @@ class TestBackpressure:
             for writer in (w1, w2):
                 writer.close()
             await gateway.terminated.wait()
-            kinds = [e.detail for e in gateway.trace.events
+            kinds = [e.detail for e in shadow_planes[gateway.trace]
                      if e.subject == "r-2"]
             assert kinds == ["reject_draining edge"]
             assert "r-2" not in _journaled_ids(tmp_path / "journal.jsonl")
@@ -528,8 +538,11 @@ class TestDrain:
 
         asyncio.run(scenario())
 
-    def test_drain_cutoff_sheds_unsettleable_work_explicitly(self, tmp_path):
+    def test_drain_cutoff_sheds_unsettleable_work_explicitly(
+            self, tmp_path, shadow_planes, monkeypatch):
         from repro.service import WallClock
+
+        monkeypatch.setattr(gateway_module, "_FLUSH_BATCH", 1)
 
         async def scenario():
             # 10ms/tu: the queued backlog below settles over ~180ms of
@@ -553,17 +566,25 @@ class TestDrain:
             writer.close()
             gateway.request_shutdown()
             await gateway.terminated.wait()
-            sheds = [e for e in gateway.service.trace.events
+            service_plane = shadow_planes[gateway.service.trace]
+            sheds = [e for e in service_plane
                      if e.kind is TraceEventKind.SHED
                      and "drain cutoff" in e.detail]
             # everything that could not settle by the cutoff carries an
             # explicit drain-cutoff fate — nothing silently dropped
             assert sheds
             completions = {
-                e.subject for e in gateway.service.trace.events
+                e.subject for e in service_plane
                 if e.kind is TraceEventKind.COMPLETION
             }
             assert completions | {e.subject for e in sheds} >= set(admitted)
+            report, terminals = gateway.finish()
+            assert not report.violations
+            assert {rid: terminals[rid] for rid in admitted} == {
+                rid: "shed" if rid in {e.subject for e in sheds}
+                else "completion"
+                for rid in admitted
+            }
 
         asyncio.run(scenario())
 
@@ -602,11 +623,13 @@ class TestDrain:
 
 class TestServicePlaneOrder:
     def test_closed_loop_records_the_service_plane_in_time_order(
-            self, tmp_path):
+            self, tmp_path, shadow_planes):
         """Two closed-loop connections keep jobs in flight across
         arrivals; the dispatcher runs every action due by a stamp before
         it submits there, so no service event is recorded before an
-        earlier one."""
+        earlier one.  The planes are fed to the online sweep while the
+        gateway serves, so their recorded order is read off shadow
+        copies, and the sweep reports no record behind its watermark."""
         requests = [request for _t, request in
                     soak_requests(GatewaySoakConfig(requests=600, seed=7))]
 
@@ -627,12 +650,15 @@ class TestServicePlaneOrder:
             return gateway
 
         gateway = asyncio.run(scenario())
+        # the planes were fed while the gateway served
+        assert gateway._sweep is not None and gateway._sweep.fed > 0
         for trace in (gateway.service.trace, gateway.trace):
-            times = [event.time for event in trace.events]
+            times = [event.time for event in shadow_planes[trace]]
             assert times == sorted(times)
-        kinds = {event.kind for event in gateway.service.trace.events}
+        kinds = {e.kind for e in shadow_planes[gateway.service.trace]}
         assert TraceEventKind.COMPLETION in kinds
-        report, _merged = gateway.finish()
+        report, _terminals = gateway.finish()
+        assert "late-record" not in report.kinds()
         assert not report.violations
 
 
@@ -660,7 +686,8 @@ class TestUndecidedEntries:
 
 
 class TestCrashRestore:
-    def test_kill_and_restore_without_double_admission(self, tmp_path):
+    def test_kill_and_restore_without_double_admission(
+            self, tmp_path, shadow_planes):
         async def scenario():
             service_config = default_gateway_service_config()
             config = _config(tmp_path)
@@ -691,11 +718,12 @@ class TestCrashRestore:
             w2.close()
             restored.request_shutdown()
             await restored.terminated.wait()
-            report, merged = restored.finish()
+            report, _terminals = restored.finish()
             assert not report.violations
             # exactly one RELEASE for the pre-crash admission across
             # both incarnations (the resumed one is tagged, not dup)
-            releases = [e for e in merged.events
+            releases = [e for service in (gateway.service, restored.service)
+                        for e in shadow_planes[service.trace]
                         if e.kind is TraceEventKind.RELEASE
                         and e.subject == "r-1"
                         and not e.detail.startswith("resumed")]
@@ -740,7 +768,7 @@ class TestCrashRestore:
             assert decided[0]["t"] == stamp  # original stamp preserved
             restored.request_shutdown()
             await restored.terminated.wait()
-            report, _merged = restored.finish()
+            report, _terminals = restored.finish()
             assert not report.violations
 
         asyncio.run(scenario())

@@ -1,6 +1,6 @@
-"""The merged timelines and the post-hoc feed keep their order.
+"""The merged timelines and the monitor feeds keep their order.
 
-``AdmissionGateway.merged_trace``, ``AdmissionFabric.merged_trace`` and
+A serving gateway's online sweep, ``AdmissionFabric.merged_trace`` and
 ``run_monitors`` each interleave several sequences of records into one
 order.  The oracles below are the original formulas: one sort tuple per
 record, ``(time, plane, incarnation, append order)`` for the two merges,
@@ -8,9 +8,9 @@ and ``(instant, slice-before-event, position)`` for the monitor feed,
 one per slice once each stored segment is cut at the event instants
 inside it.
 The planes are seeded at random on a coarse time grid, so they tie
-often, and some records are appended out of time order, as the
-service plane does when it records a release at its dispatch stamp
-after completions that it recorded later.
+often, and some records are appended out of time order, as a restored
+gateway's service plane does when it replays its journal debt at the
+original stamps after it re-announced its resumed jobs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.fabric import AdmissionFabric, FabricConfig
 from repro.gateway import AdmissionGateway, GatewayConfig
 from repro.service import AdmissionService, ServiceConfig
 from repro.sim.trace import ExecutionTrace, Segment, TraceEvent, TraceEventKind
-from repro.verify.invariants import TraceMonitor, run_monitors
+from repro.verify.invariants import Sweep, TraceMonitor, run_monitors
 
 CONFIG = ServiceConfig(capacity=2.0, period=2.0, detector=None)
 KINDS = (
@@ -61,9 +61,28 @@ def _out_of_order(events: list[TraceEvent]) -> int:
 # -- the gateway -------------------------------------------------------------
 
 
+def _seed_gateway(rng: random.Random, tmp_path, incarnations: int,
+                  sizes=(60, 40, 120, 80)) -> AdmissionGateway:
+    """An unstarted gateway whose planes, archived incarnations
+    included, hold seeded random events."""
+    gateway = AdmissionGateway(
+        GatewayConfig(unix_path=str(tmp_path / "gw.sock")), CONFIG,
+    )
+    for k in range(incarnations - 1):
+        service = ExecutionTrace()
+        service.events = _plane(rng, f"svc{k}", sizes[0])
+        gateway.archived_service_traces.append(service)
+        trace = ExecutionTrace()
+        trace.events = _plane(rng, f"gw{k}", sizes[1])
+        gateway.archived_traces.append(trace)
+    gateway.service.trace.events = _plane(rng, "svc", sizes[2])
+    gateway.trace.events = _plane(rng, "gw", sizes[3])
+    return gateway
+
+
 def _gateway_oracle(gateway: AdmissionGateway) -> list[TraceEvent]:
     feed = []
-    services = [s.trace for s in (*gateway.archived_services, gateway.service)]
+    services = [*gateway.archived_service_traces, gateway.service.trace]
     for incarnation, trace in enumerate(services):
         for seq, event in enumerate(trace.events):
             feed.append((event.time, 0, incarnation, seq, event))
@@ -74,29 +93,59 @@ def _gateway_oracle(gateway: AdmissionGateway) -> list[TraceEvent]:
     return [entry[4] for entry in sorted(feed, key=lambda e: e[:4])]
 
 
+def _flush_in_steps(gateway: AdmissionGateway, rng: random.Random,
+                    monitors: list[TraceMonitor]) -> Sweep:
+    """Feed the planes to ``monitors`` through the gateway's flush at
+    rising watermarks, then everything."""
+    gateway._sweep = sweep = Sweep(monitors)
+    latest = max(event.time for trace in gateway._planes()
+                 for event in trace.events)
+    watermark = 0.0
+    while watermark < latest:
+        watermark += rng.choice((0.25, 0.5, 1.0, 2.5))
+        gateway._flush(watermark)
+    gateway._flush(float("inf"))
+    return sweep
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gateway_merge_matches_the_sort_oracle(seed, tmp_path):
     rng = random.Random(seed)
+    gateway = _seed_gateway(rng, tmp_path, 1 + seed % 3)
+    assert _out_of_order(gateway.service.trace.events) > 0
+    expected = _gateway_oracle(gateway)
+
+    recorder = _Recorder()
+    sweep = _flush_in_steps(gateway, rng, [recorder])
+    assert recorder.calls == [
+        ("event", index, id(event)) for index, event in enumerate(expected)
+    ]
+    assert sweep.fed == len(expected) and sweep.report.ok
+    assert not any(trace.events for trace in gateway._planes())
+
+def test_a_record_at_the_watermark_keeps_its_rank(tmp_path):
+    """A flush feeds only the events before its watermark, so a record
+    made at the watermark after the flush still merges in rank order:
+    here a service event ahead of the gateway event at its instant."""
     gateway = AdmissionGateway(
         GatewayConfig(unix_path=str(tmp_path / "gw.sock")), CONFIG,
     )
-    incarnations = 1 + seed % 3
-    for k in range(incarnations - 1):
-        archived = AdmissionService(gateway.service_config,
-                                    clock=gateway.clock)
-        archived.trace.events = _plane(rng, f"svc{k}", 60)
-        gateway.archived_services.append(archived)
-        trace = ExecutionTrace()
-        trace.events = _plane(rng, f"gw{k}", 40)
-        gateway.archived_traces.append(trace)
-    gateway.service.trace.events = _plane(rng, "svc", 120)
-    gateway.trace.events = _plane(rng, "gw", 80)
-    assert _out_of_order(gateway.service.trace.events) > 0
-
-    merged = gateway.merged_trace().events
-    expected = _gateway_oracle(gateway)
-    assert len(merged) == len(expected)
-    assert all(a is b for a, b in zip(merged, expected))
+    edge, service = gateway.trace, gateway.service.trace
+    edge.add_event(1.0, TraceEventKind.INGEST, "r1")
+    edge.add_event(2.0, TraceEventKind.INGEST, "r2")
+    first, second = edge.events
+    recorder = _Recorder()
+    gateway._sweep = Sweep([recorder])
+    gateway._flush(2.0)
+    service.add_event(2.0, TraceEventKind.RELEASE, "r2", "hard")
+    (release,) = service.events
+    gateway._flush(float("inf"))
+    assert recorder.calls == [
+        ("event", 0, id(first)),
+        ("event", 1, id(release)),
+        ("event", 2, id(second)),
+    ]
+    assert gateway._sweep.report.ok
 
 
 # -- the fabric --------------------------------------------------------------
@@ -234,17 +283,20 @@ def test_run_monitors_feeds_in_the_oracle_order(seed, cores):
 
 
 def test_run_monitors_feeds_a_merged_trace_in_order(tmp_path):
+    """``run_monitors`` over the merged planes and the gateway's online
+    sweep feed a monitor the same calls, indices included."""
     rng = random.Random(7)
-    gateway = AdmissionGateway(
-        GatewayConfig(unix_path=str(tmp_path / "gw.sock")), CONFIG,
-    )
-    gateway.service.trace.events = _plane(rng, "svc", 200)
-    gateway.trace.events = _plane(rng, "gw", 100)
-    merged = gateway.merged_trace()
+    gateway = _seed_gateway(rng, tmp_path, 2, sizes=(80, 40, 200, 100))
+    merged = ExecutionTrace()
+    merged.events = _gateway_oracle(gateway)
     assert _out_of_order(merged.events) == 0
     recorder = _Recorder()
     run_monitors(merged, [recorder])
     assert recorder.calls == _feed_oracle(merged, merged.makespan)
+
+    online = _Recorder()
+    _flush_in_steps(gateway, rng, [online]).finish(merged.makespan)
+    assert online.calls == recorder.calls
 
 
 # -- the records -------------------------------------------------------------

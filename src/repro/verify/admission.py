@@ -43,14 +43,14 @@ from .invariants import TraceMonitor
 __all__ = ["AdmissionProtocolMonitor"]
 
 _CORRECTIVE_LEVELS = ("local", "renegotiate", "degrade")
+_SHARD_TAG = re.compile(r" \[shard-(\d+)\]$")
+_FAILOVER_FROM = re.compile(r"^shard-(\d+) -> ")
 
 # members resolved once at import: a serving gateway feeds the monitor
 # a release and a terminal per admitted request
 _RELEASE = TraceEventKind.RELEASE
 _COMPLETION = TraceEventKind.COMPLETION
 _SHED = TraceEventKind.SHED
-_SHARD_TAG = re.compile(r" \[shard-(\d+)\]$")
-_FAILOVER_FROM = re.compile(r"^shard-(\d+) -> ")
 
 
 def _shard_of(event: TraceEvent) -> int | None:
@@ -70,7 +70,8 @@ def _admission(event: TraceEvent) -> tuple[float, bool, int | None]:
 
 @functools.cache
 def _settled(hard: bool, shard: int | None) -> tuple[None, bool, int | None]:
-    """The one (None, hard, shard) entry shared by settled requests."""
+    """The one (None, hard, shard) entry shared by settled requests
+    (two per shard at most, so the cache stays small)."""
     return None, hard, shard
 
 

@@ -15,6 +15,8 @@ Covers the PR's robustness guarantees:
 * the acceptance scenario: a burst at >= 2x the sustainable aperiodic
   load sheds (with SHED events), trips and re-closes breakers, causes
   zero periodic deadline misses and recovers in finite time;
+* the detector's demand estimate is exactly the window's declared cost
+  over the window length, summed in arrival order;
 * ``TaskServerParameters`` rejects invalid construction with clear
   ``ValueError`` messages;
 * ``RunExhausted`` (fail-fast) pickles across process boundaries and the
@@ -27,6 +29,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.parameters import TaskServerParameters
 from repro.core.queues import InstanceBucketQueue, PendingQueue
@@ -44,6 +48,7 @@ from repro.overload import (
     CircuitBreaker,
     DetectorConfig,
     OverloadConfig,
+    OverloadDetector,
     QueueBound,
     measure_overload,
 )
@@ -251,6 +256,40 @@ def test_breaker_recloses_after_random_bursts():
                 breaker.record_success(t + 0.01)
             t += config.cooldown + 1.0
         assert breaker.state is BreakerState.CLOSED
+
+
+# ------------------------------------------------------------- detector
+
+
+#: one detector call: a gap in quarter tu (so ``now - window`` is exact
+#: and lands on earlier arrivals), then a declared cost, or ``None``
+#: for a ``poll``
+_DETECTOR_STEPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=8),
+        st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e3)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=st.sampled_from([0.5, 2.0, 10.0]), steps=_DETECTOR_STEPS)
+# an arrival at 2.5 polled at 12.5 sits exactly one window back: kept
+@example(window=10.0, steps=[(10, 1.5), (40, None)])
+def test_detector_demand_is_the_window_sum_in_arrival_order(window, steps):
+    detector = OverloadDetector(DetectorConfig(window=window))
+    arrivals: list[tuple[float, float]] = []
+    now = 0.0
+    for gap, cost in steps:
+        now += gap / 4
+        if cost is None:
+            detector.poll(now)
+        else:
+            detector.note_arrival(now, cost)
+            arrivals.append((now, cost))
+        expected = sum(c for t, c in arrivals if t >= now - window) / window
+        assert detector.demand_utilization(now) == expected
 
 
 # ------------------------------------------------- golden-path identity

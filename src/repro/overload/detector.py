@@ -80,7 +80,9 @@ class OverloadDetector:
         self.mode_changes = 0
         self.time_in_degraded = 0.0
         self._degraded_since: float | None = None
-        self._arrivals: deque[tuple[float, float]] = deque()  # (time, cost)
+        #: arrival times and their declared costs, popped together
+        self._arrival_times: deque[float] = deque()
+        self._costs: deque[float] = deque()
         self._misses: deque[float] = deque()
         self._sheds: deque[float] = deque()
         #: last instant any overload signal was observed (for quiescence)
@@ -112,13 +114,14 @@ class OverloadDetector:
     def demand_utilization(self, now: float) -> float:
         """Declared aperiodic cost per tu over the sliding window."""
         self._expire(now)
-        return sum(c for _, c in self._arrivals) / self.config.window
+        return sum(self._costs) / self.config.window
 
     # -- notifications -----------------------------------------------------
 
     def note_arrival(self, now: float, cost: float) -> None:
         """An aperiodic release of declared ``cost`` tu arrived."""
-        self._arrivals.append((now, cost))
+        self._arrival_times.append(now)
+        self._costs.append(cost)
         self._update(now)
 
     def note_miss(self, now: float) -> None:
@@ -165,8 +168,9 @@ class OverloadDetector:
 
     def _expire(self, now: float) -> None:
         horizon = now - self.config.window
-        while self._arrivals and self._arrivals[0][0] < horizon:
-            self._arrivals.popleft()
+        while self._arrival_times and self._arrival_times[0] < horizon:
+            self._arrival_times.popleft()
+            self._costs.popleft()
         while self._misses and self._misses[0] < horizon:
             self._misses.popleft()
         while self._sheds and self._sheds[0] < horizon:

@@ -46,6 +46,14 @@ __all__ = ["ServiceConfig", "DrainReport", "AdmissionService",
            "ServiceClient"]
 
 _EPS = 1e-9
+#: the decision counters' keys, resolved once: on CPython 3.11 an Enum
+#: member's ``.value`` runs Python code
+_ADMIT = Decision.ADMIT.value
+_REJECT_DEADLINE = Decision.REJECT_DEADLINE.value
+_REJECT_OVERLOAD = Decision.REJECT_OVERLOAD.value
+_REJECT_BREAKER = Decision.REJECT_BREAKER.value
+_REJECT_DEGRADED = Decision.REJECT_DEGRADED.value
+_REJECT_DRAINING = Decision.REJECT_DRAINING.value
 #: re-plans allowed inside one ``replan_window`` before the service
 #: escalates straight to degraded mode instead of thrashing
 _MAX_REPLANS_PER_WINDOW = 16
@@ -269,7 +277,7 @@ class AdmissionService:
             # in flight but not cached — a checkpoint-resumed job (the
             # idempotency cache is not persisted).  Still a duplicate:
             # never admit the same id twice.
-            self.decisions[Decision.ADMIT.value] += 1
+            self.decisions[_ADMIT] += 1
             return AdmissionTicket(
                 request.request_id, Decision.ADMIT, now,
                 predicted_finish=self.planner.jobs[
@@ -277,6 +285,7 @@ class AdmissionService:
                 detail="already in flight (resumed)", duplicate=True,
             )
         if self.draining or self.killed:
+            self.decisions[_REJECT_DRAINING] += 1
             return self._settle(AdmissionTicket(
                 request.request_id, Decision.REJECT_DRAINING, now,
                 detail="service draining",
@@ -285,7 +294,7 @@ class AdmissionService:
         if breaker is not None and not breaker.allow(now):
             # deliberately NOT cached and NOT a recorded failure: the
             # rejection is the breaker doing its job, not new evidence
-            self.decisions[Decision.REJECT_BREAKER.value] += 1
+            self.decisions[_REJECT_BREAKER] += 1
             return AdmissionTicket(
                 request.request_id, Decision.REJECT_BREAKER, now,
                 detail=f"breaker open ({breaker.name})",
@@ -293,7 +302,7 @@ class AdmissionService:
         if self.detector is not None:
             self.detector.note_arrival(now, request.cost)
         if self._degraded and request.optional:
-            self.decisions[Decision.REJECT_DEGRADED.value] += 1
+            self.decisions[_REJECT_DEGRADED] += 1
             return AdmissionTicket(
                 request.request_id, Decision.REJECT_DEGRADED, now,
                 detail="degraded mode sheds optional requests",
@@ -304,7 +313,7 @@ class AdmissionService:
                 self.detector.note_shed(now)
             if breaker is not None:
                 breaker.record_failure(now)
-            self.decisions[Decision.REJECT_OVERLOAD.value] += 1
+            self.decisions[_REJECT_OVERLOAD] += 1
             return AdmissionTicket(
                 request.request_id, Decision.REJECT_OVERLOAD, now,
                 detail=f"pending queue full ({bound} in flight)",
@@ -316,7 +325,7 @@ class AdmissionService:
                 or self.planner.inflation > 1.0 + _EPS
             ):
                 # would fit at full, un-inflated capacity — transient
-                self.decisions[Decision.REJECT_DEGRADED.value] += 1
+                self.decisions[_REJECT_DEGRADED] += 1
                 return AdmissionTicket(
                     request.request_id, Decision.REJECT_DEGRADED, now,
                     detail="cost exceeds degraded capacity",
@@ -326,14 +335,17 @@ class AdmissionService:
                 else f"predicted finish {predicted:g} past deadline "
                      f"{now + request.relative_deadline:g}"
             )
-            self.decisions[Decision.REJECT_DEADLINE.value] += 1
+            self.decisions[_REJECT_DEADLINE] += 1
             return self._settle(AdmissionTicket(
                 request.request_id, Decision.REJECT_DEADLINE, now,
                 predicted_finish=predicted,
                 deadline=now + request.relative_deadline, detail=detail,
             ))
         # committed: log ahead, trace, observe, execute
-        self._log({"op": "admit", "t": now, "request": request.to_dict()})
+        if self.log is not None:
+            self.log.append(
+                {"op": "admit", "t": now, "request": request.to_dict()}
+            )
         self.trace.add_event(
             now, TraceEventKind.RELEASE, request.request_id,
             detail=f"cost={request.cost:g} deadline={job.deadline:g}"
@@ -343,7 +355,7 @@ class AdmissionService:
         self.twin.observe_admit(now, job)
         self._requests[request.request_id] = request
         self._spawn_executor(request.request_id)
-        self.decisions[Decision.ADMIT.value] += 1
+        self.decisions[_ADMIT] += 1
         return self._settle(AdmissionTicket(
             request.request_id, Decision.ADMIT, now,
             predicted_finish=predicted, deadline=job.deadline,
@@ -351,8 +363,6 @@ class AdmissionService:
         ))
 
     def _settle(self, ticket: AdmissionTicket) -> AdmissionTicket:
-        if ticket.decision is Decision.REJECT_DRAINING:
-            self.decisions[Decision.REJECT_DRAINING.value] += 1
         self.cache.put(ticket)
         return ticket
 
@@ -380,30 +390,42 @@ class AdmissionService:
         if timer is not None:
             timer.cancel()
 
-    def _actual_outcome(self, job) -> tuple[float, float]:
-        """(actual_finish, served_cost) under the injected skew."""
-        declared = job.request.cost
+    def _skew_factors(self, request_id: str) -> tuple[float, float] | None:
+        """The request's ``(drift, overrun)`` skew, or ``None`` unskewed."""
         if self.skew is None or not self.skew.active:
+            return None
+        return self.skew.factors(self.seed, request_id)
+
+    @staticmethod
+    def _actual_outcome(job, factors) -> tuple[float, float]:
+        """(actual_finish, served_cost) under the job's skew ``factors``."""
+        declared = job.request.cost
+        if factors is None:
             return job.slot.finish, declared
-        drift, overrun = self.skew.factors(self.seed, job.request.request_id)
+        drift, overrun = factors
         span = job.slot.finish - job.admitted_at
         actual = job.admitted_at + span * drift + declared * (overrun - 1.0)
         return actual, declared * overrun * drift
 
-    def _execute(self, request_id: str) -> None:
+    def _execute(self, request_id: str,
+                 factors: tuple[float, float] | None = None) -> None:
         """One executor step.  It re-validates the job, since a repair
         may have moved or shed it since the step was armed, then
-        re-arms at the job's due time or cuts or completes it."""
+        re-arms at the job's due time or cuts or completes it.  The
+        job's first step draws its skew ``factors``; each step hands
+        them to the one it re-arms."""
         del self._executors[request_id]
         job = self.planner.jobs.get(request_id)
         if job is None:
             return  # repaired away; the repair recorded the SHED
-        actual, served = self._actual_outcome(job)
+        if factors is None:
+            factors = self._skew_factors(request_id)
+        actual, served = self._actual_outcome(job, factors)
         due = min(actual, job.deadline) if job.request.hard else actual
         now = self.clock.now()
         if due > now + _EPS:
             self._executors[request_id] = self.clock.call_at(
-                due, self._execute, request_id
+                due, self._execute, request_id, factors
             )
         elif job.request.hard and actual > job.deadline + _EPS:
             self._cut(now, job, actual, served)
@@ -416,8 +438,9 @@ class AdmissionService:
         divergences = self.twin.reconcile(now, rid, actual, served)
         self.planner.retire(rid)
         self._requests.pop(rid, None)
-        self._log({"op": "complete", "t": now, "id": rid,
-                   "actual_finish": actual, "served": served})
+        if self.log is not None:
+            self.log.append({"op": "complete", "t": now, "id": rid,
+                             "actual_finish": actual, "served": served})
         self.trace.add_event(
             now, TraceEventKind.COMPLETION, rid,
             detail=f"actual={actual:g} promised={job.slot.finish:g}",
@@ -651,7 +674,9 @@ class AdmissionService:
         horizon = now
         settle_at: dict[str, float] = {}
         for rid, job in sorted(self.planner.jobs.items()):
-            actual, _served = self._actual_outcome(job)
+            actual, _served = self._actual_outcome(
+                job, self._skew_factors(rid)
+            )
             settle_at[rid] = (
                 min(actual, job.deadline) if job.request.hard else actual
             )
@@ -807,8 +832,9 @@ class ServiceClient:
         self.retries = 0
 
     def submit(self, request: EventRequest) -> AdmissionTicket:
-        """The first attempt's ticket; a retryable rejection schedules
-        the next attempt on the target's clock."""
+        """The target's ticket for the first attempt, unchanged; a
+        retryable rejection schedules the next attempt on the target's
+        clock."""
         return self._attempt(request, 1)
 
     def _attempt(self, request: EventRequest,
@@ -821,4 +847,4 @@ class ServiceClient:
                 clock.now() + self.backoff.delay(attempt, self._rng),
                 self._attempt, request, attempt + 1,
             )
-        return replace(ticket, attempt=attempt)
+        return ticket

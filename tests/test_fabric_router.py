@@ -147,6 +147,7 @@ class TestFabricClient:
         fabric.clock.call_at(0.1, fabric.router.set_override, "src-0",
                              sibling)
         first = client.submit(_req("r0"))
+        assert first is target.tickets[0]   # the target's own ticket
         assert first.decision is Decision.REJECT_UNREACHABLE
         assert first.attempt == 1
         fabric.clock.advance(30.0)

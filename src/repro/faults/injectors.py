@@ -20,7 +20,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 
-from ..workload.rng import PortableRandom
+from ..workload.rng import _MASK64, PortableRandom
 from ..workload.spec import AperiodicEventSpec, GeneratedSystem, PeriodicTaskSpec
 
 __all__ = [
@@ -418,13 +418,15 @@ class ExecutionSkew:
         """The ``(drift_scale, overrun_scale)`` pair for one request.
 
         Deterministic in ``(seed, request_id)`` alone: the same request
-        skews identically before and after a checkpoint restart.
+        skews identically before and after a checkpoint restart.  Any
+        int seeds it; like :class:`PortableRandom`, only the seed's low
+        64 bits count.
         """
         import hashlib
 
         digest = hashlib.blake2b(
             request_id.encode("utf-8"), digest_size=8,
-            key=seed.to_bytes(8, "little", signed=False),
+            key=(seed & _MASK64).to_bytes(8, "little"),
         ).digest()
         rng = PortableRandom(int.from_bytes(digest, "little"))
         drift = 1.0 + self.drift_ppm / 1e6

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.runner import main
 from repro.service import StormConfig, run_service_storm
 from repro.sim.trace import TraceEventKind
 
@@ -85,6 +86,30 @@ class TestSkewedStorm:
         ))
         assert report.mode_at_end == "degraded"
         assert report.clean, report.violations
+
+
+class TestSeedRange:
+    """A skewed run takes any int seed; its low 64 bits count, as in
+    :class:`~repro.workload.rng.PortableRandom`."""
+
+    IDS = [f"req-{i:05d}" for i in range(64)]
+
+    def test_skew_factors_use_the_seed_modulo_2_64(self):
+        skew = SKEWED.skew
+
+        def factors(seed):
+            return [skew.factors(seed, rid) for rid in self.IDS]
+
+        assert factors(-3) == factors(2**64 - 3)
+        assert factors(2**64 + 5) == factors(5)
+
+    def test_negative_storm_seed_runs_clean(self, capsys):
+        assert main(["service", "--storm-seed", "-3", "--drift-ppm",
+                     "40000", "--overrun-factor", "1.6",
+                     "--overrun-probability", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert '"violations": []' in out
+        assert "storm clean" in out
 
 
 class TestKillRestore:

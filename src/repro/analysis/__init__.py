@@ -8,30 +8,32 @@ decentralised ``getInterference()`` design the paper proposes in
 Section 3 and the classic utilization bounds.
 """
 
-from .rta import RTAResult, TaskResponse, response_time_analysis
-from .interference import (
-    DeferrableServerInterference,
-    InterferenceSource,
-    PeriodicInterference,
-    SporadicInterference,
-    TaskServerInterference,
-    response_time_with_interference,
-)
-from .server_analysis import (
-    ServerAwareResponse,
-    ServerAwareResult,
-    analyse_with_server,
-    deferrable_server_sources,
-    polling_server_sources,
-)
-from .resource_model import ServerSupply, deferrable_supply, polling_supply
-from .utilization import (
-    deferrable_server_bound,
-    hyperperiod,
-    liu_layland_bound,
-    rm_schedulable_by_utilization,
-    total_utilization,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "RTAResult": "rta",
+    "TaskResponse": "rta",
+    "response_time_analysis": "rta",
+    "DeferrableServerInterference": "interference",
+    "InterferenceSource": "interference",
+    "PeriodicInterference": "interference",
+    "SporadicInterference": "interference",
+    "TaskServerInterference": "interference",
+    "response_time_with_interference": "interference",
+    "ServerAwareResponse": "server_analysis",
+    "ServerAwareResult": "server_analysis",
+    "analyse_with_server": "server_analysis",
+    "deferrable_server_sources": "server_analysis",
+    "polling_server_sources": "server_analysis",
+    "ServerSupply": "resource_model",
+    "deferrable_supply": "resource_model",
+    "polling_supply": "resource_model",
+    "deferrable_server_bound": "utilization",
+    "hyperperiod": "utilization",
+    "liu_layland_bound": "utilization",
+    "rm_schedulable_by_utilization": "utilization",
+    "total_utilization": "utilization",
+})
 
 __all__ = [
     "RTAResult",

@@ -15,25 +15,29 @@ Section 7's machinery is here too: the
 response-time equations and the on-line admission controllers.
 """
 
-from .events import HandlerRelease, ServableAsyncEvent, ServableAsyncEventHandler
-from .parameters import TaskServerParameters
-from .queues import BucketPlacement, InstanceBucketQueue, PendingQueue
-from .server import TaskServer
-from .polling import PollingTaskServer
-from .deferrable import DeferrableTaskServer
-from .response_time import (
-    cape,
-    ideal_ps_finish_time,
-    ideal_ps_response_time,
-    implementation_ps_response_time,
-)
-from .admission import (
-    AdmissionDecision,
-    BucketAdmissionController,
-    BucketLedger,
-    BucketSlot,
-    IdealPSAdmissionController,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "HandlerRelease": "events",
+    "ServableAsyncEvent": "events",
+    "ServableAsyncEventHandler": "events",
+    "TaskServerParameters": "parameters",
+    "BucketPlacement": "queues",
+    "InstanceBucketQueue": "queues",
+    "PendingQueue": "queues",
+    "TaskServer": "server",
+    "PollingTaskServer": "polling",
+    "DeferrableTaskServer": "deferrable",
+    "cape": "response_time",
+    "ideal_ps_finish_time": "response_time",
+    "ideal_ps_response_time": "response_time",
+    "implementation_ps_response_time": "response_time",
+    "AdmissionDecision": "admission",
+    "BucketAdmissionController": "admission",
+    "BucketLedger": "admission",
+    "BucketSlot": "admission",
+    "IdealPSAdmissionController": "admission",
+})
 
 __all__ = [
     "HandlerRelease",

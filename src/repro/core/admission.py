@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..rtsj.time_types import RelativeTime
-from ..rtsj.vm import NS_PER_UNIT
-from .events import ServableAsyncEvent, ServableAsyncEventHandler
-from .polling import PollingTaskServer
+from ..rtsj.time_types import NS_PER_UNIT, RelativeTime
 from .response_time import ideal_ps_response_time
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .events import ServableAsyncEvent, ServableAsyncEventHandler
+    from .polling import PollingTaskServer
 
 __all__ = [
     "AdmissionDecision",

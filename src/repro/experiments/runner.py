@@ -24,16 +24,8 @@ import sys
 import time
 from pathlib import Path
 
-from ..overload import SHED_POLICIES as _SHED_POLICIES
-from ..rtsj import OverheadModel
-from .campaign import (
-    CheckpointMismatch,
-    RunExhausted,
-    RunPolicy,
-    run_campaign,
-)
-from .figures import render_all_figures
-from .tables import TABLE_ARMS, format_comparison, format_table, shape_checks
+from ..overload.config import SHED_POLICIES as _SHED_POLICIES
+from .hardening import CheckpointMismatch, RunExhausted, RunPolicy
 
 __all__ = ["main"]
 
@@ -360,7 +352,11 @@ def _dispatch(args: argparse.Namespace,
     failures = 0
     wants_tables = args.target in ("all", "table2", "table3", "table4",
                                    "table5", "checks")
-    overhead = OverheadModel.zero() if args.no_overhead else None
+    overhead = None
+    if args.no_overhead:
+        from ..rtsj import OverheadModel
+
+        overhead = OverheadModel.zero()
 
     run_policy = None
     if (
@@ -394,6 +390,8 @@ def _dispatch(args: argparse.Namespace,
         if args.target == "gateway":
             return _run_gateway(args)
         if wants_tables:
+            from .campaign import run_campaign
+
             campaign = run_campaign(
                 overhead=overhead, run_policy=run_policy,
                 workers=args.workers, verify=args.verify,
@@ -406,6 +404,13 @@ def _dispatch(args: argparse.Namespace,
         return 2
 
     if campaign is not None:
+        from .tables import (
+            TABLE_ARMS,
+            format_comparison,
+            format_table,
+            shape_checks,
+        )
+
         failures += _report_failures(campaign.failures)
         table_numbers = (
             (2, 3, 4, 5) if args.target in ("all", "checks")
@@ -429,6 +434,8 @@ def _dispatch(args: argparse.Namespace,
             print()
 
     if args.target in ("all", "figures"):
+        from .figures import render_all_figures
+
         print(render_all_figures(svg_dir=args.svg_dir))
 
     return 1 if failures else 0

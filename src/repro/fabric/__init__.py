@@ -17,16 +17,22 @@ horizontally:
 * :mod:`repro.fabric.storm` — the kill-the-shard chaos storm.
 """
 
-from .fabric import AdmissionFabric, FabricConfig, FabricError
-from .placement import SourcePlacement, place_sources
-from .router import ShardRouter
-from .storm import (
-    FabricStormConfig,
-    FabricStormReport,
-    ShardKill,
-    run_fabric_storm,
-)
-from .supervisor import Supervisor, SupervisorConfig
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "AdmissionFabric": "fabric",
+    "FabricConfig": "fabric",
+    "FabricError": "fabric",
+    "SourcePlacement": "placement",
+    "place_sources": "placement",
+    "ShardRouter": "router",
+    "FabricStormConfig": "storm",
+    "FabricStormReport": "storm",
+    "ShardKill": "storm",
+    "run_fabric_storm": "storm",
+    "Supervisor": "supervisor",
+    "SupervisorConfig": "supervisor",
+})
 
 __all__ = [
     "AdmissionFabric",

@@ -22,24 +22,24 @@ to stay correct there:
     :class:`~repro.sim.engine.Simulation` or an emulated RTSJ VM.
 """
 
-from .enforcement import (
-    OVERRUN_POLICIES,
-    EnforcementConfig,
-    FaultSummary,
-    summarize_faults,
-)
-from .injectors import (
-    DroppedActivation,
-    EventBurst,
-    ExecutionSkew,
-    FaultInjector,
-    FaultPlan,
-    FireFaultInjector,
-    ReleaseJitter,
-    TimerDrift,
-    WcetOverrun,
-)
-from .watchdog import DeadlineMissWatchdog
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "OVERRUN_POLICIES": "enforcement",
+    "EnforcementConfig": "enforcement",
+    "FaultSummary": "enforcement",
+    "summarize_faults": "enforcement",
+    "DroppedActivation": "injectors",
+    "EventBurst": "injectors",
+    "ExecutionSkew": "injectors",
+    "FaultInjector": "injectors",
+    "FaultPlan": "injectors",
+    "FireFaultInjector": "injectors",
+    "ReleaseJitter": "injectors",
+    "TimerDrift": "injectors",
+    "WcetOverrun": "injectors",
+    "DeadlineMissWatchdog": "watchdog",
+})
 
 __all__ = [
     "OVERRUN_POLICIES",

@@ -28,17 +28,25 @@ a first-class ``SHED`` trace event; the periodic task set stays protected
 throughout (its priorities and budgets are untouched by shedding).
 """
 
-from .breaker import BreakerState, CircuitBreaker
-from .config import (
-    SHED_POLICIES,
-    BreakerConfig,
-    DetectorConfig,
-    OverloadConfig,
-    QueueBound,
-)
-from .detector import DegradedModeAction, OverloadDetector, ServiceScaleAction
-from .metrics import OverloadReport, measure_overload
-from .wiring import build_breaker, build_detector, wire_sim_servers
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "BreakerState": "breaker",
+    "CircuitBreaker": "breaker",
+    "SHED_POLICIES": "config",
+    "BreakerConfig": "config",
+    "DetectorConfig": "config",
+    "OverloadConfig": "config",
+    "QueueBound": "config",
+    "DegradedModeAction": "detector",
+    "OverloadDetector": "detector",
+    "ServiceScaleAction": "detector",
+    "OverloadReport": "metrics",
+    "measure_overload": "metrics",
+    "build_breaker": "wiring",
+    "build_detector": "wiring",
+    "wire_sim_servers": "wiring",
+})
 
 __all__ = [
     "build_breaker",

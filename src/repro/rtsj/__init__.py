@@ -11,31 +11,44 @@ asynchronous transfer of control, and processing-group budget accounting
 runtime-overhead model.
 """
 
-from .time_types import NANOS_PER_MILLI, AbsoluteTime, HighResolutionTime, RelativeTime
-from .params import (
-    AperiodicParameters,
-    PeriodicParameters,
-    PriorityParameters,
-    ProcessingGroupParameters,
-    ReleaseParameters,
-    SchedulingParameters,
-    SporadicParameters,
-)
-from .instructions import AwaitRelease, Compute, Instruction, Sleep, WaitForNextPeriod
-from .interruptible import AsynchronouslyInterruptedException, Interruptible, Timed
-from .overhead import OverheadModel
-from .thread import (
-    MAX_RT_PRIORITY,
-    MIN_RT_PRIORITY,
-    RealtimeThread,
-    Schedulable,
-    ThreadState,
-)
-from .scheduler import PriorityScheduler
-from .vm import NS_PER_UNIT, RTSJVirtualMachine
-from .async_event import AsyncEvent, AsyncEventHandler
-from .timer import OneShotTimer, PeriodicTimer
-from .clock import Clock, RealtimeClock
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "NANOS_PER_MILLI": "time_types",
+    "AbsoluteTime": "time_types",
+    "HighResolutionTime": "time_types",
+    "RelativeTime": "time_types",
+    "AperiodicParameters": "params",
+    "PeriodicParameters": "params",
+    "PriorityParameters": "params",
+    "ProcessingGroupParameters": "params",
+    "ReleaseParameters": "params",
+    "SchedulingParameters": "params",
+    "SporadicParameters": "params",
+    "AwaitRelease": "instructions",
+    "Compute": "instructions",
+    "Instruction": "instructions",
+    "Sleep": "instructions",
+    "WaitForNextPeriod": "instructions",
+    "AsynchronouslyInterruptedException": "interruptible",
+    "Interruptible": "interruptible",
+    "Timed": "interruptible",
+    "OverheadModel": "overhead",
+    "MAX_RT_PRIORITY": "thread",
+    "MIN_RT_PRIORITY": "thread",
+    "RealtimeThread": "thread",
+    "Schedulable": "thread",
+    "ThreadState": "thread",
+    "PriorityScheduler": "scheduler",
+    "NS_PER_UNIT": "time_types",
+    "RTSJVirtualMachine": "vm",
+    "AsyncEvent": "async_event",
+    "AsyncEventHandler": "async_event",
+    "OneShotTimer": "timer",
+    "PeriodicTimer": "timer",
+    "Clock": "clock",
+    "RealtimeClock": "clock",
+})
 
 __all__ = [
     "NANOS_PER_MILLI",

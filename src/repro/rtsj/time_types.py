@@ -14,9 +14,12 @@ from __future__ import annotations
 
 from functools import total_ordering
 
-__all__ = ["HighResolutionTime", "AbsoluteTime", "RelativeTime", "NANOS_PER_MILLI"]
+__all__ = ["HighResolutionTime", "AbsoluteTime", "RelativeTime", "NANOS_PER_MILLI",
+           "NS_PER_UNIT"]
 
 NANOS_PER_MILLI = 1_000_000
+#: nanoseconds per trace/metric time unit (1 tu = 1 ms)
+NS_PER_UNIT = 1_000_000
 
 
 @total_ordering

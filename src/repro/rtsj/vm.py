@@ -26,11 +26,9 @@ from .overhead import OverheadModel
 from .params import PeriodicParameters, ProcessingGroupParameters
 from .scheduler import PriorityScheduler
 from .thread import RealtimeThread, ThreadState
+from .time_types import NS_PER_UNIT
 
 __all__ = ["RTSJVirtualMachine", "NS_PER_UNIT"]
-
-#: nanoseconds per trace/metric time unit (1 tu = 1 ms)
-NS_PER_UNIT = 1_000_000
 
 _READY = ThreadState.READY
 

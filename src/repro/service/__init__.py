@@ -24,37 +24,40 @@ retries are timer actions on one logical-time scheduler:
 * :mod:`repro.service.storm` — the seeded Poisson-storm harness.
 """
 
-from .backoff import DEFAULT_BACKOFF, BackoffPolicy
-from .checkpoint import CheckpointError, CheckpointLog, replay_ops
-from .clock import ClockPause, VirtualClock, WallClock
-from .planner import IncrementalPlanner, PlannedJob, RepairResult
-from .requests import (
-    RETRYABLE,
-    AdmissionTicket,
-    Decision,
-    EventRequest,
-    IdempotencyCache,
-)
-from .service import (
-    AdmissionService,
-    DrainReport,
-    ServiceClient,
-    ServiceConfig,
-)
-from .storm import (
-    StormConfig,
-    StormReport,
-    default_storm_service_config,
-    run_service_storm,
-)
-from .twin import (
-    BUDGET_DRIFT,
-    DEADLINE_SLIP,
-    HEARTBEAT_MISS,
-    DigitalTwin,
-    Divergence,
-    TwinConfig,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "DEFAULT_BACKOFF": "backoff",
+    "BackoffPolicy": "backoff",
+    "CheckpointError": "checkpoint",
+    "CheckpointLog": "checkpoint",
+    "replay_ops": "checkpoint",
+    "ClockPause": "clock",
+    "VirtualClock": "clock",
+    "WallClock": "clock",
+    "IncrementalPlanner": "planner",
+    "PlannedJob": "planner",
+    "RepairResult": "planner",
+    "RETRYABLE": "requests",
+    "AdmissionTicket": "requests",
+    "Decision": "requests",
+    "EventRequest": "requests",
+    "IdempotencyCache": "requests",
+    "AdmissionService": "service",
+    "DrainReport": "service",
+    "ServiceClient": "service",
+    "ServiceConfig": "service",
+    "StormConfig": "storm",
+    "StormReport": "storm",
+    "default_storm_service_config": "storm",
+    "run_service_storm": "storm",
+    "BUDGET_DRIFT": "twin",
+    "DEADLINE_SLIP": "twin",
+    "HEARTBEAT_MISS": "twin",
+    "DigitalTwin": "twin",
+    "Divergence": "twin",
+    "TwinConfig": "twin",
+})
 
 __all__ = [
     "AdmissionService",

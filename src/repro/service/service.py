@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-from ..faults.injectors import ExecutionSkew
 from ..overload.breaker import CircuitBreaker
 from ..overload.config import BreakerConfig, DetectorConfig
 from ..overload.detector import OverloadDetector
@@ -41,6 +41,9 @@ from .clock import Timer, VirtualClock
 from .planner import IncrementalPlanner
 from .requests import AdmissionTicket, Decision, EventRequest, IdempotencyCache
 from .twin import BUDGET_DRIFT, DigitalTwin, Divergence, TwinConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..faults.injectors import ExecutionSkew
 
 __all__ = ["ServiceConfig", "DrainReport", "AdmissionService",
            "ServiceClient"]

@@ -1,8 +1,13 @@
 """Scheduling policies implemented by RTSS (paper Section 5)."""
 
-from .fp import FixedPriorityPolicy
-from .edf import EarliestDeadlineFirstPolicy
-from .dover import DOverScheduler, DOverResult
+from ... import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "FixedPriorityPolicy": "fp",
+    "EarliestDeadlineFirstPolicy": "edf",
+    "DOverScheduler": "dover",
+    "DOverResult": "dover",
+})
 
 __all__ = [
     "FixedPriorityPolicy",

@@ -1,13 +1,17 @@
 """Ideal (literature) aperiodic task server policies for RTSS."""
 
-from .base import AperiodicServer
-from .background import BackgroundServer
-from .deferrable import IdealDeferrableServer
-from .polling import IdealPollingServer
-from .priority_exchange import PriorityExchangeServer
-from .slack_stealing import SlackStealingServer
-from .sporadic import SporadicServer
-from .total_bandwidth import TotalBandwidthServer
+from ... import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "AperiodicServer": "base",
+    "BackgroundServer": "background",
+    "IdealDeferrableServer": "deferrable",
+    "IdealPollingServer": "polling",
+    "PriorityExchangeServer": "priority_exchange",
+    "SlackStealingServer": "slack_stealing",
+    "SporadicServer": "sporadic",
+    "TotalBandwidthServer": "total_bandwidth",
+})
 
 __all__ = [
     "AperiodicServer",

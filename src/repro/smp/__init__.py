@@ -18,38 +18,35 @@ the determinism/periodicity properties of Grolleau et al.
   uniprocessor campaign executor.
 """
 
-from .engine import MulticoreSimulation
-from .partition import (
-    PLACEMENT_HEURISTICS,
-    Partition,
-    PartitionError,
-    partition_tasks,
-)
-from .policies import (
-    AperiodicRouter,
-    GlobalEDFPolicy,
-    GlobalFixedPriorityPolicy,
-    MulticorePolicy,
-    PartitionedPolicy,
-)
-from .metrics import (
-    CoreMetrics,
-    MulticoreRunMetrics,
-    measure_multicore_run,
-    multicore_metrics_from_dict,
-    multicore_metrics_to_dict,
-)
-from .campaign import (
-    MULTICORE_MODES,
-    MulticoreCampaignResult,
-    MulticoreParameters,
-    MulticoreSystemResult,
-    build_multicore_system,
-    run_multicore_campaign,
-    run_multicore_overload_campaign,
-    run_multicore_system,
-)
-from .tables import format_multicore_campaign, format_multicore_table
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "MulticoreSimulation": "engine",
+    "PLACEMENT_HEURISTICS": "partition",
+    "Partition": "partition",
+    "PartitionError": "partition",
+    "partition_tasks": "partition",
+    "AperiodicRouter": "policies",
+    "GlobalEDFPolicy": "policies",
+    "GlobalFixedPriorityPolicy": "policies",
+    "MulticorePolicy": "policies",
+    "PartitionedPolicy": "policies",
+    "CoreMetrics": "metrics",
+    "MulticoreRunMetrics": "metrics",
+    "measure_multicore_run": "metrics",
+    "multicore_metrics_from_dict": "metrics",
+    "multicore_metrics_to_dict": "metrics",
+    "MULTICORE_MODES": "campaign",
+    "MulticoreCampaignResult": "campaign",
+    "MulticoreParameters": "campaign",
+    "MulticoreSystemResult": "campaign",
+    "build_multicore_system": "campaign",
+    "run_multicore_campaign": "campaign",
+    "run_multicore_overload_campaign": "campaign",
+    "run_multicore_system": "campaign",
+    "format_multicore_campaign": "tables",
+    "format_multicore_table": "tables",
+})
 
 __all__ = [
     "MulticoreSimulation",

@@ -5,14 +5,26 @@ test locks that surface: after every module of the tree is imported,
 each name in a package's ``__all__`` is the very object the submodule
 defining it holds (never, say, a submodule of the same name), and
 ``dir(package)`` lists it.
+
+The others lock what an import loads.  Each package resolves its names
+on first use, so a process imports only the modules its run calls:
+``import repro`` loads nothing else, a serving gateway's imports leave
+the campaign, the analysis, the VM and the simulator out, and a service
+storm never loads the VM or the simulator.  Each runs in a fresh
+interpreter, since this one has imported the whole tree.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -67,3 +79,44 @@ def test_every_public_name_is_its_defining_submodules_object():
                 assert vars(module).get(name) is value, qualified
             checked += 1
     assert checked > 300
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    probe = code + (
+        "\nimport sys\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('repro')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_import_repro_loads_no_other_repro_module():
+    assert _loaded_after("import repro") == {"repro"}
+
+
+@pytest.mark.parametrize("code, absent", [
+    (
+        "import repro.experiments.runner\n"
+        "from repro.gateway import AdmissionGateway\n",
+        ("repro.experiments.campaign", "repro.analysis", "repro.rtsj.vm",
+         "repro.core.polling", "repro.sim.engine", "repro.verify",
+         "repro.smp", "repro.fabric"),
+    ),
+    (
+        "import repro.service.storm\n",
+        ("repro.rtsj.vm", "repro.sim.engine"),
+    ),
+], ids=["serving-gateway", "service-storm"])
+def test_an_import_loads_only_what_its_run_calls(code, absent):
+    loaded = _loaded_after(code)
+    assert not {
+        module for module in loaded
+        if any(module == name or module.startswith(name + ".")
+               for name in absent)
+    }

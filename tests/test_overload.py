@@ -504,6 +504,7 @@ def test_fail_fast_raises_from_campaign(monkeypatch):
 
 
 def test_runner_fail_fast_exits_2(monkeypatch):
+    import repro.experiments.campaign as campaign_mod
     import repro.experiments.runner as runner_mod
 
     record = RunRecord(arm="ps_sim", set_key=(1.0, 0.0), system_id=0,
@@ -512,7 +513,8 @@ def test_runner_fail_fast_exits_2(monkeypatch):
     def explode(**kwargs):
         raise RunExhausted(record.to_dict())
 
-    monkeypatch.setattr(runner_mod, "run_campaign", explode)
+    # the runner imports the campaign in its table path, at call time
+    monkeypatch.setattr(campaign_mod, "run_campaign", explode)
     assert runner_mod.main(["table2", "--fail-fast"]) == 2
 
 

@@ -81,14 +81,21 @@ class ServerSupply:
         """Worst-case per-unit delay for traffic bounded by the affine
         arrival curve ``alpha(t) = burst + rate * t``.
 
-        This is the maximum horizontal deviation between ``alpha`` and
-        ``sbf``.  Requires ``rate`` strictly below the long-run supply
-        rate ``capacity / period`` (otherwise the backlog diverges).
+        This is the supremum of the horizontal deviation
+        ``inverse_sbf(alpha(t)) - t``.  Requires ``rate`` strictly below
+        the long-run supply rate ``capacity / period`` (otherwise the
+        backlog diverges).
 
-        The deviation is evaluated at the curves' breakpoints: the
-        arrival curve is concave and the supply staircase's corners are
-        at ``blackout + k*period`` / ``blackout + k*period + capacity``,
-        so the maximum occurs where a supply corner meets the curve.
+        ``inverse_sbf`` jumps wherever ``alpha`` crosses a multiple of
+        ``capacity`` (by ``period - capacity``, or by ``blackout`` as it
+        leaves 0), and between two crossings the deviation falls with
+        slope ``rate - 1``.  So the candidates are ``t = 0`` and the
+        instants just after each crossing ``alpha(t) = k * capacity``,
+        where the deviation tends to ``blackout + k * period - t``.
+        Successive crossings lie ``capacity / rate > period`` apart, so
+        their candidates fall with ``k``, and only the first crossing at
+        or after ``t = 0`` counts: ``k = ceil(burst / capacity)``.  A
+        burst of exactly ``k * capacity`` crosses at ``t = 0+``.
         """
         if burst < 0 or rate < 0:
             raise ValueError("burst and rate must be non-negative")
@@ -97,24 +104,12 @@ class ServerSupply:
                 f"arrival rate {rate} is not below the supply rate "
                 f"{self.utilization():g}; the backlog is unbounded"
             )
-        # candidate maxima: at t = 0 (the burst alone) and at the start
-        # of each supply segment, until the curves have crossed for good
-        worst = self.inverse_sbf(burst)
-        k = 0
-        while True:
-            segment_start = self.blackout + k * self.period
-            demand = burst + rate * segment_start
-            supplied = self.sbf(segment_start)
-            backlog = demand - supplied
-            if backlog <= 0:
-                break
-            worst = max(
-                worst, self.inverse_sbf(demand) - segment_start
-            )
-            k += 1
-            if k > 10_000:  # pragma: no cover - guarded by the rate check
-                raise RuntimeError("arrival_curve_delay failed to converge")
-        return worst
+        at_zero = self.inverse_sbf(burst)
+        if rate == 0:
+            return at_zero
+        k = math.ceil(burst / self.capacity)
+        crossing = (k * self.capacity - burst) / rate
+        return max(at_zero, self.blackout + k * self.period - crossing)
 
 
 def polling_supply(capacity: float, period: float) -> ServerSupply:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.resource_model import (
@@ -104,6 +106,89 @@ class TestDelayBounds:
             s.arrival_curve_delay(2.0, r) for r in (0.0, 0.2, 0.4, 0.6)
         ]
         assert all(b >= a - 1e-9 for a, b in zip(delays, delays[1:]))
+
+    def test_arrival_curve_delay_peaks_just_after_a_crossing(self):
+        # alpha(t) = 1 + 0.15 t crosses the capacity 2 at t = 20/3, where
+        # inverse_sbf jumps from 10 + alpha to 20 + (alpha - 2): the
+        # deviation tends to 20 - 20/3 = 40/3, above the 11 at t = 0
+        s = polling_supply(2.0, 10.0)
+        assert s.arrival_curve_delay(1.0, 0.15) == pytest.approx(40 / 3)
+        assert _deviation(s, 1.0, 0.15, 20 / 3 + 1e-3) > 13.33
+
+    def test_a_burst_on_a_capacity_multiple_crosses_at_zero(self):
+        s = polling_supply(2.0, 10.0)
+        # any work beyond the burst waits for the next period (or, with
+        # no burst, for the blackout)
+        assert s.arrival_curve_delay(2.0, 0.15) == pytest.approx(20.0)
+        assert s.arrival_curve_delay(0.0, 0.15) == pytest.approx(10.0)
+        # a curve that never grows never crosses
+        assert s.arrival_curve_delay(2.0, 0.0) == s.inverse_sbf(2.0)
+
+
+def _deviation(supply: ServerSupply, burst: float, rate: float,
+               t: float) -> float:
+    return supply.inverse_sbf(burst + rate * t) - t
+
+
+def _candidates(supply: ServerSupply, burst: float, rate: float,
+                count: int = 60) -> list[float]:
+    """The deviation at t = 0, at the first ``count`` supply segment
+    starts, and just after each of the first ``count`` crossings of a
+    multiple of the capacity (``inverse_sbf`` read a hair past the
+    crossing's workload, at the crossing's instant)."""
+    values = [supply.inverse_sbf(burst)]
+    values += [
+        _deviation(supply, burst, rate, supply.blackout + k * supply.period)
+        for k in range(count)
+    ]
+    if rate > 0:
+        first = math.ceil(burst / supply.capacity)
+        for j in range(first, first + count):
+            workload = j * supply.capacity
+            at = max(0.0, (workload - burst) / rate)
+            past = workload + max(workload, 1.0) * 1e-12
+            values.append(supply.inverse_sbf(past) - at)
+    return values
+
+
+@st.composite
+def _supply_and_curve(draw):
+    capacity = draw(st.floats(0.1, 10.0))
+    period = capacity / draw(st.floats(0.05, 1.0))
+    blackout = draw(st.floats(0.0, 2.0)) * period
+    burst = draw(st.one_of(
+        st.floats(0.0, 5.0).map(lambda f: f * capacity),
+        st.integers(0, 5).map(lambda n: n * capacity),
+    ))
+    # no denormal rates: a grid cannot see a crossing 1e300 tu away
+    rate = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.99))) * (
+        capacity / period
+    )
+    return ServerSupply(capacity, period, blackout), burst, rate
+
+
+class TestArrivalCurveDelayIsTheSupremum:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_supply_and_curve())
+    @example(case=(polling_supply(2.0, 10.0), 1.0, 0.15))
+    @example(case=(deferrable_supply(4.0, 6.0), 0.0, 0.5))
+    def test_equals_the_largest_candidate_and_bounds_a_fine_grid(self, case):
+        supply, burst, rate = case
+        bound = supply.arrival_curve_delay(burst, rate)
+        assert bound == pytest.approx(
+            max(_candidates(supply, burst, rate)), abs=1e-9
+        )
+        first = (
+            (math.ceil(burst / supply.capacity) * supply.capacity - burst)
+            / rate if rate > 0 else 0.0
+        )
+        span = max(first, 0.0) + supply.blackout + 3 * supply.period
+        step = span / 4000
+        grid = [_deviation(supply, burst, rate, i * step)
+                for i in range(4001)]
+        assert max(grid) <= bound + 1e-9
+        # and the grid comes within one step of it: the bound is tight
+        assert max(grid) >= bound - step - 1e-9
 
 
 def adversarial_run(server_cls, spec, arrivals, horizon=240.0):

@@ -316,11 +316,9 @@ def execute_system(
     system: GeneratedSystem,
     policy: str = "polling",
     overhead: OverheadModel | None = None,
-    server_priority: int = MAX_RT_PRIORITY,
     queue: str = "fifo",
     safety_margin: RelativeTime | None = None,
     enforcement: "EnforcementConfig | None" = None,
-    timer_drift_ppm: float = 0.0,
     overload: "OverloadConfig | None" = None,
     verify: bool = False,
     trace_mode: str | None = None,
@@ -330,9 +328,9 @@ def execute_system(
     Each aperiodic event becomes a :class:`ServableAsyncEvent` fired by a
     timer at its release instant (timer firings cost ISR time under the
     overhead model, reproducing the paper's "timers charged to fire the
-    asynchronous events").  ``enforcement`` bounds handlers to their
-    declared costs; ``timer_drift_ppm`` makes the VM's release timers
-    drift (see :mod:`repro.faults`); ``overload`` bounds the server's
+    asynchronous events").  The server runs at ``MAX_RT_PRIORITY`` and
+    the periodic tasks below it.  ``enforcement`` bounds handlers to
+    their declared costs; ``overload`` bounds the server's
     pending queue, installs one circuit breaker per event source and
     drives degraded modes (see :mod:`repro.overload`).  ``trace_mode``
     takes :func:`simulate_system`'s values; any other raises
@@ -341,11 +339,10 @@ def execute_system(
     _check_trace_mode(trace_mode, verify)
     vm = RTSJVirtualMachine(
         overhead=overhead if overhead is not None else OverheadModel(),
-        timer_drift_ppm=timer_drift_ppm,
         trace=CheckOnlyTrace() if trace_mode == "check" else None,
     )
     params = TaskServerParameters.from_spec(
-        system.server, priority=server_priority
+        system.server, priority=MAX_RT_PRIORITY
     )
     server_cls = _EXEC_SERVERS[policy]
     if policy == "polling":
@@ -377,7 +374,7 @@ def execute_system(
     for rank, spec in enumerate(
         sorted(system.periodic_tasks, key=lambda t: t.priority, reverse=True)
     ):
-        rtsj_priority = server_priority - 1 - rank
+        rtsj_priority = MAX_RT_PRIORITY - 1 - rank
         if rtsj_priority < MIN_RT_PRIORITY:
             raise ValueError(
                 "too many periodic tasks to fit below the server priority"

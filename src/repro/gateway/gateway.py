@@ -206,9 +206,7 @@ class AdmissionGateway:
         )
         self.checkpoint_path = checkpoint_path
         self.trace = ExecutionTrace()       # gateway plane
-        self.cache = IdempotencyCache(
-            max_entries=self.service_config.idempotency_entries
-        )
+        self.cache = IdempotencyCache()
         #: the unfed tails of dead predecessor incarnations' service and
         #: gateway planes, oldest first (a restore hands them over)
         self.archived_service_traces: list[ExecutionTrace] = []

@@ -23,6 +23,7 @@ __all__ = [
     "EventRequest",
     "AdmissionTicket",
     "IdempotencyCache",
+    "IDEMPOTENCY_ENTRIES",
 ]
 
 
@@ -55,6 +56,10 @@ RETRYABLE = frozenset({
     Decision.REJECT_UNREACHABLE,
     Decision.REJECT_BUSY,
 })
+
+#: settled request ids an :class:`IdempotencyCache` remembers by
+#: default, as the service's and the gateway's do
+IDEMPOTENCY_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,7 @@ class IdempotencyCache:
     retries actually target.
     """
 
-    max_entries: int = 4096
+    max_entries: int = IDEMPOTENCY_ENTRIES
     _tickets: dict[str, AdmissionTicket] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -85,7 +85,6 @@ class ServiceConfig:
     )
     twin: TwinConfig = field(default_factory=TwinConfig)
     replan_window: float = 50.0
-    idempotency_entries: int = 4096
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -164,7 +163,7 @@ class AdmissionService:
                     config.capacity, config.period, config.start,
                     config.twin, seed,
                 )
-        self.cache = IdempotencyCache(max_entries=config.idempotency_entries)
+        self.cache = IdempotencyCache()
         self.detector: OverloadDetector | None = None
         if config.detector is not None:
             self.detector = OverloadDetector(

@@ -177,9 +177,7 @@ class TestGoldenPath:
     def test_exec_trace_identical(self, system, policy):
         plan = FaultPlan(injectors=(ReleaseJitter(2.0),), enabled=False)
         golden = execute_system(system, policy).trace
-        guarded = execute_system(
-            plan.apply(system), policy, timer_drift_ppm=0.0
-        ).trace
+        guarded = execute_system(plan.apply(system), policy).trace
         assert json.dumps(trace_to_dict(golden), sort_keys=True) == json.dumps(
             trace_to_dict(guarded), sort_keys=True
         )

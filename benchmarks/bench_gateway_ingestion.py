@@ -26,7 +26,16 @@ Not a paper table — these pin the PR 9 wall-clock ingestion path:
   ``retained_bytes_per_request``, tracemalloc's traced memory the
   gateway holds after serving, per served request, and
   ``finish_peak_bytes_per_event``, tracemalloc's traced peak inside
-  one ``finish()``, per event its final flush feeds.
+  one ``finish()``, per event its final flush feeds;
+* ``bench_gateway_cold_start`` — a serving gateway's cold start: spawn
+  ``python -m repro.experiments.runner gateway --listen unix:...``,
+  wait for its listening line, submit one request with the protocol
+  helpers and time spawn -> ticket (the process is stopped with
+  SIGTERM outside the timing).  ``extra_info`` records
+  ``repro_modules_at_first_ticket``: a second spawn runs the runner's
+  ``main`` on its main thread under a ``-c`` wrapper whose helper
+  thread, once the first ticket is answered, prints how many
+  ``sys.modules`` keys start with ``repro``.
 
 The ratio guard in ``BENCH_engine.json``, checked by the
 ``gateway-soak`` CI job, holds the socket/direct median ratio: the
@@ -40,18 +49,28 @@ are set far beyond it), so it repeats exactly on any host, and a count
 guard holds it.  So do the served gateway's retained bytes and the
 final sweep's peak, counts of bytes the program asks for: the served
 requests are stamped by a stepped clock, not the wall clock, so they
-repeat on any host.
+repeat on any host.  The cold start has no ratio guard: two process
+spawns on a shared host do not hold a steady ratio.  Its count guard
+holds the modules a serving gateway has imported by its first ticket,
+which repeats exactly.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
+import os
+import select
+import signal
+import socket
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
+import repro
 import repro.gateway.gateway as gateway_module
 from repro.gateway import (
     AdmissionGateway,
@@ -61,6 +80,7 @@ from repro.gateway import (
     read_frame,
     submit_payload,
 )
+from repro.gateway.protocol import HEADER_BYTES, decode_payload, frame_length
 from repro.service import (
     AdmissionService,
     EventRequest,
@@ -293,4 +313,108 @@ def bench_gateway_finish_sweep(benchmark):
     )
     benchmark.extra_info["finish_peak_bytes_per_event"] = round(
         (peak - served) / tail, 2
+    )
+
+
+#: the directory holding the ``repro`` package, for the spawned gateways
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+#: ``-c`` wrapper: the runner's ``main`` on the main thread, and a helper
+#: thread that prints the loaded ``repro`` modules once a line on stdin
+#: says the first ticket is answered
+_COUNTING_WRAPPER = """
+import sys, threading
+from repro.experiments import runner
+
+def count():
+    sys.stdin.readline()
+    print(sum(1 for name in list(sys.modules) if name.startswith("repro")),
+          flush=True)
+
+threading.Thread(target=count, daemon=True).start()
+sys.exit(runner.main(sys.argv[1:]))
+"""
+
+
+def _spawn_gateway(directory: str, prefix: list[str]) -> subprocess.Popen:
+    """``prefix + gateway --listen unix:directory/gw.sock``, once it
+    has printed its listening line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [*prefix, "gateway", "--listen", f"unix:{directory}/gw.sock"],
+        env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True,
+    )
+    ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+    line = proc.stdout.readline() if ready else ""
+    if "listening" not in line:
+        _stop(proc)
+        raise RuntimeError(f"gateway did not start: {line!r}")
+    return proc
+
+
+def _first_ticket(directory: str) -> None:
+    """Submit one request on a fresh connection and read its ticket."""
+    request = EventRequest(request_id="cold-start", cost=0.1,
+                           relative_deadline=10.0, source="bench")
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.connect(f"{directory}/gw.sock")
+        sock.sendall(encode_frame(submit_payload(request)))
+        buffer = b""
+        length = None
+        while length is None or len(buffer) < HEADER_BYTES + length:
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise RuntimeError("gateway hung up before its ticket")
+            buffer += chunk
+            length = frame_length(buffer)
+    ticket = parse_ticket(decode_payload(buffer[HEADER_BYTES:]))
+    assert ticket.request_id == "cold-start"
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    """SIGTERM (graceful drain) and reap."""
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGTERM)
+    proc.communicate(timeout=60)
+
+
+def repro_modules_at_first_ticket() -> int:
+    """How many ``repro`` modules a serving gateway has imported by the
+    time its first ticket is answered."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = _spawn_gateway(tmp, [sys.executable, "-c", _COUNTING_WRAPPER])
+        try:
+            _first_ticket(tmp)
+            proc.stdin.write("answered\n")
+            proc.stdin.flush()
+            return int(proc.stdout.readline())
+        finally:
+            _stop(proc)
+
+
+def bench_gateway_cold_start(benchmark):
+    """Spawn -> first ticket of a serving gateway, plus the ``repro``
+    modules it has imported by then."""
+    spawned: list[subprocess.Popen] = []
+
+    def cold_start(directory: str) -> None:
+        spawned.append(_spawn_gateway(
+            directory, [sys.executable, "-m", "repro.experiments.runner"]
+        ))
+        _first_ticket(directory)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            benchmark.pedantic(
+                cold_start, setup=lambda: ((tmp,), {}),
+                teardown=lambda directory: _stop(spawned[-1]), rounds=5,
+            )
+        finally:
+            for proc in spawned:
+                _stop(proc)
+    benchmark.extra_info["repro_modules_at_first_ticket"] = (
+        repro_modules_at_first_ticket()
     )

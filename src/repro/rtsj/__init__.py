@@ -15,6 +15,7 @@ from .. import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "NANOS_PER_MILLI": "time_types",
+    "NS_PER_UNIT": "time_types",
     "AbsoluteTime": "time_types",
     "HighResolutionTime": "time_types",
     "RelativeTime": "time_types",
@@ -40,7 +41,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "Schedulable": "thread",
     "ThreadState": "thread",
     "PriorityScheduler": "scheduler",
-    "NS_PER_UNIT": "time_types",
     "RTSJVirtualMachine": "vm",
     "AsyncEvent": "async_event",
     "AsyncEventHandler": "async_event",

@@ -9,9 +9,10 @@ defining it holds (never, say, a submodule of the same name), and
 The others lock what an import loads.  Each package resolves its names
 on first use, so a process imports only the modules its run calls:
 ``import repro`` loads nothing else, a serving gateway's imports leave
-the campaign, the analysis, the VM and the simulator out, and a service
-storm never loads the VM or the simulator.  Each runs in a fresh
-interpreter, since this one has imported the whole tree.
+the campaign, the analysis, the VM and the simulation kernel out, and
+a service storm never loads the VM or the simulation kernel.  Each
+runs in a fresh interpreter, since this one has imported the whole
+tree.
 """
 
 from __future__ import annotations
